@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, filter_analysis, model, training
-from .dataset import build_windows, make_folds, write_fold_manifests
+from .dataset import build_windows, make_folds
 from .edf_ingest import (
     DEFAULT_CHANNEL,
     IngestError,
@@ -31,6 +31,7 @@ from .edf_ingest import (
     load_recording,
 )
 from .evaluation import METRIC_NAMES
+from .fileio import write_json
 from .model import ModelConfig
 from .training import TrainingError
 
@@ -112,10 +113,8 @@ def _load_corpus(cfg: RunConfig) -> list[Recording]:
 
 def _write_manifest(out_dir: Path, command: str, cfg: RunConfig, extra: dict | None = None):
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {"command": command, "config": cfg.to_json_dict()}
-    if extra:
-        manifest.update(extra)
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    write_json(out_dir / "manifest.json",
+               {"command": command, "config": cfg.to_json_dict()} | (extra or {}))
 
 
 def cmd_ingest(args) -> int:
@@ -143,9 +142,8 @@ def cmd_ingest(args) -> int:
         "per_recording": per_recording,
         "corpus_sha256": training.corpus_fingerprint(recordings),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "dataset_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     _write_manifest(out_dir, "ingest", cfg)
+    write_json(out_dir / "dataset_summary.json", summary)
     print(f"{summary['n_recordings']} recordings, {summary['total_epochs']} epochs, "
           f"{summary['total_removed_epochs']} unscorable epochs removed")
     return EXIT_OK
@@ -163,7 +161,7 @@ def cmd_train(args) -> int:
         "seed": args.seed, "fold": args.fold,
         "corpus_sha256": training.corpus_fingerprint(recordings),
     })
-    write_fold_manifests(folds, args.seed, out_dir / "folds.json")
+    write_json(out_dir / "folds.json", [f.to_json_dict() | {"seed": args.seed} for f in folds])
     rng = np.random.default_rng([args.seed, args.fold])
     result = training.train_fold(recordings, folds[args.fold], cfg.model, rng)
     fold_dir = training.save_fold_result(result, out_dir, args.seed)
@@ -179,10 +177,8 @@ def cmd_crossval(args) -> int:
         cfg.folds = [int(i) for i in args.folds.split(",")]
     recordings = _load_corpus(cfg)
     out_dir = Path(cfg.output_dir)
-    _write_manifest(out_dir, "crossval", cfg, {
-        "seed": args.seed,
-        "corpus_sha256": training.corpus_fingerprint(recordings),
-    })
+    # The corpus fingerprint goes into run_manifest.json beside this file.
+    _write_manifest(out_dir, "crossval", cfg, {"seed": args.seed})
     outcome = training.run_crossvalidation(
         recordings, cfg.model, args.seed, out_dir=out_dir,
         fold_indices=cfg.folds, parallel=args.parallel or 1)
@@ -238,7 +234,7 @@ def cmd_evaluate(args) -> int:
             if rec is None:
                 continue
             counts = np.asarray(item["matrix"], dtype=np.int64)
-            mean_f1, overall_acc = training._validation_scores(counts)
+            mean_f1, overall_acc = evaluation.validation_scores(counts)
             eff.append(evaluation.sleep_efficiency(rec.epoch_labels, rec.lights_out_epoch))
             trans.append(evaluation.transitional_fraction(rec.epoch_labels,
                                                           rec.lights_out_epoch))
@@ -281,7 +277,7 @@ def cmd_predict(args) -> int:
     evaluation.export_hypnogram(predictions, out_dir / "predicted.csv")
     evaluation.export_hypnogram([w.label for w in windows], out_dir / "expert.csv")
     counts = evaluation.confusion(predictions, [w.label for w in windows])
-    (out_dir / "confusion.json").write_text(json.dumps(counts.tolist()) + "\n")
+    write_json(out_dir / "confusion.json", counts.tolist())
     _write_manifest(out_dir, "predict", cfg, {"checkpoint": str(args.checkpoint)})
     agree = float(np.trace(counts) / counts.sum())
     print(f"{len(predictions)} epochs scored; agreement with expert {100 * agree:.1f}%")

@@ -8,9 +8,7 @@ the signal rather than to window count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -78,6 +76,14 @@ class FoldSplit:
     validation_subjects: tuple[str, ...]
     training_subjects: tuple[str, ...]
 
+    def to_json_dict(self) -> dict:
+        return {
+            "fold": self.fold_index,
+            "test": list(self.test_subjects),
+            "val": list(self.validation_subjects),
+            "train": list(self.training_subjects),
+        }
+
 
 def make_folds(subjects: list[str], seed: int) -> list[FoldSplit]:
     """Leave-one-subject-out splits: fold i tests subject i.
@@ -98,21 +104,6 @@ def make_folds(subjects: list[str], seed: int) -> list[FoldSplit]:
         train = tuple(s for s in rest if s not in set(val))
         folds.append(FoldSplit(i, (test_subject,), val, train))
     return folds
-
-
-def fold_manifest(fold: FoldSplit, seed: int) -> dict:
-    return {
-        "fold": fold.fold_index,
-        "test": list(fold.test_subjects),
-        "val": list(fold.validation_subjects),
-        "train": list(fold.training_subjects),
-        "seed": seed,
-    }
-
-
-def write_fold_manifests(folds: list[FoldSplit], seed: int, path: Path) -> None:
-    payload = [fold_manifest(f, seed) for f in folds]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 @dataclass

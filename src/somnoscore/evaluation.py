@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .edf_ingest import N_STAGES, STAGES, SleepStage
+from .fileio import write_json
 
 METRIC_NAMES = (
     "precision_mean", "precision_worst",
@@ -47,14 +48,15 @@ class MetricError(ValueError):
 
 def confusion(predicted, expert) -> np.ndarray:
     """Count matrix with rows = expert stage, columns = algorithm stage."""
-    predicted = [SleepStage(int(p)) for p in predicted]
-    expert = [SleepStage(int(e)) for e in expert]
+    predicted = np.asarray(predicted, dtype=np.int64)
+    expert = np.asarray(expert, dtype=np.int64)
     if len(predicted) != len(expert):
         raise MetricError(f"length mismatch: {len(predicted)} predicted, {len(expert)} expert")
-    counts = np.zeros((N_STAGES, N_STAGES), dtype=np.int64)
-    for e, p in zip(expert, predicted):
-        counts[e, p] += 1
-    return counts
+    for name, stages in (("predicted", predicted), ("expert", expert)):
+        if stages.size and (stages.min() < 0 or stages.max() >= N_STAGES):
+            raise MetricError(f"{name} stage outside 0..{N_STAGES - 1}")
+    flat = np.bincount(expert * N_STAGES + predicted, minlength=N_STAGES * N_STAGES)
+    return flat.reshape(N_STAGES, N_STAGES)
 
 
 def empty_stage_rows(counts: np.ndarray) -> list[SleepStage]:
@@ -102,32 +104,68 @@ class ClassMetrics:
         }
 
 
-def class_metrics(counts: np.ndarray, overall: str = "raw") -> ClassMetrics:
-    """One-vs-all metric suite on the class-balanced matrix.
+# Off-diagonal masks by stage count, built once: bootstrap_ci reduces 1000 matrices.
+_OFF_DIAGONAL = [~np.eye(k, dtype=bool) for k in range(N_STAGES + 1)]
 
-    `overall` selects the overall-accuracy reading: "raw" = trace/total of the
-    raw counts, "balanced" = mean per-stage sensitivity.
+
+def _one_vs_all(counts: np.ndarray, stages: np.ndarray | slice) -> ClassMetrics:
+    """One-vs-all metrics of each selected stage against the other selected ones.
+
+    `stages` indexes the rows and columns compared. Rows are normalized over
+    all five predicted columns, so predictions that land on an unselected
+    stage still count as errors. Overall accuracy is trace/total of the raw
+    counts.
     """
-    counts = np.asarray(counts)
-    empty = empty_stage_rows(counts)
-    if empty:
-        raise MetricError(f"no epochs for stage(s): {', '.join(s.name for s in empty)}")
-    r = row_normalize(counts)
+    r = row_normalize(counts[stages])[:, stages]
+    k = len(r)
     sens = np.diag(r).copy()
-    fpr = (r.sum(axis=0) - np.diag(r)) / (N_STAGES - 1)
+    # Off-diagonal entries of each column, summed in row order; the order is
+    # fixed because model selection compares mean F1 values exactly.
+    fpr = r.T[_OFF_DIAGONAL[k]].reshape(k, k - 1).sum(axis=1) / (k - 1)
     # A stage can go entirely unpredicted (zero column): 0/0 resolves to 0,
     # the continuous extension, so a useless class scores 0 rather than NaN.
     prec = np.divide(sens, sens + fpr, out=np.zeros_like(sens), where=(sens + fpr) > 0)
     acc = (sens + (1.0 - fpr)) / 2.0
     f1 = np.divide(2.0 * prec * sens, prec + sens,
                    out=np.zeros_like(sens), where=(prec + sens) > 0)
-    if overall == "raw":
-        overall_acc = float(np.trace(counts) / counts.sum())
-    elif overall == "balanced":
-        overall_acc = float(sens.mean())
-    else:
+    return ClassMetrics(sens, prec, f1, acc, float(np.trace(counts) / counts.sum()))
+
+
+def class_metrics(counts: np.ndarray, overall: str = "raw") -> ClassMetrics:
+    """One-vs-all metric suite on the class-balanced matrix (all five stages).
+
+    Raises MetricError if a stage has no epochs. `overall` selects the
+    overall-accuracy reading: "raw" = trace/total of the raw counts,
+    "balanced" = mean per-stage sensitivity.
+    """
+    counts = np.asarray(counts)
+    empty = empty_stage_rows(counts)
+    if empty:
+        raise MetricError(f"no epochs for stage(s): {', '.join(s.name for s in empty)}")
+    if overall not in ("raw", "balanced"):
         raise MetricError(f"unknown overall-accuracy mode {overall!r}")
-    return ClassMetrics(sens, prec, f1, acc, overall_acc)
+    metrics = _one_vs_all(counts, slice(None))
+    if overall == "balanced":
+        metrics.overall_accuracy = float(metrics.sensitivity.mean())
+    return metrics
+
+
+def validation_scores(counts: np.ndarray) -> tuple[float, float]:
+    """(mean F1, raw overall accuracy), averaged over the stages present.
+
+    The model-selection metric must stay defined even when a validation split
+    happens to lack a stage, so the one-vs-all reduction runs over the present
+    stages only; with a single present stage, mean F1 is its sensitivity.
+    Test-set reports use the strict :func:`class_metrics`.
+    """
+    counts = np.asarray(counts)
+    present = np.flatnonzero(counts.sum(axis=1) > 0)
+    if present.size == 0:
+        raise MetricError("confusion matrix is empty")
+    overall = float(np.trace(counts) / counts.sum())
+    if present.size == 1:
+        return float(counts[present[0], present[0]] / counts.sum()), overall
+    return _one_vs_all(counts, present).mean("f1"), overall
 
 
 @dataclass(frozen=True)
@@ -385,8 +423,6 @@ def write_metrics_report(
     regressions: dict[str, RegressionResult] | None = None,
 ) -> None:
     """JSON at full precision plus CSVs rounded to 0.1 percentage points."""
-    import json
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {
@@ -408,7 +444,7 @@ def write_metrics_report(
                    "r_squared": r.r_squared, "p_value": r.p_value}
             for name, r in regressions.items()
         }
-    (out_dir / "metrics.json").write_text(json.dumps(report, indent=2) + "\n")
+    write_json(out_dir / "metrics.json", report)
 
     r = row_normalize(counts)
     with open(out_dir / "confusion.csv", "w", newline="") as fh:

@@ -13,6 +13,7 @@ the effect of learning (vs fixing) the input filters can be measured.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 import warnings
@@ -22,10 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from .edf_ingest import N_STAGES, SleepStage
+from .fileio import write_atomic
 from . import tensor_ops as T
 
 CHECKPOINT_MAGIC = b"SOMN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 TRAINABLE_MODE = "trainable"
 FIXED_MORLET_MODE = "fixed_morlet"
@@ -166,14 +168,6 @@ class ModelParameters:
     velocity: dict[str, np.ndarray]
     frozen: frozenset[str] = frozenset()
 
-    @property
-    def trainable_names(self) -> list[str]:
-        return [n for n in self.tensors if n not in self.frozen]
-
-    @property
-    def n_trainable(self) -> int:
-        return sum(self.tensors[n].size for n in self.trainable_names)
-
     def l2_weight_names(self) -> tuple[str, ...]:
         names = SOFTMAX_WEIGHT_NAMES if self.config.l2_scope == "softmax_only" else WEIGHT_NAMES
         return tuple(n for n in names if n not in self.frozen)
@@ -291,10 +285,7 @@ def forward(params: ModelParameters, signal: np.ndarray) -> tuple[np.ndarray, Fo
     z2 = T.dense(h1, t["f2_w"], t["f2_b"])
     h2 = T.relu(z2)
     logits = T.dense(h2, t["out_w"], t["out_b"])
-    zc = np.asarray(logits, dtype=np.float64)
-    zc = zc - zc.max()
-    e = np.exp(zc)
-    probs = e / e.sum()
+    probs = T.softmax(logits)
 
     cache = ForwardCache(x, a1, r1, p1_idx, p1_out, s1, a2, r2, p2_idx, p2_out,
                          flat, z1, h1, z2, h2, logits, probs)
@@ -305,19 +296,17 @@ def backward(
     params: ModelParameters,
     cache: ForwardCache,
     label: SleepStage | int,
-    include_l2: bool = True,
 ) -> dict[str, np.ndarray]:
-    """Gradients of cross-entropy (plus, optionally, the L2 penalty).
+    """Gradients of the window's cross-entropy.
 
-    Frozen tensors receive no gradient entry. Batch loops pass
-    include_l2=False and add the decay term once after averaging.
+    Frozen tensors receive no gradient entry. The L2 decay term is not
+    included; batch_update adds it once after averaging.
     """
     cfg = params.config
     t = params.tensors
     grads: dict[str, np.ndarray] = {}
 
-    g_logits = cache.probs.copy()
-    g_logits[int(label)] -= 1.0
+    _, g_logits = T.cross_entropy(cache.probs, int(label))
     g_logits = g_logits.astype(cfg.np_dtype)
 
     g_h2, grads["out_w"], grads["out_b"] = T.dense_backward(cache.h2, t["out_w"], g_logits)
@@ -338,28 +327,15 @@ def backward(
         g_a1 = T.relu_backward(cache.a1, g_r1)
         _, grads["c1_kernels"], grads["c1_bias"] = T.conv1d_backward(
             cache.x, t["c1_kernels"], g_a1)
-
-    if include_l2 and cfg.l2_lambda:
-        for name in params.l2_weight_names():
-            grads[name] = grads[name] + cfg.l2_lambda * t[name]
     return grads
-
-
-def loss_for_window(params: ModelParameters, signal: np.ndarray, label: SleepStage | int,
-                    include_l2: bool = True) -> float:
-    """Scalar training objective for one window (finite-difference target)."""
-    probs, _ = forward(params, signal)
-    loss = float(-np.log(probs[int(label)]))
-    if include_l2 and params.config.l2_lambda:
-        weights = [params.tensors[n] for n in params.l2_weight_names()]
-        penalty, _ = T.l2_penalty(weights, params.config.l2_lambda)
-        loss += penalty
-    return loss
 
 
 def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray],
              learning_rate: float, momentum: float) -> None:
-    """Momentum-SGD update in place: v <- mu*v - lr*g; w <- w + v."""
+    """Momentum-SGD update in place: v <- mu*v - lr*g; w <- w + v.
+
+    Frozen tensors and tensors absent from `gradients` are left untouched.
+    """
     for name, g in gradients.items():
         if name in params.frozen:
             continue
@@ -369,11 +345,6 @@ def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray],
         v *= momentum
         v -= learning_rate * g
         params.tensors[name] += v
-    # Tensors with no gradient this step still see velocity decay.
-    for name in params.trainable_names:
-        if name not in gradients:
-            params.velocity[name] *= momentum
-            params.tensors[name] += params.velocity[name]
 
 
 def predict(params: ModelParameters, signal: np.ndarray) -> SleepStage:
@@ -423,29 +394,12 @@ def make_morlet_bank(
 # --- checkpoint format ------------------------------------------------------
 # magic "SOMN" | u16 version | u32 config-JSON length | config JSON |
 # per-tensor records (u16 name len, name, u8 dtype code, u8 ndim, u32 dims,
-# raw little-endian values) | u64 CRC-64 of everything before it.
-
-_CRC64_POLY = 0x42F0E1EBA9EA3693
-
-
-def _crc64_table() -> list[int]:
-    table = []
-    for byte in range(256):
-        crc = byte << 56
-        for _ in range(8):
-            crc = ((crc << 1) ^ _CRC64_POLY if crc & (1 << 63) else crc << 1)
-            crc &= 0xFFFFFFFFFFFFFFFF
-        table.append(crc)
-    return table
+# raw little-endian values) | 8-byte checksum: the first 8 bytes of the
+# SHA-256 of everything before it.
 
 
-_CRC64_TABLE = _crc64_table()
-
-
-def crc64(data: bytes, crc: int = 0) -> int:
-    for b in data:
-        crc = ((crc << 8) & 0xFFFFFFFFFFFFFFFF) ^ _CRC64_TABLE[((crc >> 56) ^ b) & 0xFF]
-    return crc
+def _checksum(body: bytes) -> bytes:
+    return hashlib.sha256(body).digest()[:8]
 
 
 class CheckpointError(Exception):
@@ -472,19 +426,19 @@ def save_checkpoint(params: ModelParameters, path: Path) -> None:
         chunks.append(struct.pack(f"<{a.ndim}I", *a.shape))
         chunks.append(a.astype(a.dtype.newbyteorder("<")).tobytes())
     body = b"".join(chunks)
-    Path(path).write_bytes(body + struct.pack("<Q", crc64(body)))
+    write_atomic(path, body + _checksum(body))
 
 
 def load_checkpoint(path: Path, expect_config: ModelConfig | None = None) -> ModelParameters:
     data = Path(path).read_bytes()
     if len(data) < 14 or data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    body, crc_stored = data[:-8], struct.unpack("<Q", data[-8:])[0]
-    if crc64(body) != crc_stored:
-        raise CheckpointError(f"{path}: checksum failure (corrupt or truncated)")
-    (version,) = struct.unpack_from("<H", body, 4)
+    (version,) = struct.unpack_from("<H", data, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: format version {version} != {CHECKPOINT_VERSION}")
+    body = data[:-8]
+    if _checksum(body) != data[-8:]:
+        raise CheckpointError(f"{path}: checksum failure (corrupt or truncated)")
     (cfg_len,) = struct.unpack_from("<I", body, 6)
     pos = 10
     manifest = json.loads(body[pos:pos + cfg_len].decode("utf-8"))

@@ -162,21 +162,27 @@ def dense_backward(
     return grad_x, grad_weights, grad_bias
 
 
-def softmax_xent(logits: np.ndarray, label: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """Stable softmax + cross-entropy against a single integer label.
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Stable softmax, at 64-bit whatever the logit precision.
 
-    Returns (probs, loss, grad_logits) where grad_logits = probs - onehot(label).
-    The softmax itself runs at 64-bit whatever the logit precision; it is a
-    handful of values and the probabilities must sum to 1 tightly.
+    It is a handful of values and the probabilities must sum to 1 tightly.
     """
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max()
-    e = np.exp(z)
-    probs = e / e.sum()
-    loss = float(-(z[label] - np.log(e.sum())))
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def cross_entropy(probs: np.ndarray, label: int) -> tuple[float, np.ndarray]:
+    """Cross-entropy of softmax output `probs` against one integer label.
+
+    Returns (loss, grad_logits) with grad_logits = probs - onehot(label), the
+    gradient with respect to the logits that produced `probs`. The probability
+    is clamped at 1e-300 so a saturated softmax gives a large finite loss.
+    """
+    loss = float(-np.log(max(probs[label], 1e-300)))
     grad = probs.copy()
     grad[label] -= 1.0
-    return probs, loss, grad
+    return loss, grad
 
 
 def l2_penalty(weights: list[np.ndarray], lam: float) -> tuple[float, list[np.ndarray]]:

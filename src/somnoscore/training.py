@@ -20,9 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import model
+from . import tensor_ops as T
 from .dataset import FoldSplit, balanced_batch, class_pools, make_folds, windows_for_subjects
 from .edf_ingest import N_STAGES, Recording
-from .evaluation import confusion, row_normalize
+from .evaluation import confusion, validation_scores
+from .fileio import write_json
 from .model import ModelConfig, ModelParameters
 
 
@@ -72,32 +74,6 @@ class FoldResult:
     checkpoint_path: Path | None = None
 
 
-def _validation_scores(counts: np.ndarray) -> tuple[float, float]:
-    """(mean F1, overall accuracy), averaged over stages present in the data.
-
-    The model-selection metric must stay defined even when a validation split
-    happens to lack a stage; rows are normalized over all five predicted
-    columns (predictions landing on an absent stage are still errors) and the
-    one-vs-all reduction runs over the present stages only. Test-set reports
-    use the strict metric suite.
-    """
-    present = np.flatnonzero(counts.sum(axis=1) > 0)
-    if present.size == 0:
-        raise TrainingError("validation confusion matrix is empty")
-    r = row_normalize(counts)
-    overall = float(np.trace(counts) / counts.sum())
-    if present.size == 1:
-        return float(r[present[0], present[0]]), overall
-    f1s = []
-    for c in present:
-        sens = r[c, c]
-        others = present[present != c]
-        fpr = r[others, c].sum() / len(others)
-        prec = sens / (sens + fpr) if sens + fpr > 0 else 0.0
-        f1s.append(2 * prec * sens / (prec + sens) if prec + sens > 0 else 0.0)
-    return float(np.mean(f1s)), overall
-
-
 def _score_windows(params: ModelParameters, windows) -> np.ndarray:
     preds = [model.predict(params, w.signal()) for w in windows]
     return confusion(preds, [w.label for w in windows])
@@ -116,8 +92,8 @@ def batch_update(
     loss_sum = 0.0
     for window in batch:
         probs, cache = model.forward(params, window.signal())
-        loss_sum += float(-np.log(max(probs[int(window.label)], 1e-300)))
-        grads = model.backward(params, cache, window.label, include_l2=False)
+        loss_sum += T.cross_entropy(probs, int(window.label))[0]
+        grads = model.backward(params, cache, window.label)
         for name, g in grads.items():
             if name in accum:
                 accum[name] += g
@@ -128,10 +104,12 @@ def batch_update(
         accum[name] *= inv
     loss = loss_sum * inv
     if config.l2_lambda:
-        for name in params.l2_weight_names():
-            accum[name] += config.l2_lambda * params.tensors[name]
-        weights = [params.tensors[n] for n in params.l2_weight_names()]
-        loss += 0.5 * config.l2_lambda * float(sum(np.vdot(w, w).real for w in weights))
+        names = params.l2_weight_names()
+        penalty, decay = T.l2_penalty([params.tensors[n] for n in names], config.l2_lambda)
+        for name, g in zip(names, decay):
+            accum[name] += g
+        del decay  # as large as the weights; free it before sgd_step's temporaries
+        loss += penalty
     model.sgd_step(params, accum, config.learning_rate, config.momentum)
     return loss
 
@@ -180,7 +158,7 @@ def train_fold(
 
         if iteration % config.eval_every == 0 or iteration == config.max_iterations:
             counts = _score_windows(params, val_windows)
-            mean_f1, overall = _validation_scores(counts)
+            mean_f1, overall = validation_scores(counts)
             record = EvalRecord(
                 iteration=iteration,
                 training_loss=float(np.mean(loss_window)),
@@ -236,12 +214,8 @@ def save_fold_result(result: FoldResult, out_dir: Path, seed: int) -> Path:
     fold_dir.mkdir(parents=True, exist_ok=True)
     ckpt = fold_dir / "best.somn"
     model.save_checkpoint(result.best_params, ckpt)
-    payload = {
-        "fold": result.fold_index,
+    payload = result.split.to_json_dict() | {
         "seed": seed,
-        "test": list(result.split.test_subjects),
-        "val": list(result.split.validation_subjects),
-        "train": list(result.split.training_subjects),
         "history": result.history.as_dicts(),
         "test_matrix": result.test_matrix.tolist(),
         "per_recording": [
@@ -250,7 +224,7 @@ def save_fold_result(result: FoldResult, out_dir: Path, seed: int) -> Path:
         ],
         "checkpoint": ckpt.name,
     }
-    (fold_dir / "result.json").write_text(json.dumps(payload, indent=2) + "\n")
+    write_json(fold_dir / "result.json", payload)
     result.checkpoint_path = ckpt
     return fold_dir
 
@@ -299,17 +273,13 @@ def run_crossvalidation(
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = {
+        write_json(out_dir / "run_manifest.json", {
             "seed": seed,
             "config": config.to_json_dict(),
             "subjects": subjects,
             "corpus_sha256": corpus_fingerprint(recordings),
-            "folds": [vars(f) | {"test_subjects": list(f.test_subjects),
-                                 "validation_subjects": list(f.validation_subjects),
-                                 "training_subjects": list(f.training_subjects)}
-                      for f in folds],
-        }
-        (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+            "folds": [f.to_json_dict() for f in folds],
+        })
 
     todo = []
     for fold in selected:
@@ -328,21 +298,19 @@ def run_crossvalidation(
         rng = np.random.default_rng([seed, fold.fold_index])
         return train_fold(recordings, fold, config, rng)
 
-    if parallel > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            outcomes = list(pool.map(lambda f: _guarded(run_one, f), todo))
-    else:
-        outcomes = [_guarded(run_one, f) for f in todo]
-
-    for fold, outcome in zip(todo, outcomes):
-        if isinstance(outcome, str):
-            failures[fold.fold_index] = outcome
-            continue
-        results[fold.fold_index] = outcome
-        aggregate += outcome.test_matrix
-        per_recording.extend(outcome.per_recording)
-        if out_dir is not None:
-            save_fold_result(outcome, out_dir, seed)
+    with ThreadPoolExecutor(max_workers=max(parallel, 1)) as pool:
+        # Both maps are lazy: each fold is saved once it and the folds before
+        # it have finished, so a crash loses only the folds still training.
+        fan_out = pool.map if parallel > 1 and len(todo) > 1 else map
+        for fold, outcome in zip(todo, fan_out(lambda f: _guarded(run_one, f), todo)):
+            if isinstance(outcome, str):
+                failures[fold.fold_index] = outcome
+                continue
+            results[fold.fold_index] = outcome
+            aggregate += outcome.test_matrix
+            per_recording.extend(outcome.per_recording)
+            if out_dir is not None:
+                save_fold_result(outcome, out_dir, seed)
 
     return CrossValidationOutcome(results, skipped, failures, aggregate, per_recording)
 

@@ -93,6 +93,10 @@ class TestTrain:
         assert manifest["command"] == "train"
         assert manifest["config"]["model"]["c1_filters"] == 2
         assert "corpus_sha256" in manifest
+        folds = json.loads((out / "folds.json").read_text())
+        assert len(folds) == 20
+        assert folds[2]["fold"] == 2 and folds[2]["seed"] == 3
+        assert folds[2]["test"] == payload["test"] and folds[2]["val"] == payload["val"]
 
     def test_seed_is_mandatory(self, run_config):
         with pytest.raises(SystemExit) as exc:

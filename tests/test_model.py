@@ -1,10 +1,18 @@
 """Network assembly, gradients, SGD, Morlet bank and checkpoint format."""
 
+import hashlib
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from somnoscore import model as M
+from somnoscore import tensor_ops as T
+from somnoscore import training as Tr
+from somnoscore.dataset import build_windows
 from somnoscore.edf_ingest import SleepStage
+from somnoscore.synthetic import synthetic_recording
 
 
 def reduced_params(seed=7, **overrides):
@@ -112,7 +120,11 @@ def finite_diff_model_grads(params, x, label, eps=1e-5):
     masked; the fraction masked is returned for sanity checks.
     """
     probs, cache = M.forward(params, x)
-    grads = M.backward(params, cache, label, include_l2=True)
+    grads = M.backward(params, cache, label)
+    names = params.l2_weight_names()
+    _, decay = T.l2_penalty([params.tensors[n] for n in names], params.config.l2_lambda)
+    for name, g in zip(names, decay):
+        grads[name] = grads[name] + g
     worst, total, masked = 0.0, 0, 0
     for name, g in grads.items():
         w = params.tensors[name]
@@ -143,15 +155,20 @@ class TestBackward:
         assert masked_frac < 0.01
 
     def test_softmax_only_l2_scope(self):
+        # One plain-descent step with and without decay: only out_w differs,
+        # by lr * lambda * w.
         params, cfg = reduced_params(l2_lambda=0.5, l2_scope="softmax_only")
         assert params.l2_weight_names() == ("out_w",)
-        x = np.random.default_rng(6).standard_normal(cfg.input_len)
-        _, cache = M.forward(params, x)
-        with_l2 = M.backward(params, cache, 0, include_l2=True)
-        without = M.backward(params, cache, 0, include_l2=False)
+        cfg = replace(cfg, batch_size=5, learning_rate=1.0, momentum=0.0)
+        batch = build_windows(synthetic_recording("s", 1, list(SleepStage),
+                                                  samples_per_epoch=60, seed=6))
+        with_l2, without = params.copy(), params.copy()
+        Tr.batch_update(with_l2, batch, cfg)
+        Tr.batch_update(without, batch, replace(cfg, l2_lambda=0.0))
         np.testing.assert_allclose(
-            with_l2["out_w"] - without["out_w"], 0.5 * params.tensors["out_w"])
-        np.testing.assert_array_equal(with_l2["f1_w"], without["f1_w"])
+            without.tensors["out_w"] - with_l2.tensors["out_w"],
+            0.5 * params.tensors["out_w"], rtol=1e-9, atol=1e-12)
+        np.testing.assert_array_equal(with_l2.tensors["f1_w"], without.tensors["f1_w"])
 
     def test_duplicated_window_means_to_same_gradient(self):
         params, cfg = reduced_params(l2_lambda=0.0)
@@ -194,6 +211,14 @@ class TestSgdStep:
         params.velocity["f2_b"][:] = 1.0
         M.sgd_step(params, {"f2_b": np.zeros_like(params.velocity["f2_b"])}, 0.1, 0.9)
         np.testing.assert_allclose(params.velocity["f2_b"], 0.9)
+
+    def test_absent_tensor_left_untouched(self):
+        params, _ = reduced_params()
+        params.velocity["f2_b"][:] = 1.0
+        before = params.tensors["f2_b"].copy()
+        M.sgd_step(params, {"out_b": np.ones_like(params.tensors["out_b"])}, 0.1, 0.9)
+        np.testing.assert_array_equal(params.tensors["f2_b"], before)
+        np.testing.assert_array_equal(params.velocity["f2_b"], 1.0)
 
     def test_two_steps_on_quadratic_match_hand_values(self):
         # f(w) = w^2/2, lr 0.1, momentum 0.9, w0 = 1:
@@ -334,10 +359,28 @@ class TestCheckpoint:
         data = bytearray(path.read_bytes())
         data[4] = 99
         body = bytes(data[:-8])
-        import struct
-        path.write_bytes(body + struct.pack("<Q", M.crc64(body)))
+        path.write_bytes(body + hashlib.sha256(body).digest()[:8])
         with pytest.raises(M.CheckpointError, match="version"):
             M.load_checkpoint(path)
+
+    def test_version_1_rejected_by_version_not_checksum(self, tmp_path):
+        # A version-1 file carries a CRC-64 trailer; the version check comes first.
+        params, _ = reduced_params()
+        path = tmp_path / "m.somn"
+        M.save_checkpoint(params, path)
+        data = bytearray(path.read_bytes())
+        data[4:6] = struct.pack("<H", 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(M.CheckpointError, match="format version 1 != 2"):
+            M.load_checkpoint(path)
+
+    def test_checksum_is_sha256_prefix(self, tmp_path):
+        params, _ = reduced_params()
+        path = tmp_path / "m.somn"
+        M.save_checkpoint(params, path)
+        data = path.read_bytes()
+        assert data[-8:] == hashlib.sha256(data[:-8]).digest()[:8]
+        assert [p.name for p in tmp_path.iterdir()] == ["m.somn"]
 
     @pytest.mark.filterwarnings("ignore:Morlet filter")
     def test_frozen_flag_survives(self, tmp_path):

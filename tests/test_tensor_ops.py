@@ -228,25 +228,35 @@ class TestDense:
         assert max(err_x, err_w, err_b) < 1e-6
 
 
+def softmax_xent(logits, label):
+    probs = T.softmax(logits)
+    loss, grad_logits = T.cross_entropy(probs, label)
+    return probs, loss, grad_logits
+
+
 class TestSoftmaxXent:
     def test_uniform_logits(self):
-        probs, loss, _ = T.softmax_xent(np.zeros(5), 3)
+        probs, loss, _ = softmax_xent(np.zeros(5), 3)
         np.testing.assert_allclose(probs, 0.2)
         assert abs(loss - np.log(5)) < 1e-12
 
     def test_large_logit_stability(self):
-        probs, loss, _ = T.softmax_xent(np.array([1000.0, 0, 0, 0, 0]), 0)
+        probs, loss, _ = softmax_xent(np.array([1000.0, 0, 0, 0, 0]), 0)
         assert np.isfinite(probs).all() and loss < 1e-9
 
     def test_probabilities_sum_to_one(self):
-        probs, _, _ = T.softmax_xent(rand(5, 4) * 30, 1)
+        probs, _, _ = softmax_xent(rand(5, 4) * 30, 1)
         assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_gradient_vs_finite_difference(self):
         z = rand(5, 8)
-        _, _, g = T.softmax_xent(z, 2)
-        err = T.finite_diff_check(lambda v: T.softmax_xent(v, 2)[1], z, g)
+        _, _, g = softmax_xent(z, 2)
+        err = T.finite_diff_check(lambda v: softmax_xent(v, 2)[1], z, g)
         assert err < 1e-6
+
+    def test_saturated_softmax_gives_finite_loss(self):
+        probs, loss, _ = softmax_xent(np.array([0.0, 800.0, 0, 0, 0]), 0)
+        assert probs[0] == 0.0 and loss == pytest.approx(-np.log(1e-300))
 
 
 class TestL2Penalty:

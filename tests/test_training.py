@@ -1,8 +1,13 @@
 """Training loop behavior: stopping, determinism, isolation, serialization."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from somnoscore import evaluation as Ev
 from somnoscore import model as M
 from somnoscore import training as Tr
 from somnoscore.dataset import make_folds, windows_for_subjects
@@ -90,7 +95,7 @@ class TestTrainFold:
                                np.random.default_rng(1))
         val = windows_for_subjects(corpus, folds[2].validation_subjects)
         counts = Tr._score_windows(result.best_params, val)
-        mean_f1, _ = Tr._validation_scores(counts)
+        mean_f1, _ = Ev.validation_scores(counts)
         assert mean_f1 == pytest.approx(result.history.best().val_mean_f1, abs=1e-12)
 
     def test_missing_subject_rejected(self, corpus, folds):
@@ -109,8 +114,8 @@ class TestTrainFold:
     def test_non_finite_gradient_reports_iteration(self, corpus, folds, monkeypatch):
         real_backward = M.backward
 
-        def poisoned(params, cache, label, include_l2=True):
-            grads = real_backward(params, cache, label, include_l2)
+        def poisoned(params, cache, label):
+            grads = real_backward(params, cache, label)
             grads["out_b"] = np.full_like(grads["out_b"], np.nan)
             return grads
 
@@ -121,10 +126,9 @@ class TestTrainFold:
 
 class TestValidationScores:
     def test_matches_strict_metrics_when_all_present(self):
-        from somnoscore import evaluation as Ev
         counts = np.array([[8, 1, 0, 0, 0], [1, 7, 1, 0, 0], [0, 0, 9, 0, 0],
                            [0, 1, 0, 8, 0], [1, 0, 0, 0, 9]])
-        mean_f1, overall = Tr._validation_scores(counts)
+        mean_f1, overall = Ev.validation_scores(counts)
         strict = Ev.class_metrics(counts)
         assert mean_f1 == pytest.approx(strict.mean("f1"), abs=1e-12)
         assert overall == pytest.approx(strict.overall_accuracy, abs=1e-12)
@@ -134,15 +138,38 @@ class TestValidationScores:
         counts[0, 0] = 5
         counts[1, 1] = 3
         counts[1, 0] = 1
-        mean_f1, overall = Tr._validation_scores(counts)
+        mean_f1, overall = Ev.validation_scores(counts)
         assert 0 < mean_f1 <= 1 and 0 < overall <= 1
+
+    @given(st.lists(st.integers(0, 40), min_size=25, max_size=25),
+           st.sets(st.integers(0, 4), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_stage_loop(self, cells, absent):
+        # Model selection compares these values for equality, so the
+        # vectorized reduction must match the per-stage loop bit for bit.
+        counts = np.array(cells).reshape(5, 5)
+        counts[sorted(absent)] = 0
+        assume(counts.sum() > 0)
+        r = Ev.row_normalize(counts)
+        present = np.flatnonzero(counts.sum(axis=1) > 0)
+        expected = float(r[present[0], present[0]])  # one stage: its sensitivity
+        if len(present) > 1:
+            f1s = []
+            for c in present:
+                others = present[present != c]
+                sens = r[c, c]
+                fpr = r[others, c].sum() / len(others)
+                prec = sens / (sens + fpr) if sens + fpr > 0 else 0.0
+                f1s.append(2 * prec * sens / (prec + sens) if prec + sens > 0 else 0.0)
+            expected = float(np.mean(f1s))
+        assert Ev.validation_scores(counts)[0] == expected
 
     def test_predictions_on_absent_stages_still_count_as_errors(self):
         # expert has only N1 epochs; half are predicted as the absent N3
         counts = np.zeros((5, 5), dtype=int)
         counts[0, 0] = 5
         counts[0, 2] = 5
-        mean_f1, overall = Tr._validation_scores(counts)
+        mean_f1, overall = Ev.validation_scores(counts)
         assert mean_f1 == pytest.approx(0.5)  # sensitivity 0.5, not 1.0
         assert overall == pytest.approx(0.5)
 
@@ -189,6 +216,19 @@ class TestCrossValidation:
         np.testing.assert_array_equal(second.aggregate[:, :],
                                       first.aggregate + second.fold_results[2].test_matrix)
 
+    def test_each_fold_saved_before_the_next_trains(self, corpus, tmp_path, monkeypatch):
+        cfg = tiny_config(max_iterations=3)
+        real = Tr.train_fold
+        saved_at_start = {}
+
+        def spy(recordings, fold, config, rng):
+            saved_at_start[fold.fold_index] = len(list(tmp_path.glob("fold_*/result.json")))
+            return real(recordings, fold, config, rng)
+
+        monkeypatch.setattr(Tr, "train_fold", spy)
+        Tr.run_crossvalidation(corpus, cfg, seed=6, out_dir=tmp_path, fold_indices=[0, 1, 2])
+        assert saved_at_start == {0: 0, 1: 1, 2: 2}
+
     def test_one_fold_failure_does_not_abort_others(self, corpus, monkeypatch):
         cfg = tiny_config(max_iterations=3)
         real = Tr.train_fold
@@ -223,3 +263,43 @@ class TestCrossValidation:
         assert manifest["seed"] == 6
         assert len(manifest["folds"]) == 20
         assert manifest["corpus_sha256"] == Tr.corpus_fingerprint(corpus)
+
+
+class _TornWrite:
+    """A file whose first write lands half its data and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError("simulated crash mid-write")
+
+
+class TestCrashResume:
+    def test_torn_result_write_leaves_no_result_and_fold_reruns(
+            self, corpus, tmp_path, monkeypatch):
+        cfg = tiny_config(max_iterations=3)
+        real_open = Path.open
+
+        def torn_open(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            return _TornWrite(fh) if "result.json" in self.name and "w" in mode else fh
+
+        monkeypatch.setattr(Path, "open", torn_open)
+        with pytest.raises(OSError, match="mid-write"):
+            Tr.run_crossvalidation(corpus, cfg, seed=6, out_dir=tmp_path, fold_indices=[0])
+        monkeypatch.undo()
+        assert sorted(p.name for p in (tmp_path / "fold_00").iterdir()) == ["best.somn"]
+
+        again = Tr.run_crossvalidation(corpus, cfg, seed=6, out_dir=tmp_path,
+                                       fold_indices=[0])
+        assert again.skipped == [] and set(again.fold_results) == {0}
+        assert Tr.load_fold_result_json(tmp_path, 0)["fold"] == 0
