@@ -13,7 +13,6 @@ the effect of learning (vs fixing) the input filters can be measured.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 import warnings
@@ -27,7 +26,7 @@ from .fileio import write_atomic
 from . import tensor_ops as T
 
 CHECKPOINT_MAGIC = b"SOMN"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 1
 
 TRAINABLE_MODE = "trainable"
 FIXED_MORLET_MODE = "fixed_morlet"
@@ -394,12 +393,29 @@ def make_morlet_bank(
 # --- checkpoint format ------------------------------------------------------
 # magic "SOMN" | u16 version | u32 config-JSON length | config JSON |
 # per-tensor records (u16 name len, name, u8 dtype code, u8 ndim, u32 dims,
-# raw little-endian values) | 8-byte checksum: the first 8 bytes of the
-# SHA-256 of everything before it.
+# raw little-endian values) | u64 CRC-64 of everything before it.
+
+_CRC64_POLY = 0x42F0E1EBA9EA3693
 
 
-def _checksum(body: bytes) -> bytes:
-    return hashlib.sha256(body).digest()[:8]
+def _crc64_table() -> list[int]:
+    table = []
+    for byte in range(256):
+        crc = byte << 56
+        for _ in range(8):
+            crc = ((crc << 1) ^ _CRC64_POLY if crc & (1 << 63) else crc << 1)
+            crc &= 0xFFFFFFFFFFFFFFFF
+        table.append(crc)
+    return table
+
+
+_CRC64_TABLE = _crc64_table()
+
+
+def crc64(data: bytes, crc: int = 0) -> int:
+    for b in data:
+        crc = ((crc << 8) & 0xFFFFFFFFFFFFFFFF) ^ _CRC64_TABLE[((crc >> 56) ^ b) & 0xFF]
+    return crc
 
 
 class CheckpointError(Exception):
@@ -426,7 +442,7 @@ def save_checkpoint(params: ModelParameters, path: Path) -> None:
         chunks.append(struct.pack(f"<{a.ndim}I", *a.shape))
         chunks.append(a.astype(a.dtype.newbyteorder("<")).tobytes())
     body = b"".join(chunks)
-    write_atomic(path, body + _checksum(body))
+    write_atomic(path, body + struct.pack("<Q", crc64(body)))
 
 
 def load_checkpoint(path: Path, expect_config: ModelConfig | None = None) -> ModelParameters:
@@ -436,8 +452,8 @@ def load_checkpoint(path: Path, expect_config: ModelConfig | None = None) -> Mod
     (version,) = struct.unpack_from("<H", data, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: format version {version} != {CHECKPOINT_VERSION}")
-    body = data[:-8]
-    if _checksum(body) != data[-8:]:
+    body, crc_stored = data[:-8], struct.unpack("<Q", data[-8:])[0]
+    if crc64(body) != crc_stored:
         raise CheckpointError(f"{path}: checksum failure (corrupt or truncated)")
     (cfg_len,) = struct.unpack_from("<I", body, 6)
     pos = 10

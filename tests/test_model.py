@@ -1,6 +1,5 @@
 """Network assembly, gradients, SGD, Morlet bank and checkpoint format."""
 
-import hashlib
 import struct
 from dataclasses import replace
 
@@ -359,27 +358,28 @@ class TestCheckpoint:
         data = bytearray(path.read_bytes())
         data[4] = 99
         body = bytes(data[:-8])
-        path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+        path.write_bytes(body + struct.pack("<Q", M.crc64(body)))
         with pytest.raises(M.CheckpointError, match="version"):
             M.load_checkpoint(path)
 
-    def test_version_1_rejected_by_version_not_checksum(self, tmp_path):
-        # A version-1 file carries a CRC-64 trailer; the version check comes first.
+    def test_version_checked_before_checksum(self, tmp_path):
+        # A file of another format version fails by version, whatever its trailer.
         params, _ = reduced_params()
         path = tmp_path / "m.somn"
         M.save_checkpoint(params, path)
         data = bytearray(path.read_bytes())
-        data[4:6] = struct.pack("<H", 1)
+        data[4:6] = struct.pack("<H", 2)
         path.write_bytes(bytes(data))
-        with pytest.raises(M.CheckpointError, match="format version 1 != 2"):
+        with pytest.raises(M.CheckpointError, match="format version 2 != 1"):
             M.load_checkpoint(path)
 
-    def test_checksum_is_sha256_prefix(self, tmp_path):
+    def test_checksum_trailer_and_no_temporary_file(self, tmp_path):
+        assert M.crc64(b"123456789") == 0x6C40DF5F0B497347  # CRC-64/ECMA-182 check value
         params, _ = reduced_params()
         path = tmp_path / "m.somn"
         M.save_checkpoint(params, path)
         data = path.read_bytes()
-        assert data[-8:] == hashlib.sha256(data[:-8]).digest()[:8]
+        assert data[-8:] == struct.pack("<Q", M.crc64(data[:-8]))
         assert [p.name for p in tmp_path.iterdir()] == ["m.somn"]
 
     @pytest.mark.filterwarnings("ignore:Morlet filter")
