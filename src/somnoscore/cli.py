@@ -271,7 +271,7 @@ def cmd_predict(args) -> int:
                          subject_id=Path(args.psg).stem, night=1)
     rec = load_recording(pair, cfg.channel, cfg.lights_out_epoch)
     windows = build_windows(rec)
-    predictions = [model.predict(params, w.signal()) for w in windows]
+    predictions = [SleepStage(p) for p in training.predict_windows(params, windows)]
     out_dir = Path(args.out or cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     evaluation.export_hypnogram(predictions, out_dir / "predicted.csv")

@@ -226,14 +226,13 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParameter
 
 @dataclass
 class ForwardCache:
+    """What backward needs of a forward pass, with the input's batch axis if any."""
     x: np.ndarray
     a1: np.ndarray          # C1 pre-ReLU
-    r1: np.ndarray
     p1_idx: np.ndarray
     p1_out: np.ndarray
     s1: np.ndarray
-    a2: np.ndarray          # C2 pre-ReLU, squeezed to (filters, length)
-    r2: np.ndarray
+    a2: np.ndarray          # C2 pre-ReLU, squeezed to (..., filters, length)
     p2_idx: np.ndarray
     p2_out: np.ndarray
     flat: np.ndarray
@@ -241,71 +240,55 @@ class ForwardCache:
     h1: np.ndarray
     z2: np.ndarray
     h2: np.ndarray
-    logits: np.ndarray
     probs: np.ndarray
 
     def shape_trace(self) -> list:
+        """Layer output shapes; the flat and dense extents are per window."""
         return [
             self.a1.shape, self.p1_out.shape, self.s1.shape,
-            self.a2.shape, self.p2_out.shape, self.flat.size,
-            self.h1.size, self.h2.size, self.probs.size,
+            self.a2.shape, self.p2_out.shape, self.flat.shape[-1],
+            self.h1.shape[-1], self.h2.shape[-1], self.probs.shape[-1],
         ]
 
-    def tie_signature(self) -> tuple:
-        """Kink pattern of this pass: ReLU signs and pool argmax choices.
 
-        Finite-difference checks compare signatures of the +/- evaluations to
-        mask coordinates whose perturbation crosses a nondifferentiable point.
-        """
-        return (
-            (self.a1 > 0).tobytes(), self.p1_idx.tobytes(),
-            (self.a2 > 0).tobytes(), self.p2_idx.tobytes(),
-            (self.z1 > 0).tobytes(), (self.z2 > 0).tobytes(),
-        )
-
-
-def forward(params: ModelParameters, signal: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+def forward(params: ModelParameters, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Stage probabilities, (5,) for one window (input_len,), (N, 5) for a
+    batch (N, input_len); and the cache that backward needs."""
     cfg = params.config
     t = params.tensors
-    x = np.asarray(signal, dtype=cfg.np_dtype)
-    if x.shape != (cfg.input_len,):
-        raise ValueError(f"input length {x.shape} != ({cfg.input_len},)")
+    x = np.asarray(x, dtype=cfg.np_dtype)
+    if x.ndim not in (1, 2) or x.shape[-1] != cfg.input_len:
+        raise ValueError(f"input shape {x.shape}: want window length {cfg.input_len}, 1 or 2 axes")
 
     a1 = T.conv1d_valid(x, t["c1_kernels"], t["c1_bias"])
-    r1 = T.relu(a1)
-    p1_out, p1_idx = T.maxpool1d(r1, *cfg.p1)
+    p1_out, p1_idx = T.maxpool1d(T.relu(a1), *cfg.p1)
     s1 = T.stack(p1_out)
-    a2 = T.conv2d_fullheight(s1, t["c2_kernels"], t["c2_bias"]).reshape(cfg.c2_filters, -1)
-    r2 = T.relu(a2)
-    p2_out, p2_idx = T.maxpool1d(r2, *cfg.p2)
-    flat = p2_out.reshape(-1)
+    a2 = T.conv2d_fullheight(s1, t["c2_kernels"], t["c2_bias"])[..., 0, :]
+    p2_out, p2_idx = T.maxpool1d(T.relu(a2), *cfg.p2)
+    flat = p2_out.reshape(*x.shape[:-1], -1)
     z1 = T.dense(flat, t["f1_w"], t["f1_b"])
     h1 = T.relu(z1)
     z2 = T.dense(h1, t["f2_w"], t["f2_b"])
     h2 = T.relu(z2)
-    logits = T.dense(h2, t["out_w"], t["out_b"])
-    probs = T.softmax(logits)
+    probs = T.softmax(T.dense(h2, t["out_w"], t["out_b"]))
 
-    cache = ForwardCache(x, a1, r1, p1_idx, p1_out, s1, a2, r2, p2_idx, p2_out,
-                         flat, z1, h1, z2, h2, logits, probs)
+    cache = ForwardCache(x, a1, p1_idx, p1_out, s1, a2, p2_idx, p2_out,
+                         flat, z1, h1, z2, h2, probs)
     return probs, cache
 
 
-def backward(
-    params: ModelParameters,
-    cache: ForwardCache,
-    label: SleepStage | int,
-) -> dict[str, np.ndarray]:
-    """Gradients of the window's cross-entropy.
+def backward(params: ModelParameters, cache: ForwardCache, labels) -> dict[str, np.ndarray]:
+    """Gradients of the mean cross-entropy over the forward pass's windows.
 
-    Frozen tensors receive no gradient entry. The L2 decay term is not
-    included; batch_update adds it once after averaging.
+    `labels` is one stage for a single window, or one stage per window of a
+    batch. Frozen tensors receive no gradient entry. The L2 decay term is not
+    included; batch_update adds it once.
     """
     cfg = params.config
     t = params.tensors
     grads: dict[str, np.ndarray] = {}
 
-    _, g_logits = T.cross_entropy(cache.probs, int(label))
+    _, g_logits = T.cross_entropy(cache.probs, labels)
     g_logits = g_logits.astype(cfg.np_dtype)
 
     g_h2, grads["out_w"], grads["out_b"] = T.dense_backward(cache.h2, t["out_w"], g_logits)
@@ -314,17 +297,17 @@ def backward(
     g_z1 = T.relu_backward(cache.z1, g_h1)
     g_flat, grads["f1_w"], grads["f1_b"] = T.dense_backward(cache.flat, t["f1_w"], g_z1)
 
-    g_p2 = g_flat.reshape(cfg.c2_filters, cfg.p2_out)
-    g_r2 = T.maxpool1d_backward(cache.p2_idx, g_p2, cfg.c2_out)
+    g_r2 = T.maxpool1d_backward(cache.p2_idx, g_flat.reshape(cache.p2_out.shape), cfg.c2_out)
     g_a2 = T.relu_backward(cache.a2, g_r2)
+    del g_r2  # conv2-sized; freeing it lowers a batch-100 full-size step's peak by 0.2 GB
     g_s1, grads["c2_kernels"], grads["c2_bias"] = T.conv2d_fullheight_backward(
-        cache.s1, t["c2_kernels"], g_a2.reshape(cfg.c2_filters, 1, cfg.c2_out))
+        cache.s1, t["c2_kernels"], g_a2[..., None, :])
 
     if "c1_kernels" not in params.frozen:
         g_p1 = T.unstack(g_s1)
         g_r1 = T.maxpool1d_backward(cache.p1_idx, g_p1, cfg.c1_out)
         g_a1 = T.relu_backward(cache.a1, g_r1)
-        _, grads["c1_kernels"], grads["c1_bias"] = T.conv1d_backward(
+        grads["c1_kernels"], grads["c1_bias"] = T.conv1d_backward(
             cache.x, t["c1_kernels"], g_a1)
     return grads
 

@@ -1,18 +1,20 @@
 """Per-fold training loop and subject-wise cross-validation.
 
-Each optimization step draws a fresh class-balanced batch, averages the
-per-window gradients, applies one momentum-SGD update, and periodically
-scores the held-out validation subjects. The parameters kept are always the
-ones with the best validation mean F1; training stops after a run of
-non-improving evaluations or at the iteration cap. Test subjects influence
-nothing until the final scoring pass.
+Each optimization step draws a fresh class-balanced batch, takes the
+gradient of its mean loss in one batched forward/backward pass, applies one
+momentum-SGD update, and periodically scores the held-out validation
+subjects. The parameters kept are always the ones with the best validation
+mean F1; training stops after a run of non-improving evaluations or at the
+iteration cap. Test subjects influence nothing until the final scoring pass.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,8 +26,11 @@ from . import tensor_ops as T
 from .dataset import FoldSplit, balanced_batch, class_pools, make_folds, windows_for_subjects
 from .edf_ingest import N_STAGES, Recording
 from .evaluation import confusion, validation_scores
-from .fileio import write_json
+from .fileio import write_atomic, write_json
 from .model import ModelConfig, ModelParameters
+
+
+FAILURE_FILE = "failure.txt"  # a failed fold's traceback
 
 
 class TrainingError(Exception):
@@ -74,9 +79,17 @@ class FoldResult:
     checkpoint_path: Path | None = None
 
 
+def predict_windows(params: ModelParameters, windows) -> np.ndarray:
+    """Predicted stage index of each window (the lowest on ties), scored
+    `config.batch_size` windows at a time."""
+    n = params.config.batch_size
+    probs = [model.forward(params, np.stack([w.signal() for w in windows[i:i + n]]))[0]
+             for i in range(0, len(windows), n)]
+    return np.concatenate(probs).argmax(axis=1) if probs else np.zeros(0, dtype=np.intp)
+
+
 def _score_windows(params: ModelParameters, windows) -> np.ndarray:
-    preds = [model.predict(params, w.signal()) for w in windows]
-    return confusion(preds, [w.label for w in windows])
+    return confusion(predict_windows(params, windows), [w.label for w in windows])
 
 
 def batch_update(
@@ -88,29 +101,19 @@ def batch_update(
 
     Returns the batch objective (mean cross-entropy + L2 penalty).
     """
-    accum: dict[str, np.ndarray] = {}
-    loss_sum = 0.0
-    for window in batch:
-        probs, cache = model.forward(params, window.signal())
-        loss_sum += T.cross_entropy(probs, int(window.label))[0]
-        grads = model.backward(params, cache, window.label)
-        for name, g in grads.items():
-            if name in accum:
-                accum[name] += g
-            else:
-                accum[name] = g.copy()
-    inv = 1.0 / len(batch)
-    for name in accum:
-        accum[name] *= inv
-    loss = loss_sum * inv
+    labels = [w.label for w in batch]
+    probs, cache = model.forward(params, np.stack([w.signal() for w in batch]))
+    loss = T.cross_entropy(probs, labels)[0]
+    grads = model.backward(params, cache, labels)
+    del cache  # the activations: at small batches sgd_step is the step's peak
     if config.l2_lambda:
         names = params.l2_weight_names()
         penalty, decay = T.l2_penalty([params.tensors[n] for n in names], config.l2_lambda)
         for name, g in zip(names, decay):
-            accum[name] += g
+            grads[name] += g
         del decay  # as large as the weights; free it before sgd_step's temporaries
         loss += penalty
-    model.sgd_step(params, accum, config.learning_rate, config.momentum)
+    model.sgd_step(params, grads, config.learning_rate, config.momentum)
     return loss
 
 
@@ -138,7 +141,7 @@ def train_fold(
 
     params = model.init_params(config, rng)
     history = TrainingHistory()
-    best_params = params.copy()
+    best_tensors: dict[str, np.ndarray] = {}
     best_f1 = -np.inf
     best_index = -1
     bad_evals = 0
@@ -168,9 +171,10 @@ def train_fold(
             )
             history.records.append(record)
             loss_window.clear()
-            if mean_f1 > best_f1:
+            if mean_f1 > best_f1:  # always true at the first evaluation
                 best_f1 = mean_f1
-                best_params = params.copy()
+                # Tensors only: checkpoints keep no velocity.
+                best_tensors = {k: v.copy() for k, v in params.tensors.items()}
                 best_index = len(history.records) - 1
                 bad_evals = 0
             else:
@@ -181,6 +185,8 @@ def train_fold(
     if not history.records:
         raise TrainingError("no evaluation ever ran; check eval_every vs max_iterations")
     history.records[best_index].is_best = True
+    velocity = {k: np.zeros(v.shape, v.dtype) for k, v in best_tensors.items()}  # mapped lazily
+    best_params = ModelParameters(config, best_tensors, velocity, params.frozen)
 
     per_recording = []
     test_set = set(fold.test_subjects)
@@ -225,6 +231,7 @@ def save_fold_result(result: FoldResult, out_dir: Path, seed: int) -> Path:
         "checkpoint": ckpt.name,
     }
     write_json(fold_dir / "result.json", payload)
+    (fold_dir / FAILURE_FILE).unlink(missing_ok=True)  # left by an earlier attempt
     result.checkpoint_path = ckpt
     return fold_dir
 
@@ -258,7 +265,8 @@ def run_crossvalidation(
     Fold RNG streams derive from (seed, fold), so folds are independent of
     execution order and may run concurrently. With an output directory, each
     finished fold is serialized immediately and folds with existing results
-    are skipped (crash-resume). One fold's failure does not abort the rest.
+    are skipped (crash-resume). One fold's failure, in training or saving, does
+    not abort the rest: `failures` gets its message, fold_XX/failure.txt its traceback.
     """
     subjects = sorted({r.subject_id for r in recordings})
     folds = make_folds(subjects, seed)
@@ -294,29 +302,32 @@ def run_crossvalidation(
             continue
         todo.append(fold)
 
-    def run_one(fold: FoldSplit):
-        rng = np.random.default_rng([seed, fold.fold_index])
-        return train_fold(recordings, fold, config, rng)
+    def run_one(fold: FoldSplit) -> FoldResult | str:
+        """The fold's result, saved as soon as it finishes, or the one-line
+        message of what failed in training or saving it."""
+        try:
+            rng = np.random.default_rng([seed, fold.fold_index])
+            result = train_fold(recordings, fold, config, rng)
+            if out_dir is not None:
+                save_fold_result(result, out_dir, seed)
+            return result
+        except Exception as exc:  # isolate fold failures
+            if out_dir is not None:  # the traceback, unless the disk is what failed
+                with contextlib.suppress(OSError):
+                    fold_dir = _fold_dir(out_dir, fold.fold_index)
+                    fold_dir.mkdir(parents=True, exist_ok=True)
+                    write_atomic(fold_dir / FAILURE_FILE, traceback.format_exc().encode())
+            return f"{type(exc).__name__}: {exc}"
 
     with ThreadPoolExecutor(max_workers=max(parallel, 1)) as pool:
-        # Both maps are lazy: each fold is saved once it and the folds before
-        # it have finished, so a crash loses only the folds still training.
         fan_out = pool.map if parallel > 1 and len(todo) > 1 else map
-        for fold, outcome in zip(todo, fan_out(lambda f: _guarded(run_one, f), todo)):
+        for fold, outcome in zip(todo, fan_out(run_one, todo)):
             if isinstance(outcome, str):
                 failures[fold.fold_index] = outcome
                 continue
             results[fold.fold_index] = outcome
             aggregate += outcome.test_matrix
             per_recording.extend(outcome.per_recording)
-            if out_dir is not None:
-                save_fold_result(outcome, out_dir, seed)
 
     return CrossValidationOutcome(results, skipped, failures, aggregate, per_recording)
 
-
-def _guarded(fn, fold):
-    try:
-        return fn(fold)
-    except Exception as exc:  # isolate fold failures
-        return f"{type(exc).__name__}: {exc}"

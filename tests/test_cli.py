@@ -125,6 +125,18 @@ class TestCrossval:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert len(manifest["folds"]) == 20
 
+    def test_save_failure_exits_numeric(self, tmp_path, run_config, capsys, monkeypatch):
+        from somnoscore import training
+
+        def disk_full(result, out_dir, seed):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(training, "save_fold_result", disk_full)
+        rc = cli.main(["crossval", "--config", str(run_config), "--seed", "4", "--folds", "0"])
+        assert rc == cli.EXIT_NUMERIC
+        assert "fold 0 FAILED: OSError: [Errno 28]" in capsys.readouterr().err
+        assert (tmp_path / "out" / "fold_00" / "failure.txt").exists()
+
 
 def write_fold_fixture(results_dir, fold_index, matrix, subjects):
     fold_dir = results_dir / f"fold_{fold_index:02d}"

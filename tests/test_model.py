@@ -74,12 +74,18 @@ class TestForward:
     def test_full_architecture_shape_trace(self):
         cfg = M.ModelConfig()  # float32 keeps the 145M-parameter net affordable
         params = M.init_params(cfg, np.random.default_rng(0))
-        x = np.random.default_rng(1).standard_normal(15000)
-        probs, cache = M.forward(params, x)
+        x = np.random.default_rng(1).standard_normal((2, 15000))
+        probs, cache = M.forward(params, x[0])
         assert cache.shape_trace() == [
             (20, 14801), (20, 1479), (1, 20, 1479),
             (400, 1450), (400, 721), 288400, 500, 500, 5]
-        assert abs(probs.sum() - 1.0) < 1e-9
+        assert probs.shape == (5,) and abs(probs.sum() - 1.0) < 1e-9
+        batch_probs, cache = M.forward(params, x)
+        assert cache.shape_trace() == [
+            (2, 20, 14801), (2, 20, 1479), (2, 1, 20, 1479),
+            (2, 400, 1450), (2, 400, 721), 288400, 500, 500, 5]
+        assert batch_probs.shape == (2, 5)
+        np.testing.assert_allclose(batch_probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_probabilities_sum_to_one(self):
         params, _ = reduced_params()
@@ -96,25 +102,47 @@ class TestForward:
         np.testing.assert_allclose(probs, 0.2, atol=1e-12)
 
     def test_wrong_input_length(self):
-        params, _ = reduced_params()
-        with pytest.raises(ValueError, match="length"):
-            M.forward(params, np.zeros(301))
+        params, cfg = reduced_params()
+        for bad in (np.zeros(301), np.zeros((1, 1, cfg.input_len))):
+            with pytest.raises(ValueError, match="length"):
+                M.forward(params, bad)
+
+    def test_batch_rows_equal_single_windows(self):
+        params, cfg = reduced_params()
+        x = np.random.default_rng(5).standard_normal((4, cfg.input_len))
+        batch_probs, _ = M.forward(params, x)
+        for row, probs in zip(x, batch_probs):
+            np.testing.assert_allclose(probs, M.forward(params, row)[0], rtol=1e-12)
+
+
+def tie_signature(cache):
+    """Kink pattern of a forward pass: ReLU signs and pool argmax choices.
+
+    Finite-difference checks compare signatures of the +/- evaluations to
+    mask coordinates whose perturbation crosses a nondifferentiable point.
+    """
+    return ((cache.a1 > 0).tobytes(), cache.p1_idx.tobytes(),
+            (cache.a2 > 0).tobytes(), cache.p2_idx.tobytes(),
+            (cache.z1 > 0).tobytes(), (cache.z2 > 0).tobytes())
 
 
 def loss_and_signature(params, x, label):
+    """Mean cross-entropy of one window (x 1-D, one label) or a batch, plus L2."""
     probs, cache = M.forward(params, x)
-    loss = float(-np.log(probs[int(label)]))
+    labels = np.atleast_1d(label)
+    loss = float(np.mean(-np.log(np.atleast_2d(probs)[np.arange(len(labels)), labels])))
     lam = params.config.l2_lambda
     if lam:
         loss += 0.5 * lam * sum(
             float(np.vdot(params.tensors[n], params.tensors[n]))
             for n in params.l2_weight_names())
-    return loss, cache.tie_signature()
+    return loss, tie_signature(cache)
 
 
 def finite_diff_model_grads(params, x, label, eps=1e-5):
     """Per-tensor max relative error vs central differences.
 
+    `x` is one window with one label, or a batch with a list of labels.
     Coordinates whose +/- evaluations differ in ReLU/pool tie signature are
     masked; the fraction masked is returned for sanity checks.
     """
@@ -152,6 +180,46 @@ class TestBackward:
         worst, masked_frac = finite_diff_model_grads(params, x, label=2)
         assert worst < 1e-4
         assert masked_frac < 0.01
+
+    def test_end_to_end_gradient_of_a_batch(self):
+        params, cfg = reduced_params(seed=7, l2_lambda=1e-3)
+        x = np.random.default_rng(8).standard_normal((3, cfg.input_len))
+        worst, masked_frac = finite_diff_model_grads(params, x, label=[2, 0, 4])
+        assert worst < 1e-4
+        assert masked_frac < 0.01
+
+    @pytest.mark.parametrize("overrides", [
+        dict(l2_scope="all"), dict(l2_scope="softmax_only"),
+        dict(first_layer_mode="fixed_morlet", morlet_min_hz=2.0, morlet_max_hz=20.0),
+    ], ids=["l2-all", "l2-softmax-only", "fixed-morlet"])
+    @pytest.mark.filterwarnings("ignore:Morlet filter")
+    def test_batch_gradient_is_mean_of_single_window_gradients(self, overrides):
+        # float64 at reduced_config, to 1e-10 of each tensor's largest entry;
+        # the SGD step then adds the configured decay once.
+        params, cfg = reduced_params(seed=9, l2_lambda=1e-2, **overrides)
+        batch = build_windows(synthetic_recording("s", 1, list(SleepStage) * 2,
+                                                  samples_per_epoch=60, seed=4))
+        x = np.stack([w.signal() for w in batch])
+        labels = [w.label for w in batch]
+        assert len(set(labels)) == 5
+        _, cache = M.forward(params, x)
+        batched = M.backward(params, cache, labels)
+        singles = [M.backward(params, M.forward(params, row)[1], label)
+                   for row, label in zip(x, labels)]
+        assert set(batched) == set(singles[0])
+        for name, g in batched.items():
+            mean = sum(s[name] for s in singles) / len(singles)
+            np.testing.assert_allclose(g, mean, rtol=1e-10, atol=1e-10 * np.abs(mean).max())
+
+        stepped = params.copy()
+        Tr.batch_update(stepped, batch, replace(cfg, batch_size=10, learning_rate=1.0,
+                                                momentum=0.0))
+        for name in params.tensors:
+            want = -batched.get(name, 0.0)
+            if name in params.l2_weight_names():
+                want = want - cfg.l2_lambda * params.tensors[name]
+            np.testing.assert_allclose(stepped.tensors[name] - params.tensors[name], want,
+                                       rtol=1e-10, atol=1e-12)
 
     def test_softmax_only_l2_scope(self):
         # One plain-descent step with and without decay: only out_w differs,

@@ -114,8 +114,8 @@ class TestTrainFold:
     def test_non_finite_gradient_reports_iteration(self, corpus, folds, monkeypatch):
         real_backward = M.backward
 
-        def poisoned(params, cache, label):
-            grads = real_backward(params, cache, label)
+        def poisoned(params, cache, labels):
+            grads = real_backward(params, cache, labels)
             grads["out_b"] = np.full_like(grads["out_b"], np.nan)
             return grads
 
@@ -294,12 +294,43 @@ class TestCrashResume:
             return _TornWrite(fh) if "result.json" in self.name and "w" in mode else fh
 
         monkeypatch.setattr(Path, "open", torn_open)
-        with pytest.raises(OSError, match="mid-write"):
-            Tr.run_crossvalidation(corpus, cfg, seed=6, out_dir=tmp_path, fold_indices=[0])
+        torn = Tr.run_crossvalidation(corpus, cfg, seed=6, out_dir=tmp_path, fold_indices=[0])
         monkeypatch.undo()
-        assert sorted(p.name for p in (tmp_path / "fold_00").iterdir()) == ["best.somn"]
+        assert "mid-write" in torn.failures[0] and not torn.fold_results
+        assert sorted(p.name for p in (tmp_path / "fold_00").iterdir()) == \
+            ["best.somn", "failure.txt"]
 
         again = Tr.run_crossvalidation(corpus, cfg, seed=6, out_dir=tmp_path,
                                        fold_indices=[0])
         assert again.skipped == [] and set(again.fold_results) == {0}
         assert Tr.load_fold_result_json(tmp_path, 0)["fold"] == 0
+        assert not (tmp_path / "fold_00" / "failure.txt").exists()
+
+    def test_save_failure_is_that_folds_failure(self, corpus, tmp_path, monkeypatch):
+        cfg = tiny_config(max_iterations=3)
+        real_save = Tr.save_fold_result
+
+        def disk_full_on_fold_1(result, out_dir, seed):
+            if result.fold_index == 1:
+                raise OSError(28, "No space left on device")
+            return real_save(result, out_dir, seed)
+
+        monkeypatch.setattr(Tr, "save_fold_result", disk_full_on_fold_1)
+        outcome = Tr.run_crossvalidation(corpus, cfg, seed=6, out_dir=tmp_path,
+                                         fold_indices=[0, 1, 2])
+        assert outcome.failures == {1: "OSError: [Errno 28] No space left on device"}
+        assert set(outcome.fold_results) == {0, 2}
+        assert [Tr.load_fold_result_json(tmp_path, i) is not None for i in range(3)] == \
+            [True, False, True]
+
+    def test_failure_keeps_its_traceback(self, corpus, tmp_path, monkeypatch):
+        def broken(recordings, fold, config, rng):
+            raise RuntimeError("synthetic fault")
+
+        monkeypatch.setattr(Tr, "train_fold", broken)
+        outcome = Tr.run_crossvalidation(corpus, tiny_config(), seed=6, out_dir=tmp_path,
+                                         fold_indices=[3])
+        assert outcome.failures == {3: "RuntimeError: synthetic fault"}
+        text = (tmp_path / "fold_03" / "failure.txt").read_text()
+        assert text.startswith("Traceback (most recent call last):")
+        assert "in broken" in text and text.endswith("RuntimeError: synthetic fault\n")
