@@ -55,7 +55,8 @@ def c1_activation_power(
     tap: str = "post_relu",
     mode: str = "mean",
 ) -> np.ndarray:
-    """Per-filter power of the first-layer feature signal over the middle epoch.
+    """Per-filter power of the first-layer feature signal over the middle epoch,
+    (F,) for one window (input_len,) and (N, F) for a batch (N, input_len).
 
     `tap` selects rectified ("post_relu") or linear ("pre_relu") outputs;
     `mode` selects mean or sum of squares over the restricted region.
@@ -66,15 +67,15 @@ def c1_activation_power(
         raise ValueError(f"unknown power mode {mode!r}")
     cfg = params.config
     x = np.asarray(signal, dtype=cfg.np_dtype)
-    if x.shape != (cfg.input_len,):
-        raise ValueError(f"signal length {x.shape} != ({cfg.input_len},)")
-    feats = T.conv1d_valid(x, params.tensors["c1_kernels"], params.tensors["c1_bias"])
+    if x.ndim not in (1, 2) or x.shape[-1] != cfg.input_len:
+        raise ValueError(f"signal shape {x.shape}: want window length {cfg.input_len}, 1 or 2 axes")
+    first, last = middle_epoch_output_range(cfg.input_len, cfg.c1_len)
+    feats = T.conv1d_valid(x[..., first:last + cfg.c1_len],  # the samples the region reads
+                           params.tensors["c1_kernels"], params.tensors["c1_bias"])
     if tap == "post_relu":
         feats = T.relu(feats)
-    first, last = middle_epoch_output_range(cfg.input_len, cfg.c1_len)
-    region = feats[:, first:last + 1].astype(np.float64)
-    sq = region ** 2
-    return sq.mean(axis=1) if mode == "mean" else sq.sum(axis=1)
+    sq = feats.astype(np.float64) ** 2
+    return sq.mean(axis=-1) if mode == "mean" else sq.sum(axis=-1)
 
 
 def class_activation_matrix(
@@ -84,17 +85,18 @@ def class_activation_matrix(
     mode: str = "mean",
 ) -> np.ndarray:
     """M[filter, stage]: mean activation power across test windows of each
-    true (not predicted) stage."""
-    cfg = params.config
-    sums = np.zeros((cfg.c1_filters, N_STAGES))
-    counts = np.zeros(N_STAGES, dtype=np.int64)
-    for w in windows:
-        sums[:, int(w.label)] += c1_activation_power(params, w.signal(), tap, mode)
-        counts[int(w.label)] += 1
+    true (not predicted) stage, computed `config.batch_size` windows at a time."""
+    labels = np.array([int(w.label) for w in windows], dtype=np.intp)
+    counts = np.bincount(labels, minlength=N_STAGES)
     missing = [STAGES[i].name for i in np.flatnonzero(counts == 0)]
     if missing:
         raise ValueError(f"no test windows for stage(s): {', '.join(missing)}")
-    return sums / counts[None, :]
+    n = params.config.batch_size
+    sums = np.zeros((N_STAGES, params.config.c1_filters))
+    for i in range(0, len(windows), n):
+        x = np.stack([w.signal() for w in windows[i:i + n]])
+        np.add.at(sums, labels[i:i + n], c1_activation_power(params, x, tap, mode))
+    return sums.T / counts
 
 
 @dataclass

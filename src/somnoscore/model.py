@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import struct
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from pathlib import Path
 
 import numpy as np
@@ -164,7 +164,7 @@ SOFTMAX_WEIGHT_NAMES = ("out_w",)
 class ModelParameters:
     config: ModelConfig
     tensors: dict[str, np.ndarray]
-    velocity: dict[str, np.ndarray]
+    velocity: dict[str, np.ndarray] = field(default_factory=dict)  # filled by sgd_step
     frozen: frozenset[str] = frozenset()
 
     def l2_weight_names(self) -> tuple[str, ...]:
@@ -220,8 +220,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParameter
         tensors["c1_kernels"] = make_morlet_bank(
             freqs, config.morlet_cycles, length=config.c1_len).astype(dtype)
         frozen = frozenset({"c1_kernels", "c1_bias"})
-    velocity = {k: np.zeros_like(v) for k, v in tensors.items()}
-    return ModelParameters(config, tensors, velocity, frozen)
+    return ModelParameters(config, tensors, frozen=frozen)
 
 
 @dataclass
@@ -313,20 +312,27 @@ def backward(params: ModelParameters, cache: ForwardCache, labels) -> dict[str, 
 
 
 def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray],
-             learning_rate: float, momentum: float) -> None:
-    """Momentum-SGD update in place: v <- mu*v - lr*g; w <- w + v.
+             config: ModelConfig) -> None:
+    """Momentum SGD with L2 decay, in place: v <- mu*v - lr*(g + lam*w); w <- w + v.
 
-    Frozen tensors and tensors absent from `gradients` are left untouched.
+    lr, mu and lam come from `config`; lam is 0 outside `params.l2_weight_names()`.
+    The gradients are consumed as scratch. A velocity starts at zero on its first
+    update. Frozen tensors and tensors absent from `gradients` are left untouched.
     """
+    lr, lam = config.learning_rate, config.l2_lambda
     for name, g in gradients.items():
         if name in params.frozen:
             continue
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for tensor {name!r}")
+        T.assert_finite(f"the gradient of tensor {name!r}", g)
+        w = params.tensors[name]
+        if name not in params.velocity:
+            params.velocity[name] = np.zeros(w.shape, w.dtype)
         v = params.velocity[name]
-        v *= momentum
-        v -= learning_rate * g
-        params.tensors[name] += v
+        v *= config.momentum
+        v -= np.multiply(g, lr, out=g)
+        if lam and name in params.l2_weight_names():
+            v -= np.multiply(w, lr * lam, out=g)
+        w += v
 
 
 def predict(params: ModelParameters, signal: np.ndarray) -> SleepStage:
@@ -470,5 +476,4 @@ def load_checkpoint(path: Path, expect_config: ModelConfig | None = None) -> Mod
         if tensors[name].shape != shape:
             raise CheckpointError(
                 f"{path}: tensor {name!r} shape {tensors[name].shape} != {shape}")
-    velocity = {k: np.zeros_like(v) for k, v in tensors.items()}
-    return ModelParameters(config, tensors, velocity, frozenset(manifest["frozen"]))
+    return ModelParameters(config, tensors, frozen=frozenset(manifest["frozen"]))

@@ -1,7 +1,7 @@
 """Dense-tensor primitives for the scoring network.
 
 Forward and backward kernels for valid-extent 1D/2D cross-correlation,
-max-pooling, ReLU, dense layers, softmax cross-entropy and L2 weight decay,
+max-pooling, ReLU, dense layers, softmax cross-entropy and the L2 penalty,
 plus a central finite-difference checker used as the gradient oracle in the
 test suite. Kernels take leading batch axes (one window is a batch of one);
 backward kernels sum parameter gradients over the batch. Convolutions use the
@@ -184,14 +184,13 @@ def cross_entropy(probs: np.ndarray, labels) -> tuple[float, np.ndarray]:
     return loss, (probs - np.eye(probs.shape[-1])[labels]) / labels.size
 
 
-def l2_penalty(weights: list[np.ndarray], lam: float) -> tuple[float, list[np.ndarray]]:
-    """Quadratic weight penalty (lam/2) * sum w^2 and its per-tensor gradient lam*w.
+def l2_penalty(weights: list[np.ndarray], lam: float) -> float:
+    """Quadratic weight penalty (lam/2) * sum w^2; `model.sgd_step` applies its
+    gradient lam*w.
 
     Callers pass weight tensors only; biases are exempt from decay.
     """
-    penalty = 0.5 * lam * float(sum(np.vdot(w, w).real for w in weights))
-    grads = [lam * w for w in weights]
-    return penalty, grads
+    return 0.5 * lam * float(sum(np.vdot(w, w).real for w in weights))
 
 
 def finite_diff_check(
@@ -227,7 +226,7 @@ def finite_diff_check(
 
 
 def assert_finite(name: str, *arrays: np.ndarray) -> None:
-    """Checked-mode guard: raise if any value is NaN or infinite."""
+    """Raise FloatingPointError if any value is NaN or infinite."""
     for a in arrays:
         if not np.all(np.isfinite(a)):
             raise FloatingPointError(f"non-finite values in {name}")

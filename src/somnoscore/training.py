@@ -97,7 +97,8 @@ def batch_update(
     batch,
     config: ModelConfig,
 ) -> float:
-    """One SGD step on a batch: mean data gradient plus one decay term.
+    """One SGD step on a batch: the mean data gradient, with `config`'s
+    momentum and L2 decay applied by `model.sgd_step`.
 
     Returns the batch objective (mean cross-entropy + L2 penalty).
     """
@@ -106,14 +107,9 @@ def batch_update(
     loss = T.cross_entropy(probs, labels)[0]
     grads = model.backward(params, cache, labels)
     del cache  # the activations: at small batches sgd_step is the step's peak
-    if config.l2_lambda:
-        names = params.l2_weight_names()
-        penalty, decay = T.l2_penalty([params.tensors[n] for n in names], config.l2_lambda)
-        for name, g in zip(names, decay):
-            grads[name] += g
-        del decay  # as large as the weights; free it before sgd_step's temporaries
-        loss += penalty
-    model.sgd_step(params, grads, config.learning_rate, config.momentum)
+    loss += T.l2_penalty([params.tensors[n] for n in params.l2_weight_names()],
+                         config.l2_lambda)
+    model.sgd_step(params, grads, config)
     return loss
 
 
@@ -185,8 +181,7 @@ def train_fold(
     if not history.records:
         raise TrainingError("no evaluation ever ran; check eval_every vs max_iterations")
     history.records[best_index].is_best = True
-    velocity = {k: np.zeros(v.shape, v.dtype) for k, v in best_tensors.items()}  # mapped lazily
-    best_params = ModelParameters(config, best_tensors, velocity, params.frozen)
+    best_params = ModelParameters(config, best_tensors, frozen=params.frozen)
 
     per_recording = []
     test_set = set(fold.test_subjects)
@@ -267,9 +262,13 @@ def run_crossvalidation(
     finished fold is serialized immediately and folds with existing results
     are skipped (crash-resume). One fold's failure, in training or saving, does
     not abort the rest: `failures` gets its message, fold_XX/failure.txt its traceback.
+    A fold index outside the folds raises ValueError before anything is written.
     """
     subjects = sorted({r.subject_id for r in recordings})
     folds = make_folds(subjects, seed)
+    for i in fold_indices or ():
+        if not 0 <= i < len(folds):
+            raise ValueError(f"fold {i} out of range 0..{len(folds) - 1}")
     selected = folds if fold_indices is None else [folds[i] for i in fold_indices]
 
     results: dict[int, FoldResult] = {}

@@ -125,6 +125,16 @@ class TestCrossval:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert len(manifest["folds"]) == 20
 
+    @pytest.mark.parametrize("folds", ["25", "-1"])
+    def test_fold_out_of_range_exits_data(self, tmp_path, run_config, capsys, folds):
+        rc = cli.main(["crossval", "--config", str(run_config), "--seed", "4",
+                       "--folds", f"0,{folds}"])
+        assert rc == cli.EXIT_DATA
+        assert f"fold {folds} out of range 0..19" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not (out / "run_manifest.json").exists()
+        assert not list(out.glob("fold_*"))
+
     def test_save_failure_exits_numeric(self, tmp_path, run_config, capsys, monkeypatch):
         from somnoscore import training
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from somnoscore import filter_analysis as FA
 from somnoscore import model as M
+from somnoscore import tensor_ops as T
 from somnoscore.dataset import build_windows
 from somnoscore.edf_ingest import STAGES, SleepStage
 from somnoscore.synthetic import STAGE_BAND_HZ, synthetic_recording
@@ -96,6 +97,32 @@ class TestActivationPower:
         mean_p = FA.c1_activation_power(params, sig, mode="mean")
         sum_p = FA.c1_activation_power(params, sig, mode="sum")
         np.testing.assert_allclose(sum_p, mean_p * 2801, rtol=1e-12)
+
+    def test_batch_rows_equal_single_windows(self):
+        # each row of a batch call equals the single-window call and the
+        # middle-epoch slice of conv1 run over the whole window
+        params, cfg = small_bank_params()
+        x = np.stack([window_with_middle(f, seed=i) for i, f in enumerate((3.0, 10.0, 20.0))])
+        first, last = FA.middle_epoch_output_range(cfg.input_len, cfg.c1_len)
+        for tap in ("post_relu", "pre_relu"):
+            for mode in ("mean", "sum"):
+                batch = FA.c1_activation_power(params, x, tap, mode)
+                assert batch.shape == (3, 5)
+                for row, sig in zip(batch, x):
+                    np.testing.assert_array_equal(
+                        row, FA.c1_activation_power(params, sig, tap, mode))
+                    feats = T.conv1d_valid(sig, params.tensors["c1_kernels"],
+                                           params.tensors["c1_bias"])[:, first:last + 1]
+                    if tap == "post_relu":
+                        feats = T.relu(feats)
+                    want = (feats ** 2).mean(axis=1) if mode == "mean" else (feats ** 2).sum(axis=1)
+                    np.testing.assert_allclose(row, want, rtol=1e-12)
+
+    def test_wrong_signal_shape_rejected(self):
+        params, _ = small_bank_params()
+        for bad in (np.zeros(14999), np.zeros((2, 2, 15000))):
+            with pytest.raises(ValueError, match="window length 15000"):
+                FA.c1_activation_power(params, bad)
 
 
 def band_matched_params():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from somnoscore import model as M
-from somnoscore import tensor_ops as T
 from somnoscore import training as Tr
 from somnoscore.dataset import build_windows
 from somnoscore.edf_ingest import SleepStage
@@ -66,8 +65,11 @@ class TestInit:
             assert not params.tensors[name].any()
 
     def test_velocity_starts_zero(self):
-        params, _ = reduced_params()
-        assert all(not v.any() for v in params.velocity.values())
+        # none is built at init; sgd_step creates each as zeros on first update
+        params, cfg = reduced_params()
+        assert params.velocity == {}
+        M.sgd_step(params, {"out_b": np.zeros_like(params.tensors["out_b"])}, cfg)
+        assert list(params.velocity) == ["out_b"] and not params.velocity["out_b"].any()
 
 
 class TestForward:
@@ -148,10 +150,8 @@ def finite_diff_model_grads(params, x, label, eps=1e-5):
     """
     probs, cache = M.forward(params, x)
     grads = M.backward(params, cache, label)
-    names = params.l2_weight_names()
-    _, decay = T.l2_penalty([params.tensors[n] for n in names], params.config.l2_lambda)
-    for name, g in zip(names, decay):
-        grads[name] = grads[name] + g
+    for name in params.l2_weight_names():
+        grads[name] = grads[name] + params.config.l2_lambda * params.tensors[name]
     worst, total, masked = 0.0, 0, 0
     for name, g in grads.items():
         w = params.tensors[name]
@@ -257,69 +257,112 @@ class TestBackward:
         assert "c1_kernels" not in grads and "c1_bias" not in grads
 
 
+def step_config(lr, mu, lam=0.0, **overrides):
+    return M.reduced_config(learning_rate=lr, momentum=mu, l2_lambda=lam, **overrides)
+
+
 class TestSgdStep:
     def test_momentum_zero_is_plain_descent(self):
         params, _ = reduced_params()
         w0 = params.tensors["out_b"].copy()
         g = np.ones_like(w0)
-        M.sgd_step(params, {"out_b": g}, learning_rate=0.1, momentum=0.0)
+        M.sgd_step(params, {"out_b": g}, step_config(lr=0.1, mu=0.0))
         np.testing.assert_allclose(params.tensors["out_b"], w0 - 0.1)
 
     def test_zero_gradient_fresh_params_unchanged(self):
         params, _ = reduced_params()
         before = {k: v.copy() for k, v in params.tensors.items()}
         M.sgd_step(params, {k: np.zeros_like(v) for k, v in params.tensors.items()},
-                   0.1, 0.9)
+                   step_config(0.1, 0.9))
         for name in before:
             np.testing.assert_array_equal(params.tensors[name], before[name])
 
     def test_zero_gradient_velocity_decays(self):
         params, _ = reduced_params()
-        params.velocity["f2_b"][:] = 1.0
-        M.sgd_step(params, {"f2_b": np.zeros_like(params.velocity["f2_b"])}, 0.1, 0.9)
+        params.velocity["f2_b"] = np.ones_like(params.tensors["f2_b"])
+        M.sgd_step(params, {"f2_b": np.zeros_like(params.tensors["f2_b"])},
+                   step_config(0.1, 0.9))
         np.testing.assert_allclose(params.velocity["f2_b"], 0.9)
 
     def test_absent_tensor_left_untouched(self):
         params, _ = reduced_params()
-        params.velocity["f2_b"][:] = 1.0
+        params.velocity["f2_b"] = np.ones_like(params.tensors["f2_b"])
         before = params.tensors["f2_b"].copy()
-        M.sgd_step(params, {"out_b": np.ones_like(params.tensors["out_b"])}, 0.1, 0.9)
+        M.sgd_step(params, {"out_b": np.ones_like(params.tensors["out_b"])},
+                   step_config(0.1, 0.9))
         np.testing.assert_array_equal(params.tensors["f2_b"], before)
         np.testing.assert_array_equal(params.velocity["f2_b"], 1.0)
+        assert set(params.velocity) == {"f2_b", "out_b"}
 
     def test_two_steps_on_quadratic_match_hand_values(self):
-        # f(w) = w^2/2, lr 0.1, momentum 0.9, w0 = 1:
+        # f(w) = w^2/2, lr 0.1, momentum 0.9, w0 = 1, v0 = 0:
         #   v1 = -0.1,  w1 = 0.9
         #   v2 = 0.9*(-0.1) - 0.1*0.9 = -0.18, w2 = 0.72
         params, _ = reduced_params()
         w = params.tensors["out_b"]
-        v = params.velocity["out_b"]
         w[:] = 1.0
-        v[:] = 0.0
-        M.sgd_step(params, {"out_b": w.copy()}, 0.1, 0.9)
+        M.sgd_step(params, {"out_b": w.copy()}, step_config(0.1, 0.9))
         np.testing.assert_allclose(w, 0.9, atol=1e-15)
-        M.sgd_step(params, {"out_b": w.copy()}, 0.1, 0.9)
+        M.sgd_step(params, {"out_b": w.copy()}, step_config(0.1, 0.9))
         np.testing.assert_allclose(w, 0.72, atol=1e-15)
-        np.testing.assert_allclose(v, -0.18, atol=1e-15)
+        np.testing.assert_allclose(params.velocity["out_b"], -0.18, atol=1e-15)
 
     def test_non_finite_gradient_aborts(self):
         params, _ = reduced_params()
         bad = {"out_b": np.full_like(params.tensors["out_b"], np.nan)}
         with pytest.raises(FloatingPointError, match="out_b"):
-            M.sgd_step(params, bad, 0.1, 0.9)
+            M.sgd_step(params, bad, step_config(0.1, 0.9))
 
     def test_pure_decay_shrinks_weights(self):
-        # zero data gradient, lambda > 0: every weight magnitude strictly drops
-        params, cfg = reduced_params(l2_lambda=0.01)
-        params.velocity = {k: np.zeros_like(v) for k, v in params.velocity.items()}
-        grads = {name: cfg.l2_lambda * params.tensors[name]
-                 for name in params.l2_weight_names()}
-        before = {n: np.abs(params.tensors[n].copy()) for n in grads}
-        M.sgd_step(params, grads, 0.1, 0.0)
-        for name in grads:
-            after = np.abs(params.tensors[name])
-            nonzero = before[name] > 0
-            assert (after[nonzero] < before[name][nonzero]).all()
+        # zero data gradient, lambda > 0: every weight magnitude strictly drops,
+        # by the factor 1 - lr*lambda at momentum 0; biases do not move
+        params, _ = reduced_params(l2_lambda=0.01)
+        biases = ("c1_bias", "c2_bias", "f1_b", "f2_b", "out_b")
+        for name in biases:
+            params.tensors[name][:] = 1.0
+        grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        before = {n: params.tensors[n].copy() for n in grads}
+        M.sgd_step(params, grads, step_config(0.1, 0.0, lam=0.01))
+        for name in params.l2_weight_names():
+            after, was = np.abs(params.tensors[name]), np.abs(before[name])
+            nonzero = was > 0
+            assert (after[nonzero] < was[nonzero]).all()
+            np.testing.assert_allclose(after, was * (1 - 0.1 * 0.01), rtol=1e-14)
+        for name in biases:
+            np.testing.assert_array_equal(params.tensors[name], 1.0)
+
+    @pytest.mark.parametrize("scope", ["all", "softmax_only"])
+    def test_one_step_equals_decayed_momentum_rule(self, scope):
+        # float64: v = mu*v - lr*(g + lam*w); w += v, to 1e-12 relative
+        params, _ = reduced_params(l2_scope=scope)
+        cfg = step_config(0.05, 0.9, lam=0.02, l2_scope=scope)
+        rng = np.random.default_rng(11)
+        params.velocity = {k: rng.standard_normal(v.shape) for k, v in params.tensors.items()}
+        grads = {k: rng.standard_normal(v.shape) for k, v in params.tensors.items()}
+        want_v, want_w = {}, {}
+        for name, w in params.tensors.items():
+            lam = cfg.l2_lambda if name in params.l2_weight_names() else 0.0
+            want_v[name] = 0.9 * params.velocity[name] - 0.05 * (grads[name] + lam * w)
+            want_w[name] = w + want_v[name]
+        M.sgd_step(params, grads, cfg)
+        for name in params.tensors:
+            np.testing.assert_allclose(params.velocity[name], want_v[name], rtol=1e-12)
+            np.testing.assert_allclose(params.tensors[name], want_w[name], rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_zero_lambda_step_bit_identical_to_separate_arithmetic(self, dtype):
+        params, _ = reduced_params(dtype=dtype)
+        cfg = step_config(0.003, 0.9, dtype=dtype)
+        rng = np.random.default_rng(12)
+        draw = lambda shape: rng.standard_normal(shape).astype(dtype)  # noqa: E731
+        params.velocity = {k: draw(v.shape) for k, v in params.tensors.items()}
+        grads = {k: draw(v.shape) for k, v in params.tensors.items()}
+        want_v = {k: params.velocity[k] * 0.9 - 0.003 * grads[k] for k in grads}
+        want_w = {k: params.tensors[k] + want_v[k] for k in grads}
+        M.sgd_step(params, grads, cfg)
+        for name in want_w:
+            np.testing.assert_array_equal(params.velocity[name], want_v[name])
+            np.testing.assert_array_equal(params.tensors[name], want_w[name])
 
     @pytest.mark.filterwarnings("ignore:Morlet filter")
     def test_fixed_morlet_kernels_never_move(self):
@@ -331,9 +374,9 @@ class TestSgdStep:
             x = rng.standard_normal(cfg.input_len)
             _, cache = M.forward(params, x)
             grads = M.backward(params, cache, int(rng.integers(5)))
-            M.sgd_step(params, grads, 0.05, 0.9)
+            M.sgd_step(params, grads, replace(cfg, learning_rate=0.05, momentum=0.9))
         np.testing.assert_array_equal(params.tensors["c1_kernels"], frozen)
-        assert not params.velocity["c1_kernels"].any()
+        assert "c1_kernels" not in params.velocity and "c1_bias" not in params.velocity
 
 
 class TestPredict:
@@ -385,6 +428,16 @@ class TestCheckpoint:
             assert loaded.tensors[name].tobytes() == params.tensors[name].tobytes()
             assert loaded.tensors[name].dtype == params.tensors[name].dtype
         assert loaded.config == cfg
+
+    def test_load_builds_no_velocity(self, tmp_path):
+        # checkpoints keep no velocity; a trained model's is not carried over
+        params, cfg = reduced_params(seed=13)
+        M.sgd_step(params, {k: np.ones_like(v) for k, v in params.tensors.items()},
+                   replace(cfg, learning_rate=0.01))
+        assert params.velocity
+        path = tmp_path / "m.somn"
+        M.save_checkpoint(params, path)
+        assert M.load_checkpoint(path).velocity == {}
 
     def test_round_trip_float32(self, tmp_path):
         params, _ = reduced_params(dtype="float32")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from somnoscore import model as M
 from somnoscore import tensor_ops as T
 
 
@@ -313,21 +314,39 @@ class TestSoftmaxXent:
         assert probs[0] == 0.0 and loss == pytest.approx(-np.log(1e-300))
 
 
+def decay_moves(lam, lr=0.1, scope="all"):
+    """Each decayed weight before one `model.sgd_step` with zero data gradient
+    and momentum 0, and how far the step moved it."""
+    cfg = M.reduced_config(input_len=100, c2_filters=2, f1=4, f2=4,  # <= 128 per tensor
+                           l2_lambda=lam, l2_scope=scope, learning_rate=lr, momentum=0.0)
+    params = M.init_params(cfg, np.random.default_rng(3))
+    before = {n: params.tensors[n].copy() for n in params.l2_weight_names()}
+    M.sgd_step(params, {k: np.zeros_like(v) for k, v in params.tensors.items()}, cfg)
+    return params, before, {n: params.tensors[n] - w for n, w in before.items()}
+
+
 class TestL2Penalty:
     def test_zero_lambda(self):
-        penalty, grads = T.l2_penalty([rand(4)], 0.0)
-        assert penalty == 0.0 and not grads[0].any()
+        assert T.l2_penalty([rand(4)], 0.0) == 0.0
+        _, _, moves = decay_moves(0.0)
+        assert not any(m.any() for m in moves.values())
 
     def test_single_weight(self):
-        penalty, grads = T.l2_penalty([np.array([2.0])], 0.5)
-        assert penalty == 1.0
-        np.testing.assert_array_equal(grads[0], [1.0])
+        assert T.l2_penalty([np.array([2.0])], 0.5) == 1.0
+        params, _, moves = decay_moves(0.5, lr=1.0, scope="softmax_only")
+        assert list(moves) == ["out_w"]
+        params.tensors["out_w"][:] = 2.0
+        M.sgd_step(params, {"out_w": np.zeros_like(params.tensors["out_w"])},
+                   params.config)
+        np.testing.assert_array_equal(params.tensors["out_w"], 1.0)
 
     def test_gradient_vs_finite_difference(self):
-        w = rand(9, 5)
-        _, grads = T.l2_penalty([w], 0.3)
-        err = T.finite_diff_check(lambda v: T.l2_penalty([v], 0.3)[0], w, grads[0])
-        assert err < 1e-6
+        # the step moves each decayed weight by -lr * d(l2_penalty)/dw
+        _, before, moves = decay_moves(0.3)
+        assert len(moves) == 5
+        for name, w in before.items():
+            err = T.finite_diff_check(lambda v: T.l2_penalty([v], 0.3), w, -moves[name] / 0.1)
+            assert err < 1e-6, name
 
 
 class TestFiniteDiffCheck:

@@ -197,6 +197,13 @@ class TestCrossValidation:
         b = Tr.run_crossvalidation(corpus, cfg, seed=8, fold_indices=[0, 4])
         np.testing.assert_array_equal(a.aggregate, b.aggregate)
 
+    @pytest.mark.parametrize("index", [20, 25, -1])
+    def test_fold_index_out_of_range_rejected_before_writing(self, corpus, tmp_path, index):
+        with pytest.raises(ValueError, match=rf"fold {index} out of range 0\.\.19"):
+            Tr.run_crossvalidation(corpus, tiny_config(), seed=5, out_dir=tmp_path / "out",
+                                   fold_indices=[0, index])
+        assert not (tmp_path / "out").exists()
+
     def test_parallel_matches_serial(self, corpus):
         cfg = tiny_config(max_iterations=3)
         serial = Tr.run_crossvalidation(corpus, cfg, seed=8, fold_indices=[0, 1, 2])
