@@ -8,6 +8,7 @@ final test confusion matrix for one fold.
 """
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from somnoscore import evaluation
 from somnoscore import model
 from somnoscore import training
-from somnoscore.dataset import make_folds, windows_for_subjects
+from somnoscore.dataset import windows_for_subjects
 from somnoscore.synthetic import synthetic_corpus
 
 
@@ -34,14 +35,16 @@ def main() -> None:
         batch_size=args.batch_size, learning_rate=args.learning_rate,
         momentum=0.9, l2_lambda=1e-4, max_iterations=args.max_iterations,
         eval_every=100, patience=5)
-    folds = make_folds(sorted({r.subject_id for r in recordings}), seed=args.seed)
-    fold = folds[args.fold]
-    print(f"fold {fold.fold_index}: test={fold.test_subjects} "
-          f"val={fold.validation_subjects}")
 
     t0 = time.time()
-    result = training.train_fold(recordings, fold, config,
-                                 np.random.default_rng([args.seed, args.fold]))
+    outcome = training.run_crossvalidation(recordings, config, args.seed,
+                                           fold_indices=[args.fold])
+    if outcome.failures:
+        sys.exit(f"fold {args.fold} failed: {outcome.failures[args.fold]}")
+    result = outcome.fold_results[args.fold]
+    fold = result.split
+    print(f"fold {fold.fold_index}: test={fold.test_subjects} "
+          f"val={fold.validation_subjects}")
     for rec in result.history.records:
         marker = "  <- best" if rec.is_best else ""
         print(f"iter {rec.iteration:5d}  loss {rec.training_loss:.4f}  "
@@ -49,7 +52,8 @@ def main() -> None:
               f"val acc {rec.val_overall_accuracy:.3f}{marker}")
 
     val = windows_for_subjects(recordings, fold.validation_subjects)
-    counts = training._score_windows(result.best_params, val)
+    counts = evaluation.confusion(training.predict_windows(result.best_params, val),
+                                  [w.label for w in val])
     balanced = float(np.diag(evaluation.row_normalize(counts)).mean())
     print(f"\nbalanced validation accuracy {balanced:.3f} "
           f"({time.time() - t0:.0f}s wall)")

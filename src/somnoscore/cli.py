@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, filter_analysis, model, training
-from .dataset import build_windows, make_folds
+from .dataset import build_windows
 from .edf_ingest import (
     DEFAULT_CHANNEL,
     IngestError,
@@ -149,43 +149,29 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = load_run_config(args)
-    recordings = _load_corpus(cfg)
-    subjects = sorted({r.subject_id for r in recordings})
-    folds = make_folds(subjects, args.seed)
-    if not 0 <= args.fold < len(folds):
-        raise IngestError(f"fold {args.fold} out of range 0..{len(folds) - 1}")
-    out_dir = Path(cfg.output_dir)
-    _write_manifest(out_dir, "train", cfg, {
-        "seed": args.seed, "fold": args.fold,
-        "corpus_sha256": training.corpus_fingerprint(recordings),
-    })
-    write_json(out_dir / "folds.json", [f.to_json_dict() | {"seed": args.seed} for f in folds])
-    rng = np.random.default_rng([args.seed, args.fold])
-    result = training.train_fold(recordings, folds[args.fold], cfg.model, rng)
-    fold_dir = training.save_fold_result(result, out_dir, args.seed)
-    best = result.history.best()
-    print(f"fold {args.fold}: best val mean F1 {best.val_mean_f1:.3f} "
-          f"at iteration {best.iteration}; results in {fold_dir}")
-    return EXIT_OK
-
-
 def cmd_crossval(args) -> int:
+    """`crossval`, and `train` as the one fold its `--fold` names."""
     cfg = load_run_config(args)
-    if getattr(args, "folds", None):
+    if "fold" in args:
+        cfg.folds = [args.fold]
+    elif args.folds:
         cfg.folds = [int(i) for i in args.folds.split(",")]
     recordings = _load_corpus(cfg)
     out_dir = Path(cfg.output_dir)
-    # The corpus fingerprint goes into run_manifest.json beside this file.
-    _write_manifest(out_dir, "crossval", cfg, {"seed": args.seed})
     outcome = training.run_crossvalidation(
         recordings, cfg.model, args.seed, out_dir=out_dir,
-        fold_indices=cfg.folds, parallel=args.parallel or 1)
+        fold_indices=cfg.folds, parallel=args.parallel)
+    # Written after the runner, which refuses bad folds or another run's
+    # directory before it writes anything, so a refused command changes no file.
+    _write_manifest(out_dir, args.command, cfg)
     np.savetxt(out_dir / "aggregate_confusion.csv",
                outcome.aggregate, fmt="%d", delimiter=",")
     if outcome.skipped:
         print(f"skipped completed folds: {outcome.skipped}")
+    for fold_index, result in sorted(outcome.fold_results.items()):
+        best = result.history.best()
+        print(f"fold {fold_index}: best val mean F1 {best.val_mean_f1:.3f} "
+              f"at iteration {best.iteration}; results in {result.checkpoint_path.parent}")
     for fold_index, message in sorted(outcome.failures.items()):
         print(f"fold {fold_index} FAILED: {message}", file=sys.stderr)
     done = len(outcome.fold_results) + len(outcome.skipped)
@@ -197,13 +183,11 @@ def cmd_crossval(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_run_config(args)
     results_dir = Path(args.results_dir)
-    manifest_path = results_dir / "run_manifest.json"
-    if manifest_path.exists():
-        expected = range(len(json.loads(manifest_path.read_text())["folds"]))
-    else:
-        expected = range(20)
+    record = results_dir / training.RUN_RECORD
+    if not record.exists():
+        raise IngestError(f"no run record {record}: not a train/crossval output directory")
     found, missing = {}, []
-    for i in expected:
+    for i in range(len(json.loads(record.read_text())["folds"])):
         payload = training.load_fold_result_json(results_dir, i)
         if payload is None:
             missing.append(i)
@@ -212,17 +196,12 @@ def cmd_evaluate(args) -> int:
     if missing:
         raise IngestError(f"missing fold result(s) under {results_dir}: {missing}")
 
-    aggregate = sum(np.asarray(p["test_matrix"], dtype=np.int64) for p in found.values())
-    per_recording = []
-    rec_matrices = []
-    for payload in found.values():
-        for item in payload["per_recording"]:
-            per_recording.append(item)
-            rec_matrices.append(np.asarray(item["matrix"], dtype=np.int64))
+    aggregate = sum(p["test_matrix"] for p in found.values())
+    per_recording = [s for p in found.values() for s in p["per_recording"]]
 
     metrics = evaluation.class_metrics(aggregate, overall=cfg.overall)
     boot = evaluation.bootstrap_ci(
-        rec_matrices, n_samples=cfg.bootstrap_samples,
+        [s.matrix for s in per_recording], n_samples=cfg.bootstrap_samples,
         seed=cfg.bootstrap_seed, overall=cfg.overall)
 
     regressions = None
@@ -230,11 +209,10 @@ def cmd_evaluate(args) -> int:
         recordings = {(r.subject_id, r.night): r for r in _load_corpus(cfg)}
         eff, trans, f1s, overalls = [], [], [], []
         for item in per_recording:
-            rec = recordings.get((item["subject_id"], item["night"]))
+            rec = recordings.get((item.subject_id, item.night))
             if rec is None:
                 continue
-            counts = np.asarray(item["matrix"], dtype=np.int64)
-            mean_f1, overall_acc = evaluation.validation_scores(counts)
+            mean_f1, overall_acc = evaluation.validation_scores(item.matrix)
             eff.append(evaluation.sleep_efficiency(rec.epoch_labels, rec.lights_out_epoch))
             trans.append(evaluation.transitional_fraction(rec.epoch_labels,
                                                           rec.lights_out_epoch))
@@ -343,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, needs_seed=True)
     train_flags(p)
     p.add_argument("--fold", type=int, required=True)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_crossval, parallel=1)
 
     p = sub.add_parser("crossval", help="run all folds (resumes after a crash)")
     common(p, needs_seed=True)

@@ -106,43 +106,31 @@ def make_folds(subjects: list[str], seed: int) -> list[FoldSplit]:
     return folds
 
 
-@dataclass
-class DatasetIndex:
-    """Per-stage pools of the windows available for training."""
-
-    pools: dict[SleepStage, list[LabeledWindow]]
-
-    def pool_sizes(self) -> dict[SleepStage, int]:
-        return {stage: len(self.pools[stage]) for stage in STAGES}
-
-    def require_all_stages(self) -> None:
-        empty = [stage.name for stage in STAGES if not self.pools[stage]]
-        if empty:
-            raise ValueError(f"empty training pool for stage(s): {', '.join(empty)}")
-
-
-def class_pools(windows: list[LabeledWindow]) -> DatasetIndex:
+def class_pools(windows: list[LabeledWindow]) -> dict[SleepStage, list[LabeledWindow]]:
+    """The windows of each stage, in input order; every stage must have one."""
     pools: dict[SleepStage, list[LabeledWindow]] = {stage: [] for stage in STAGES}
     for w in windows:
         pools[w.label].append(w)
-    return DatasetIndex(pools)
+    empty = [stage.name for stage in STAGES if not pools[stage]]
+    if empty:
+        raise ValueError(f"empty training pool for stage(s): {', '.join(empty)}")
+    return pools
 
 
 def balanced_batch(
-    index: DatasetIndex, batch_size: int, rng: np.random.Generator
+    pools: dict[SleepStage, list[LabeledWindow]], batch_size: int, rng: np.random.Generator
 ) -> list[LabeledWindow]:
-    """Draw a class-balanced batch: batch_size/5 windows per stage.
+    """Draw a class-balanced batch from `class_pools`: batch_size/5 windows per stage.
 
     Draws are uniform with replacement within each stage pool (minority pools
     would otherwise be exhausted within one pass); the batch order is shuffled.
     """
     if batch_size % N_STAGES != 0:
         raise ValueError(f"batch size {batch_size} not divisible by {N_STAGES}")
-    index.require_all_stages()
     per_stage = batch_size // N_STAGES
     batch: list[LabeledWindow] = []
     for stage in STAGES:
-        pool = index.pools[stage]
+        pool = pools[stage]
         picks = rng.integers(0, len(pool), size=per_stage)
         batch.extend(pool[i] for i in picks)
     order = rng.permutation(batch_size)

@@ -31,6 +31,7 @@ from .model import ModelConfig, ModelParameters
 
 
 FAILURE_FILE = "failure.txt"  # a failed fold's traceback
+RUN_RECORD = "run_manifest.json"  # seed, model config, subjects, corpus hash, fold splits
 
 
 class TrainingError(Exception):
@@ -133,7 +134,6 @@ def train_fold(
     if not val_windows:
         raise TrainingError("validation subjects contributed no windows")
     pools = class_pools(train_windows)
-    pools.require_all_stages()
 
     params = model.init_params(config, rng)
     history = TrainingHistory()
@@ -232,10 +232,19 @@ def save_fold_result(result: FoldResult, out_dir: Path, seed: int) -> Path:
 
 
 def load_fold_result_json(out_dir: Path, fold_index: int) -> dict | None:
+    """A saved fold's result.json, or None when it has none. Its
+    `test_matrix` comes back as an array and its `per_recording` entries as
+    `RecordingScore`s."""
     path = _fold_dir(out_dir, fold_index) / "result.json"
     if not path.exists():
         return None
-    return json.loads(path.read_text())
+    payload = json.loads(path.read_text())
+    payload["test_matrix"] = np.asarray(payload["test_matrix"], dtype=np.int64)
+    payload["per_recording"] = [
+        RecordingScore(item["subject_id"], item["night"],
+                       np.asarray(item["matrix"], dtype=np.int64))
+        for item in payload["per_recording"]]
+    return payload
 
 
 @dataclass
@@ -258,11 +267,14 @@ def run_crossvalidation(
     """Run the 20 leave-one-subject-out folds and sum their test matrices.
 
     Fold RNG streams derive from (seed, fold), so folds are independent of
-    execution order and may run concurrently. With an output directory, each
-    finished fold is serialized immediately and folds with existing results
-    are skipped (crash-resume). One fold's failure, in training or saving, does
-    not abort the rest: `failures` gets its message, fold_XX/failure.txt its traceback.
-    A fold index outside the folds raises ValueError before anything is written.
+    execution order and may run concurrently. With an output directory, the
+    run record (`RUN_RECORD`) is written before any fold trains, each finished
+    fold is serialized immediately and folds with existing results are
+    skipped (crash-resume). One fold's failure, in training or saving, does
+    not abort the rest: `failures` gets its message, fold_XX/failure.txt its
+    traceback. A fold index outside the folds, or an output directory whose
+    record differs from this run's (another seed, config or corpus), raises
+    ValueError before anything is written.
     """
     subjects = sorted({r.subject_id for r in recordings})
     folds = make_folds(subjects, seed)
@@ -279,25 +291,28 @@ def run_crossvalidation(
 
     if out_dir is not None:
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "run_manifest.json", {
+        record = {
             "seed": seed,
             "config": config.to_json_dict(),
             "subjects": subjects,
             "corpus_sha256": corpus_fingerprint(recordings),
             "folds": [f.to_json_dict() for f in folds],
-        })
+        }
+        path = out_dir / RUN_RECORD
+        if not path.exists():
+            out_dir.mkdir(parents=True, exist_ok=True)
+            write_json(path, record)
+        elif json.loads(path.read_text()) != record:
+            raise ValueError(f"{path} records another run (seed, model config, corpus "
+                             "or folds differ); use a new output directory")
 
     todo = []
     for fold in selected:
         prior = load_fold_result_json(out_dir, fold.fold_index) if out_dir else None
         if prior is not None:
             skipped.append(fold.fold_index)
-            aggregate += np.asarray(prior["test_matrix"], dtype=np.int64)
-            for item in prior["per_recording"]:
-                per_recording.append(RecordingScore(
-                    item["subject_id"], item["night"],
-                    np.asarray(item["matrix"], dtype=np.int64)))
+            aggregate += prior["test_matrix"]
+            per_recording.extend(prior["per_recording"])
             continue
         todo.append(fold)
 

@@ -79,6 +79,10 @@ class TestIngest:
         assert cli.main(["ingest", "--out", str(out)]) == 0
 
 
+def file_bytes(out):
+    return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
 class TestTrain:
     def test_single_fold(self, tmp_path, run_config):
         rc = cli.main(["train", "--config", str(run_config), "--seed", "3",
@@ -89,14 +93,30 @@ class TestTrain:
         assert payload["fold"] == 2 and payload["seed"] == 3
         assert (out / "fold_02" / "best.somn").exists()
         assert not (out / "fold_00").exists()  # exactly one fold trained
+        assert (out / "aggregate_confusion.csv").exists()
+        assert not (out / "folds.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == {"command", "config"}
         assert manifest["command"] == "train"
         assert manifest["config"]["model"]["c1_filters"] == 2
-        assert "corpus_sha256" in manifest
-        folds = json.loads((out / "folds.json").read_text())
-        assert len(folds) == 20
-        assert folds[2]["fold"] == 2 and folds[2]["seed"] == 3
-        assert folds[2]["test"] == payload["test"] and folds[2]["val"] == payload["val"]
+        assert manifest["config"]["model"]["seed"] == 3
+        record = json.loads((out / "run_manifest.json").read_text())
+        assert record["seed"] == 3 and len(record["corpus_sha256"]) == 64
+        assert len(record["folds"]) == 20 and record["folds"][2]["fold"] == 2
+        assert record["folds"][2]["test"] == payload["test"]
+        assert record["folds"][2]["val"] == payload["val"]
+
+    def test_rerun_skips_completed_fold(self, tmp_path, run_config, capsys):
+        argv = ["train", "--config", str(run_config), "--seed", "3", "--fold", "2"]
+        assert cli.main(argv) == 0
+        assert "fold 2: best val mean F1" in capsys.readouterr().out
+        fold_dir = tmp_path / "out" / "fold_02"
+        before = file_bytes(fold_dir)
+        assert cli.main(argv) == 0
+        out_text = capsys.readouterr().out
+        assert "skipped completed folds: [2]" in out_text
+        assert "best val mean F1" not in out_text
+        assert file_bytes(fold_dir) == before
 
     def test_seed_is_mandatory(self, run_config):
         with pytest.raises(SystemExit) as exc:
@@ -134,6 +154,19 @@ class TestCrossval:
         out = tmp_path / "out"
         assert not (out / "run_manifest.json").exists()
         assert not list(out.glob("fold_*"))
+
+    @pytest.mark.parametrize("change", [["--folds", "25"], ["--seed", "5"]])
+    def test_refused_rerun_leaves_directory_unchanged(self, tmp_path, run_config, capsys,
+                                                      change):
+        base = ["crossval", "--config", str(run_config), "--seed", "4", "--folds", "0"]
+        assert cli.main(base) == 0
+        out = tmp_path / "out"
+        before = file_bytes(out)
+        assert {"manifest.json", "run_manifest.json", "fold_00/result.json"} <= \
+            {str(p) for p in before}
+        assert cli.main(base + change) == cli.EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+        assert file_bytes(out) == before
 
     def test_save_failure_exits_numeric(self, tmp_path, run_config, capsys, monkeypatch):
         from somnoscore import training
@@ -191,6 +224,13 @@ class TestEvaluate:
         (results_dir / "fold_01" / "result.json").unlink()
         rc = cli.main(["evaluate", str(results_dir), "--out", str(tmp_path / "r")])
         assert rc == cli.EXIT_DATA
+
+    def test_missing_run_record_is_data_error(self, tmp_path, results_dir, capsys):
+        (results_dir / "run_manifest.json").unlink()
+        rc = cli.main(["evaluate", str(results_dir), "--out", str(tmp_path / "r")])
+        assert rc == cli.EXIT_DATA
+        assert "run_manifest.json" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_csv_rounded_to_tenth_point(self, tmp_path, results_dir):
         out = tmp_path / "report"

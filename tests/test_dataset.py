@@ -128,20 +128,26 @@ def pools_from(stage_counts, seed=0):
 
 class TestClassPools:
     def test_partition_by_label(self):
-        pools = pools_from({SleepStage.N1: 2, SleepStage.N2: 1})
-        sizes = pools.pool_sizes()
-        assert sizes[SleepStage.N1] == 2 and sizes[SleepStage.N2] == 1
-        assert sizes[SleepStage.N3] == sizes[SleepStage.R] == sizes[SleepStage.W] == 0
+        counts = {SleepStage.N1: 2, SleepStage.N2: 1, SleepStage.N3: 3,
+                  SleepStage.R: 1, SleepStage.W: 4}
+        pools = pools_from(counts)
+        assert {stage: len(pool) for stage, pool in pools.items()} == counts
+        assert all(w.label is stage for stage, pool in pools.items() for w in pool)
 
     def test_empty_input(self):
-        pools = D.class_pools([])
-        assert all(n == 0 for n in pools.pool_sizes().values())
+        with pytest.raises(ValueError, match="empty training pool for stage"):
+            D.class_pools([])
 
     @given(st.lists(st.sampled_from(list(SleepStage)), min_size=1, max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_pool_sizes_sum_to_window_count(self, stages):
-        pools = pools_from(Counter(stages))
-        assert sum(pools.pool_sizes().values()) == len(stages)
+        missing = [stage.name for stage in SleepStage if stage not in stages]
+        if missing:
+            with pytest.raises(ValueError, match=", ".join(missing) + "$"):
+                pools_from(Counter(stages))
+        else:
+            pools = pools_from(Counter(stages))
+            assert sum(len(pool) for pool in pools.values()) == len(stages)
 
 
 class TestBalancedBatch:
@@ -164,10 +170,9 @@ class TestBalancedBatch:
             D.balanced_batch(pools, 7, np.random.default_rng(0))
 
     def test_empty_pool_refused(self):
-        pools = pools_from({SleepStage.N1: 2, SleepStage.N2: 2, SleepStage.N3: 2,
-                            SleepStage.R: 2})
         with pytest.raises(ValueError, match="empty training pool.*W"):
-            D.balanced_batch(pools, 10, np.random.default_rng(0))
+            pools_from({SleepStage.N1: 2, SleepStage.N2: 2, SleepStage.N3: 2,
+                        SleepStage.R: 2})
 
     def test_reproducible_given_seed(self):
         pools = pools_from({s: 9 for s in SleepStage})

@@ -223,6 +223,22 @@ class TestCrossValidation:
         np.testing.assert_array_equal(second.aggregate[:, :],
                                       first.aggregate + second.fold_results[2].test_matrix)
 
+    @pytest.mark.parametrize("change", ["seed", "learning_rate", "corpus"])
+    def test_other_run_into_same_directory_refused(self, corpus, tmp_path, change):
+        cfg = tiny_config(max_iterations=3)
+        Tr.run_crossvalidation(corpus, cfg, seed=4, out_dir=tmp_path, fold_indices=[0])
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        recordings, config, seed = {
+            "seed": (corpus, cfg, 5),
+            "learning_rate": (corpus, tiny_config(max_iterations=3, learning_rate=0.003), 4),
+            "corpus": (synthetic_corpus(n_subjects=20, epochs_per_stage=1,
+                                        samples_per_epoch=60, seed=3), cfg, 4),
+        }[change]
+        with pytest.raises(ValueError, match="run_manifest.json records another run"):
+            Tr.run_crossvalidation(recordings, config, seed=seed, out_dir=tmp_path,
+                                   fold_indices=[0, 1])
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
     def test_each_fold_saved_before_the_next_trains(self, corpus, tmp_path, monkeypatch):
         cfg = tiny_config(max_iterations=3)
         real = Tr.train_fold
@@ -254,9 +270,14 @@ class TestCrossValidation:
         result = Tr.train_fold(corpus, folds[0], tiny_config(), np.random.default_rng(0))
         Tr.save_fold_result(result, tmp_path, seed=5)
         payload = Tr.load_fold_result_json(tmp_path, 0)
-        np.testing.assert_array_equal(np.asarray(payload["test_matrix"]),
-                                      result.test_matrix)
+        np.testing.assert_array_equal(payload["test_matrix"], result.test_matrix)
+        assert payload["test_matrix"].dtype == np.int64
+        assert [(s.subject_id, s.night) for s in payload["per_recording"]] == \
+            [(s.subject_id, s.night) for s in result.per_recording]
+        for loaded_score, score in zip(payload["per_recording"], result.per_recording):
+            np.testing.assert_array_equal(loaded_score.matrix, score.matrix)
         assert payload["seed"] == 5
+        assert Tr.load_fold_result_json(tmp_path, 1) is None
         assert (tmp_path / "fold_00" / "best.somn").exists()
         loaded = M.load_checkpoint(tmp_path / "fold_00" / "best.somn")
         for name, arr in result.best_params.tensors.items():
