@@ -31,7 +31,7 @@ from .edf_ingest import (
     load_recording,
 )
 from .evaluation import METRIC_NAMES
-from .fileio import write_json
+from .fileio import write_csv, write_json
 from .model import ModelConfig
 from .training import TrainingError
 
@@ -164,8 +164,7 @@ def cmd_crossval(args) -> int:
     # Written after the runner, which refuses bad folds or another run's
     # directory before it writes anything, so a refused command changes no file.
     _write_manifest(out_dir, args.command, cfg)
-    np.savetxt(out_dir / "aggregate_confusion.csv",
-               outcome.aggregate, fmt="%d", delimiter=",")
+    write_csv(out_dir / "aggregate_confusion.csv", outcome.aggregate.tolist())
     if outcome.skipped:
         print(f"skipped completed folds: {outcome.skipped}")
     for fold_index, result in sorted(outcome.fold_results.items()):
@@ -366,10 +365,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IngestError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (evaluation.MetricError, model.CheckpointError, ValueError) as exc:
+    except (IngestError, evaluation.MetricError, model.CheckpointError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingError, FloatingPointError) as exc:

@@ -122,6 +122,14 @@ class EdfHeader:
     n_signals: int
 
 
+def signal_index(specs: list[SignalSpec], label: str) -> int:
+    """Position of the signal named `label`; IngestError if none has it."""
+    for i, spec in enumerate(specs):
+        if spec.label == label:
+            return i
+    raise IngestError(f"channel {label!r} not found; have {[s.label for s in specs]}")
+
+
 @dataclass
 class ParsedEdf:
     header: EdfHeader
@@ -129,16 +137,10 @@ class ParsedEdf:
     physical: list[np.ndarray]
     digital: list[np.ndarray]
 
-    def signal_index(self, label: str) -> int:
-        for i, spec in enumerate(self.specs):
-            if spec.label == label:
-                return i
-        raise IngestError(f"channel {label!r} not found; have {[s.label for s in self.specs]}")
-
     def annotation_bytes(self) -> bytes:
         """Raw byte stream of the EDF+ annotations signal (empty if absent)."""
         try:
-            idx = self.signal_index(ANNOTATIONS_LABEL)
+            idx = signal_index(self.specs, ANNOTATIONS_LABEL)
         except IngestError:
             return b""
         return self.digital[idx].astype("<i2").tobytes()
@@ -392,14 +394,7 @@ def assemble_recording(
     inside the span are dropped (count kept on the result) and the samples are
     re-sliced to match.
     """
-    idx = None
-    for i, spec in enumerate(specs):
-        if spec.label == channel_name:
-            idx = i
-            break
-    if idx is None:
-        raise IngestError(
-            f"channel {channel_name!r} not found; have {[s.label for s in specs]}")
+    idx = signal_index(specs, channel_name)
     spec = specs[idx]
     if not math.isclose(spec.sampling_rate, SCORING_RATE_HZ):
         raise IngestError(

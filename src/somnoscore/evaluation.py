@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .edf_ingest import N_STAGES, STAGES, SleepStage
-from .fileio import write_json
+from .fileio import write_atomic, write_csv, write_json
 
 METRIC_NAMES = (
     "precision_mean", "precision_worst",
@@ -60,31 +60,42 @@ def confusion(predicted, expert) -> np.ndarray:
 
 
 def empty_stage_rows(counts: np.ndarray) -> list[SleepStage]:
-    return [STAGES[i] for i in np.flatnonzero(counts.sum(axis=1) == 0)]
+    """Stages with no epochs, in any matrix of a stack."""
+    empty = (counts.sum(axis=-1) == 0).reshape(-1, N_STAGES).any(axis=0)
+    return [STAGES[i] for i in np.flatnonzero(empty)]
 
 
 def row_normalize(counts: np.ndarray) -> np.ndarray:
-    """Each nonzero row scaled to sum 1; all-zero rows stay zero."""
+    """Each nonzero row scaled to sum 1; all-zero rows stay zero. Leading
+    axes, if any, index a stack of matrices."""
     counts = np.asarray(counts, dtype=np.float64)
-    sums = counts.sum(axis=1, keepdims=True)
+    sums = counts.sum(axis=-1, keepdims=True)
     return np.divide(counts, sums, out=np.zeros_like(counts), where=sums > 0)
+
+
+def _unbox(values: np.ndarray) -> np.ndarray | float:
+    """A float for one matrix's value, the array for a stack's."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 @dataclass
 class ClassMetrics:
+    """Per-stage metrics on the last axis, after the stack axes, if any; `mean`,
+    `worst` and `as_dict` give floats for one matrix, arrays for a stack."""
+
     sensitivity: np.ndarray
     precision: np.ndarray
     f1: np.ndarray
     accuracy: np.ndarray
-    overall_accuracy: float
+    overall_accuracy: np.ndarray | float
 
-    def mean(self, metric: str) -> float:
-        return float(getattr(self, metric).mean())
+    def mean(self, metric: str) -> np.ndarray | float:
+        return _unbox(getattr(self, metric).mean(axis=-1))
 
-    def worst(self, metric: str) -> float:
-        return float(getattr(self, metric).min())
+    def worst(self, metric: str) -> np.ndarray | float:
+        return _unbox(getattr(self, metric).min(axis=-1))
 
-    def as_dict(self) -> dict[str, float]:
+    def as_dict(self) -> dict[str, np.ndarray | float]:
         d = {}
         for metric in ("precision", "sensitivity", "f1", "accuracy"):
             d[f"{metric}_mean"] = self.mean(metric)
@@ -104,39 +115,41 @@ class ClassMetrics:
         }
 
 
-# Off-diagonal masks by stage count, built once: bootstrap_ci reduces 1000 matrices.
-_OFF_DIAGONAL = [~np.eye(k, dtype=bool) for k in range(N_STAGES + 1)]
+def _raw_overall(counts: np.ndarray) -> np.ndarray | float:
+    return _unbox(np.trace(counts, axis1=-2, axis2=-1) / counts.sum(axis=(-2, -1)))
 
 
 def _one_vs_all(counts: np.ndarray, stages: np.ndarray | slice) -> ClassMetrics:
     """One-vs-all metrics of each selected stage against the other selected ones.
 
-    `stages` indexes the rows and columns compared. Rows are normalized over
-    all five predicted columns, so predictions that land on an unselected
-    stage still count as errors. Overall accuracy is trace/total of the raw
-    counts.
+    `counts` is one matrix or a stack of them. `stages` indexes the rows and
+    columns compared. Rows are normalized over all five predicted columns, so
+    predictions that land on an unselected stage still count as errors.
+    Overall accuracy is trace/total of the raw counts.
     """
-    r = row_normalize(counts[stages])[:, stages]
-    k = len(r)
-    sens = np.diag(r).copy()
+    r = row_normalize(counts[..., stages, :])[..., stages]
+    k = r.shape[-1]
+    sens = np.diagonal(r, axis1=-2, axis2=-1).copy()
     # Off-diagonal entries of each column, summed in row order; the order is
     # fixed because model selection compares mean F1 values exactly.
-    fpr = r.T[_OFF_DIAGONAL[k]].reshape(k, k - 1).sum(axis=1) / (k - 1)
+    off_diagonal = np.swapaxes(r, -1, -2)[..., ~np.eye(k, dtype=bool)]
+    fpr = off_diagonal.reshape(*r.shape[:-2], k, k - 1).sum(axis=-1) / (k - 1)
     # A stage can go entirely unpredicted (zero column): 0/0 resolves to 0,
     # the continuous extension, so a useless class scores 0 rather than NaN.
     prec = np.divide(sens, sens + fpr, out=np.zeros_like(sens), where=(sens + fpr) > 0)
     acc = (sens + (1.0 - fpr)) / 2.0
     f1 = np.divide(2.0 * prec * sens, prec + sens,
                    out=np.zeros_like(sens), where=(prec + sens) > 0)
-    return ClassMetrics(sens, prec, f1, acc, float(np.trace(counts) / counts.sum()))
+    return ClassMetrics(sens, prec, f1, acc, _raw_overall(counts))
 
 
 def class_metrics(counts: np.ndarray, overall: str = "raw") -> ClassMetrics:
     """One-vs-all metric suite on the class-balanced matrix (all five stages).
 
-    Raises MetricError if a stage has no epochs. `overall` selects the
-    overall-accuracy reading: "raw" = trace/total of the raw counts,
-    "balanced" = mean per-stage sensitivity.
+    `counts` is one (5, 5) matrix or a stack (..., 5, 5), scored matrix by
+    matrix. Raises MetricError if a stage has no epochs in any of them.
+    `overall` selects the overall-accuracy reading: "raw" = trace/total of
+    the raw counts, "balanced" = mean per-stage sensitivity.
     """
     counts = np.asarray(counts)
     empty = empty_stage_rows(counts)
@@ -146,7 +159,7 @@ def class_metrics(counts: np.ndarray, overall: str = "raw") -> ClassMetrics:
         raise MetricError(f"unknown overall-accuracy mode {overall!r}")
     metrics = _one_vs_all(counts, slice(None))
     if overall == "balanced":
-        metrics.overall_accuracy = float(metrics.sensitivity.mean())
+        metrics.overall_accuracy = metrics.mean("sensitivity")
     return metrics
 
 
@@ -162,7 +175,7 @@ def validation_scores(counts: np.ndarray) -> tuple[float, float]:
     present = np.flatnonzero(counts.sum(axis=1) > 0)
     if present.size == 0:
         raise MetricError("confusion matrix is empty")
-    overall = float(np.trace(counts) / counts.sum())
+    overall = _raw_overall(counts)
     if present.size == 1:
         return float(counts[present[0], present[0]] / counts.sum()), overall
     return _one_vs_all(counts, present).mean("f1"), overall
@@ -182,13 +195,13 @@ class BootstrapResult:
     n_samples: int
 
 
-def _order_stat_bounds(values: list[float]) -> tuple[float, float]:
+def _order_stat_bounds(values: np.ndarray) -> tuple[float, float]:
     """95% bounds as exact order statistics (positions 26/975 of 1000)."""
-    ordered = sorted(values)
+    ordered = np.sort(values)
     m = len(ordered)
     lo = math.floor(0.025 * m) + 1
     hi = math.ceil(0.975 * m)
-    return ordered[lo - 1], ordered[hi - 1]
+    return float(ordered[lo - 1]), float(ordered[hi - 1])
 
 
 def bootstrap_ci(
@@ -199,42 +212,34 @@ def bootstrap_ci(
 ) -> BootstrapResult:
     """Bootstrap confidence intervals across per-recording confusion matrices.
 
-    Each sample draws recording indices with replacement, sums their matrices
-    and computes the metric suite. Reported per metric: the mean across
-    samples and the order-statistic bounds (never interpolated). Samples where
-    a metric is undefined (an empty stage row) are excluded from that metric
-    and the exclusion counted. Sample streams derive deterministically from
-    (seed, sample index), so results do not depend on evaluation order.
+    Each sample draws recording indices with replacement and sums their
+    matrices; one :func:`class_metrics` call scores all samples. Reported per
+    metric: the mean across samples and the order-statistic bounds (never
+    interpolated). Samples with an empty stage row are excluded from every
+    metric but raw overall accuracy and the exclusion counted. Sample streams
+    derive deterministically from (seed, sample index), so results do not
+    depend on evaluation order.
     """
     matrices = np.asarray(per_recording, dtype=np.int64)
     n = matrices.shape[0]
     if n < 2:
         raise MetricError("bootstrap needs at least 2 recordings")
-    values: dict[str, list[float]] = {name: [] for name in METRIC_NAMES}
-    excluded = {name: 0 for name in METRIC_NAMES}
-    for i in range(n_samples):
-        rng = np.random.default_rng([seed, i])
-        picks = rng.integers(0, n, size=n)
-        total = matrices[picks].sum(axis=0)
-        try:
-            metrics = class_metrics(total, overall=overall).as_dict()
-        except MetricError:
-            # Only raw overall accuracy survives an empty stage row.
-            for name in METRIC_NAMES:
-                if name == "overall_accuracy" and overall == "raw":
-                    values[name].append(float(np.trace(total) / total.sum()))
-                else:
-                    excluded[name] += 1
-            continue
-        for name in METRIC_NAMES:
-            values[name].append(metrics[name])
-    intervals = {}
-    for name in METRIC_NAMES:
-        vals = values[name]
-        if not vals:
-            raise MetricError(f"metric {name} undefined in every bootstrap sample")
-        lower, upper = _order_stat_bounds(vals)
-        intervals[name] = MetricInterval(float(np.mean(vals)), lower, upper)
+    if n_samples < 1:
+        raise MetricError(f"bootstrap needs at least 1 sample, got {n_samples}")
+    picks = np.stack([np.random.default_rng([seed, i]).integers(0, n, size=n)
+                      for i in range(n_samples)])
+    totals = matrices[picks].sum(axis=1)
+    defined = (totals.sum(axis=-1) > 0).all(axis=-1)
+    if not defined.any():
+        raise MetricError("every bootstrap sample has an empty stage row")
+    values = class_metrics(totals[defined], overall=overall).as_dict()
+    excluded = {name: int(n_samples - defined.sum()) for name in METRIC_NAMES}
+    if overall == "raw":  # the one metric an empty stage row leaves defined
+        values["overall_accuracy"] = _raw_overall(totals)
+        excluded["overall_accuracy"] = 0
+    intervals = {name: MetricInterval(float(np.mean(values[name])),
+                                      *_order_stat_bounds(values[name]))
+                 for name in METRIC_NAMES}
     return BootstrapResult(intervals, excluded, n_samples)
 
 
@@ -371,10 +376,8 @@ def linreg_r2(x, y) -> RegressionResult:
 def export_hypnogram(labels: list[SleepStage], path: Path) -> None:
     """CSV `index,stage` plus an SVG step plot next to it."""
     path = Path(path)
-    lines = ["index,stage"]
-    lines += [f"{i},{stage.name}" for i, stage in enumerate(labels)]
-    path.write_text("\n".join(lines) + "\n")
-    path.with_suffix(".svg").write_text(hypnogram_svg(labels))
+    write_csv(path, [("index", "stage"), *((i, stage.name) for i, stage in enumerate(labels))])
+    write_atomic(path.with_suffix(".svg"), hypnogram_svg(labels).encode("utf-8"))
 
 
 def read_hypnogram(path: Path) -> list[SleepStage]:
@@ -447,32 +450,27 @@ def write_metrics_report(
     write_json(out_dir / "metrics.json", report)
 
     r = row_normalize(counts)
-    with open(out_dir / "confusion.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["expert\\algorithm"] + [s.name for s in STAGES])
-        for i, stage in enumerate(STAGES):
-            row = [stage.name]
-            row += [f"{int(counts[i][j])} ({100 * r[i][j]:.1f}%)" for j in range(N_STAGES)]
-            w.writerow(row)
+    rows = [["expert\\algorithm"] + [s.name for s in STAGES]]
+    for i, stage in enumerate(STAGES):
+        rows.append([stage.name] + [f"{int(counts[i][j])} ({100 * r[i][j]:.1f}%)"
+                                    for j in range(N_STAGES)])
+    write_csv(out_dir / "confusion.csv", rows)
 
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        if boot is not None:
-            w.writerow(["metric", "value", "bootstrap_mean", "ci_lower", "ci_upper"])
-            for name in METRIC_NAMES:
-                iv = boot.intervals[name]
-                w.writerow([name, f"{100 * metrics.as_dict()[name]:.1f}",
-                            f"{100 * iv.mean:.1f}", f"{100 * iv.lower:.1f}",
-                            f"{100 * iv.upper:.1f}"])
-        else:
-            w.writerow(["metric", "value"])
-            for name, value in metrics.as_dict().items():
-                w.writerow([name, f"{100 * value:.1f}"])
+    if boot is not None:
+        rows = [["metric", "value", "bootstrap_mean", "ci_lower", "ci_upper"]]
+        for name in METRIC_NAMES:
+            iv = boot.intervals[name]
+            rows.append([name, f"{100 * metrics.as_dict()[name]:.1f}",
+                         f"{100 * iv.mean:.1f}", f"{100 * iv.lower:.1f}",
+                         f"{100 * iv.upper:.1f}"])
+    else:
+        rows = [["metric", "value"]]
+        rows += [[name, f"{100 * value:.1f}"] for name, value in metrics.as_dict().items()]
+    write_csv(out_dir / "summary.csv", rows)
 
     if regressions:
-        with open(out_dir / "regressions.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["predictor_metric", "r_squared", "p_value", "slope", "intercept"])
-            for name, reg in regressions.items():
-                w.writerow([name, f"{reg.r_squared:.4f}", f"{reg.p_value:.4f}",
-                            f"{reg.slope:.6g}", f"{reg.intercept:.6g}"])
+        rows = [["predictor_metric", "r_squared", "p_value", "slope", "intercept"]]
+        rows += [[name, f"{reg.r_squared:.4f}", f"{reg.p_value:.4f}",
+                  f"{reg.slope:.6g}", f"{reg.intercept:.6g}"]
+                 for name, reg in regressions.items()]
+        write_csv(out_dir / "regressions.csv", rows)

@@ -1,13 +1,17 @@
 """Crash-safe output files.
 
-Checkpoints and every JSON output of training, evaluation and the CLI are
-written through :func:`write_atomic`, so a process killed mid-write leaves
-the previous file or no file, never a torn one that a resumed run would trip
-over.
+Checkpoints and every JSON, CSV and hypnogram output of training,
+evaluation and the CLI are written through :func:`write_atomic`, so a
+process killed mid-write leaves the previous file or no file, never a torn
+one that a resumed run would trip over. The exception is the five files of
+`filter_analysis.export_profile`, written in place: that bundle is rebuilt
+from a checkpoint in seconds, and nothing reads it back on resume.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from pathlib import Path
@@ -33,3 +37,10 @@ def write_atomic(path: Path, data: bytes) -> None:
 def write_json(path: Path, payload) -> None:
     """Indented, newline-terminated JSON, written atomically."""
     write_atomic(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+
+
+def write_csv(path: Path, rows) -> None:
+    """Comma-separated rows, each ended by `\\n`, written atomically."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    write_atomic(path, text.getvalue().encode("utf-8"))

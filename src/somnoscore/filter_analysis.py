@@ -21,21 +21,21 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor_ops as T
-from .edf_ingest import N_STAGES, STAGES, SleepStage
+from .edf_ingest import N_STAGES, SCORING_RATE_HZ, STAGES, SleepStage
 from .model import ModelParameters
 
 
-def filter_power_spectrum(kernel: np.ndarray, fs: float = 100.0) -> np.ndarray:
-    """One-sided DFT power of a filter; bin k sits at k*fs/len(kernel) Hz."""
+def filter_power_spectrum(kernel: np.ndarray) -> np.ndarray:
+    """One-sided DFT power of a filter; bin k sits at k*SCORING_RATE_HZ/len(kernel) Hz."""
     return np.abs(np.fft.rfft(np.asarray(kernel, dtype=np.float64))) ** 2
 
 
-def spectrum_frequencies(length: int, fs: float = 100.0) -> np.ndarray:
-    return np.fft.rfftfreq(length, d=1.0 / fs)
+def spectrum_frequencies(length: int) -> np.ndarray:
+    return np.fft.rfftfreq(length, d=1.0 / SCORING_RATE_HZ)
 
 
-def bank_spectra(kernels: np.ndarray, fs: float = 100.0) -> np.ndarray:
-    return np.stack([filter_power_spectrum(k, fs) for k in kernels])
+def bank_spectra(kernels: np.ndarray) -> np.ndarray:
+    return np.stack([filter_power_spectrum(k) for k in kernels])
 
 
 def middle_epoch_output_range(input_len: int, kernel_len: int) -> tuple[int, int]:
@@ -177,7 +177,6 @@ def export_profile(
     spectra: np.ndarray,
     out_dir: Path,
     fold_index: int | None = None,
-    fs: float = 100.0,
 ) -> None:
     """CSV tables, a JSON bundle and SVG heatmaps for one fold's filters."""
     out_dir = Path(out_dir)
@@ -190,7 +189,7 @@ def export_profile(
             lines.append(f"{f},{stage.name},{float(profile.normalized[f, int(stage)])!r}")
     (out_dir / "activation.csv").write_text("\n".join(lines) + "\n")
 
-    freqs = spectrum_frequencies((spectra.shape[1] - 1) * 2, fs)
+    freqs = spectrum_frequencies((spectra.shape[1] - 1) * 2)
     lines = ["filter,freq_hz,power"]
     for f in range(spectra.shape[0]):
         for k, freq in enumerate(freqs):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .edf_ingest import N_STAGES, SleepStage
+from .edf_ingest import N_STAGES, SCORING_RATE_HZ, SleepStage
 from .fileio import write_atomic
 from . import tensor_ops as T
 
@@ -352,7 +352,6 @@ def default_morlet_frequencies(n: int, min_hz: float = 0.5, max_hz: float = 25.0
 def make_morlet_bank(
     center_freqs: np.ndarray,
     cycles_per_filter: float,
-    fs: float = 100.0,
     length: int = 200,
 ) -> np.ndarray:
     """Real Morlet (cosine-Gaussian) filters, one row per center frequency.
@@ -365,7 +364,7 @@ def make_morlet_bank(
     freqs = np.asarray(center_freqs, dtype=np.float64)
     if np.any(freqs <= 0):
         raise ValueError("center frequencies must be positive")
-    t = (np.arange(length) - (length - 1) / 2.0) / fs
+    t = (np.arange(length) - (length - 1) / 2.0) / SCORING_RATE_HZ
     bank = np.empty((len(freqs), length))
     for i, f in enumerate(freqs):
         sigma = cycles_per_filter / (2.0 * np.pi * f)

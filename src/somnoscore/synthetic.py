@@ -17,6 +17,7 @@ from .edf_ingest import (
     ANNOTATIONS_LABEL,
     DEFAULT_CHANNEL,
     SAMPLES_PER_EPOCH,
+    SCORING_RATE_HZ,
     AnnotationEvent,
     Recording,
     SleepStage,
@@ -37,12 +38,11 @@ def band_signal(
     stage: SleepStage,
     n_samples: int,
     rng: np.random.Generator,
-    fs: float = 100.0,
     amplitude: float = 20.0,
     noise: float = 1.0,
 ) -> np.ndarray:
     """A noisy sinusoid in the stage's band with random phase."""
-    t = np.arange(n_samples) / fs
+    t = np.arange(n_samples) / SCORING_RATE_HZ
     phase = rng.uniform(0.0, 2.0 * np.pi)
     clean = amplitude * np.sin(2.0 * np.pi * STAGE_BAND_HZ[stage] * t + phase)
     return clean + noise * rng.standard_normal(n_samples)
@@ -54,12 +54,11 @@ def synthetic_recording(
     stages: list[SleepStage],
     samples_per_epoch: int = SAMPLES_PER_EPOCH,
     seed: int = 0,
-    fs: float = 100.0,
     amplitude: float = 20.0,
     noise: float = 1.0,
 ) -> Recording:
     rng = np.random.default_rng([seed, zlib.crc32(subject_id.encode()), night])
-    parts = [band_signal(s, samples_per_epoch, rng, fs, amplitude, noise) for s in stages]
+    parts = [band_signal(s, samples_per_epoch, rng, amplitude, noise) for s in stages]
     return Recording(
         subject_id=subject_id,
         night=night,

@@ -253,7 +253,6 @@ class CrossValidationOutcome:
     skipped: list[int]
     failures: dict[int, str]
     aggregate: np.ndarray
-    per_recording: list[RecordingScore]
 
 
 def run_crossvalidation(
@@ -273,8 +272,9 @@ def run_crossvalidation(
     skipped (crash-resume). One fold's failure, in training or saving, does
     not abort the rest: `failures` gets its message, fold_XX/failure.txt its
     traceback. A fold index outside the folds, or an output directory whose
-    record differs from this run's (another seed, config or corpus), raises
-    ValueError before anything is written.
+    record differs from this run's (another seed, config or corpus) or that
+    holds fold results without a record, raises ValueError before anything
+    is written.
     """
     subjects = sorted({r.subject_id for r in recordings})
     folds = make_folds(subjects, seed)
@@ -287,7 +287,6 @@ def run_crossvalidation(
     skipped: list[int] = []
     failures: dict[int, str] = {}
     aggregate = np.zeros((N_STAGES, N_STAGES), dtype=np.int64)
-    per_recording: list[RecordingScore] = []
 
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -300,6 +299,9 @@ def run_crossvalidation(
         }
         path = out_dir / RUN_RECORD
         if not path.exists():
+            if any(out_dir.glob("fold_*/result.json")):
+                raise ValueError(f"{out_dir} holds fold results but no {RUN_RECORD}, so "
+                                 "their run is unknown; use a new output directory")
             out_dir.mkdir(parents=True, exist_ok=True)
             write_json(path, record)
         elif json.loads(path.read_text()) != record:
@@ -312,7 +314,6 @@ def run_crossvalidation(
         if prior is not None:
             skipped.append(fold.fold_index)
             aggregate += prior["test_matrix"]
-            per_recording.extend(prior["per_recording"])
             continue
         todo.append(fold)
 
@@ -341,7 +342,6 @@ def run_crossvalidation(
                 continue
             results[fold.fold_index] = outcome
             aggregate += outcome.test_matrix
-            per_recording.extend(outcome.per_recording)
 
-    return CrossValidationOutcome(results, skipped, failures, aggregate, per_recording)
+    return CrossValidationOutcome(results, skipped, failures, aggregate)
 

@@ -118,6 +118,18 @@ class TestTrain:
         assert "best val mean F1" not in out_text
         assert file_bytes(fold_dir) == before
 
+    def test_fold_results_without_run_record_refused(self, tmp_path, run_config, capsys):
+        assert cli.main(["train", "--config", str(run_config), "--seed", "3",
+                         "--fold", "2"]) == 0
+        out = tmp_path / "out"
+        (out / "run_manifest.json").unlink()
+        before = file_bytes(out)
+        rc = cli.main(["train", "--config", str(run_config), "--seed", "9", "--fold", "2",
+                       "--learning-rate", "0.5"])
+        assert rc == cli.EXIT_DATA
+        assert "fold results but no run_manifest.json" in capsys.readouterr().err
+        assert file_bytes(out) == before
+
     def test_seed_is_mandatory(self, run_config):
         with pytest.raises(SystemExit) as exc:
             cli.main(["train", "--config", str(run_config), "--fold", "0"])

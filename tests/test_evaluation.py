@@ -127,6 +127,31 @@ class TestClassMetrics:
         with pytest.raises(Ev.MetricError, match="N2"):
             Ev.class_metrics(counts)
 
+    @pytest.mark.parametrize("overall", ["raw", "balanced"])
+    def test_stack_equals_each_matrix_bit_for_bit(self, overall):
+        rng = np.random.default_rng(8)
+        # zero columns (never-predicted stages) exercise the 0/0 branches too
+        stack = rng.integers(0, 60, size=(3, 4, 5, 5)) * (rng.random((3, 4, 5, 5)) < 0.6)
+        stack[..., np.arange(5), np.arange(5)] += 1
+        stack[0, 0] = GOLDEN_COUNTS
+        batched = Ev.class_metrics(stack, overall)
+        summary = batched.as_dict()
+        for index in np.ndindex(3, 4):
+            single = Ev.class_metrics(stack[index], overall)
+            for metric in ("sensitivity", "precision", "f1", "accuracy"):
+                assert np.array_equal(getattr(batched, metric)[index], getattr(single, metric))
+            for name, value in single.as_dict().items():
+                assert type(value) is float
+                assert summary[name][index] == value, name
+
+    def test_stack_with_one_empty_row_rejected(self):
+        stack = np.stack([GOLDEN_COUNTS] * 3)
+        stack[1, 3] = 0
+        with pytest.raises(Ev.MetricError, match=r"stage\(s\): R$"):
+            Ev.class_metrics(stack)
+        with pytest.raises(Ev.MetricError, match=r"stage\(s\): R$"):
+            Ev.class_metrics(stack, overall="balanced")
+
     def test_f1_is_harmonic_mean(self):
         m = Ev.class_metrics(GOLDEN_COUNTS)
         hm = 2 * m.precision * m.sensitivity / (m.precision + m.sensitivity)
@@ -206,6 +231,13 @@ class TestBootstrap:
         assert result.excluded["f1_mean"] > 0
         assert result.excluded["overall_accuracy"] == 0  # raw overall always defined
         assert result.intervals["f1_mean"].lower <= result.intervals["f1_mean"].upper
+
+    def test_balanced_overall_excluded_with_the_other_metrics(self):
+        a = np.diag([5, 5, 1, 5, 5])
+        b = np.diag([5, 5, 0, 5, 5])
+        result = Ev.bootstrap_ci([a, b, b, b], n_samples=400, seed=7, overall="balanced")
+        assert result.excluded["overall_accuracy"] == result.excluded["f1_mean"] > 0
+        assert set(result.excluded.values()) == {result.excluded["f1_mean"]}
 
     def test_single_recording_rejected(self):
         with pytest.raises(Ev.MetricError):
@@ -342,3 +374,16 @@ class TestReportFiles:
         assert summary[0].startswith("metric,")
         assert len(summary) == 1 + len(Ev.METRIC_NAMES)
         assert (tmp_path / "regressions.csv").exists()
+
+    def test_csv_lines_end_with_newline_and_no_temporary_file_is_left(self, tmp_path):
+        metrics = Ev.class_metrics(GOLDEN_COUNTS)
+        boot = Ev.bootstrap_ci([GOLDEN_COUNTS] * 4, n_samples=20, seed=0)
+        reg = {"f1_vs_sleep_efficiency": Ev.linreg_r2([1, 2, 3, 4], [1, 2, 2, 4])}
+        Ev.write_metrics_report(GOLDEN_COUNTS, metrics, boot, tmp_path, reg)
+        Ev.export_hypnogram([W, N1, N2], tmp_path / "h.csv")
+        for name in ("confusion.csv", "summary.csv", "regressions.csv", "h.csv"):
+            text = (tmp_path / name).read_bytes()
+            assert b"\r" not in text and text.endswith(b"\n"), name
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "confusion.csv", "h.csv", "h.svg", "metrics.json", "regressions.csv",
+            "summary.csv"]
