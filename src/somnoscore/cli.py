@@ -77,14 +77,11 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     else:
         cfg = RunConfig()
 
-    def override(name, target=cfg):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(target, name, value)
-
     for name in ("data_dir", "channel", "output_dir", "bootstrap_samples",
                  "bootstrap_seed", "overall", "lights_out_epoch"):
-        override(name)
+        value = getattr(args, name, None)
+        if value is not None:
+            setattr(cfg, name, value)
     model_cfg = cfg.model.to_json_dict()
     for flag, key in (
         ("batch_size", "batch_size"), ("learning_rate", "learning_rate"),
@@ -365,7 +362,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IngestError, evaluation.MetricError, model.CheckpointError, ValueError) as exc:
+    except (IngestError, evaluation.MetricError, model.CheckpointError, ValueError,
+            OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingError, FloatingPointError) as exc:

@@ -22,8 +22,6 @@ sensitivity) is available since both readings are defensible.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -380,14 +378,9 @@ def export_hypnogram(labels: list[SleepStage], path: Path) -> None:
     write_atomic(path.with_suffix(".svg"), hypnogram_svg(labels).encode("utf-8"))
 
 
-def read_hypnogram(path: Path) -> list[SleepStage]:
-    rows = list(csv.reader(io.StringIO(Path(path).read_text())))
-    return [SleepStage[name] for _, name in rows[1:]]
-
-
-def hypnogram_svg(labels: list[SleepStage], width: int = 960, height: int = 220) -> str:
+def hypnogram_svg(labels: list[SleepStage]) -> str:
     """Step plot of the stage sequence; one horizontal band per stage."""
-    margin = 30
+    width, height, margin = 960, 220, 30
     n = max(len(labels), 1)
     # Conventional display order, deepest sleep lowest.
     level_order = [SleepStage.W, SleepStage.R, SleepStage.N1, SleepStage.N2, SleepStage.N3]
@@ -421,7 +414,7 @@ def hypnogram_svg(labels: list[SleepStage], width: int = 960, height: int = 220)
 def write_metrics_report(
     counts: np.ndarray,
     metrics: ClassMetrics,
-    boot: BootstrapResult | None,
+    boot: BootstrapResult,
     out_dir: Path,
     regressions: dict[str, RegressionResult] | None = None,
 ) -> None:
@@ -433,14 +426,13 @@ def write_metrics_report(
         "confusion_row_normalized": row_normalize(counts).tolist(),
         "per_stage": metrics.per_stage_dict(),
         "summary": metrics.as_dict(),
-    }
-    if boot is not None:
-        report["bootstrap"] = {
+        "bootstrap": {
             name: {"mean": iv.mean, "lower": iv.lower, "upper": iv.upper}
             for name, iv in boot.intervals.items()
-        }
-        report["bootstrap_excluded"] = boot.excluded
-        report["bootstrap_samples"] = boot.n_samples
+        },
+        "bootstrap_excluded": boot.excluded,
+        "bootstrap_samples": boot.n_samples,
+    }
     if regressions:
         report["regressions"] = {
             name: {"slope": r.slope, "intercept": r.intercept,
@@ -456,16 +448,12 @@ def write_metrics_report(
                                     for j in range(N_STAGES)])
     write_csv(out_dir / "confusion.csv", rows)
 
-    if boot is not None:
-        rows = [["metric", "value", "bootstrap_mean", "ci_lower", "ci_upper"]]
-        for name in METRIC_NAMES:
-            iv = boot.intervals[name]
-            rows.append([name, f"{100 * metrics.as_dict()[name]:.1f}",
-                         f"{100 * iv.mean:.1f}", f"{100 * iv.lower:.1f}",
-                         f"{100 * iv.upper:.1f}"])
-    else:
-        rows = [["metric", "value"]]
-        rows += [[name, f"{100 * value:.1f}"] for name, value in metrics.as_dict().items()]
+    rows = [["metric", "value", "bootstrap_mean", "ci_lower", "ci_upper"]]
+    for name in METRIC_NAMES:
+        iv = boot.intervals[name]
+        rows.append([name, f"{100 * metrics.as_dict()[name]:.1f}",
+                     f"{100 * iv.mean:.1f}", f"{100 * iv.lower:.1f}",
+                     f"{100 * iv.upper:.1f}"])
     write_csv(out_dir / "summary.csv", rows)
 
     if regressions:

@@ -145,31 +145,6 @@ def build_profile(
                              zero_cols, zero_rows)
 
 
-def match_filter_banks(spectra_a: np.ndarray, spectra_b: np.ndarray) -> float:
-    """Greedy one-to-one spectral matching score between two filter banks.
-
-    Repeatedly pairs the most cosine-similar unmatched filters; the score is
-    the mean similarity of the pairs (1.0 for identical banks).
-    """
-    a = np.asarray(spectra_a, dtype=np.float64)
-    b = np.asarray(spectra_b, dtype=np.float64)
-    na = np.linalg.norm(a, axis=1, keepdims=True)
-    nb = np.linalg.norm(b, axis=1, keepdims=True)
-    a = np.divide(a, na, out=np.zeros_like(a), where=na > 0)
-    b = np.divide(b, nb, out=np.zeros_like(b), where=nb > 0)
-    sim = a @ b.T
-    n = min(sim.shape)
-    free_a = set(range(sim.shape[0]))
-    free_b = set(range(sim.shape[1]))
-    total = 0.0
-    for _ in range(n):
-        best = max(((sim[i, j], i, j) for i in free_a for j in free_b))
-        total += best[0]
-        free_a.discard(best[1])
-        free_b.discard(best[2])
-    return total / n
-
-
 # --- export -------------------------------------------------------------------
 
 def export_profile(
@@ -233,11 +208,10 @@ def _heatmap_svg(
     row_labels: list[str],
     col_labels: list[str],
     cell_class: str,
-    cell: int = 18,
     label_every: int = 1,
 ) -> str:
     rows, cols = matrix.shape
-    left, top = 50, 30
+    left, top, cell = 50, 30, 18
     width = left + cols * cell + 10
     height = top + rows * cell + 10
     peak = matrix.max() if matrix.size and matrix.max() > 0 else 1.0

@@ -120,11 +120,6 @@ class ModelConfig:
             "out_b": (self.classes,),
         }
 
-    def architecture_fields(self) -> dict:
-        keys = ("input_len", "c1_filters", "c1_len", "p1", "c2_filters",
-                "c2_len", "p2", "f1", "f2", "classes")
-        return {k: getattr(self, k) for k in keys}
-
     def to_json_dict(self) -> dict:
         d = asdict(self)
         d["p1"] = list(self.p1)
@@ -400,7 +395,8 @@ def _crc64_table() -> list[int]:
 _CRC64_TABLE = _crc64_table()
 
 
-def crc64(data: bytes, crc: int = 0) -> int:
+def crc64(data: bytes) -> int:
+    crc = 0
     for b in data:
         crc = ((crc << 8) & 0xFFFFFFFFFFFFFFFF) ^ _CRC64_TABLE[((crc >> 56) ^ b) & 0xFF]
     return crc
@@ -433,7 +429,7 @@ def save_checkpoint(params: ModelParameters, path: Path) -> None:
     write_atomic(path, body + struct.pack("<Q", crc64(body)))
 
 
-def load_checkpoint(path: Path, expect_config: ModelConfig | None = None) -> ModelParameters:
+def load_checkpoint(path: Path) -> ModelParameters:
     data = Path(path).read_bytes()
     if len(data) < 14 or data[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
@@ -448,11 +444,6 @@ def load_checkpoint(path: Path, expect_config: ModelConfig | None = None) -> Mod
     manifest = json.loads(body[pos:pos + cfg_len].decode("utf-8"))
     pos += cfg_len
     config = ModelConfig.from_json_dict(manifest["config"])
-    if expect_config is not None:
-        got, want = config.architecture_fields(), expect_config.architecture_fields()
-        if got != want:
-            raise CheckpointError(
-                f"{path}: checkpoint architecture {got} does not match expected {want}")
     tensors: dict[str, np.ndarray] = {}
     while pos < len(body):
         (name_len,) = struct.unpack_from("<H", body, pos)

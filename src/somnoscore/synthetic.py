@@ -73,20 +73,17 @@ def synthetic_corpus(
     n_subjects: int = 20,
     epochs_per_stage: int = 4,
     samples_per_epoch: int = 60,
-    nights: int = 1,
     seed: int = 0,
 ) -> list[Recording]:
-    """Per-subject recordings cycling through all stages in varied orders."""
+    """One night per subject, cycling through all stages in varied orders."""
     rng = np.random.default_rng(seed)
     recordings = []
     for s in range(n_subjects):
-        subject = f"SYN{s:02d}"
-        for night in range(1, nights + 1):
-            stages = [stage for stage in SleepStage for _ in range(epochs_per_stage)]
-            order = rng.permutation(len(stages))
-            stages = [stages[i] for i in order]
-            recordings.append(synthetic_recording(
-                subject, night, stages, samples_per_epoch, seed=seed))
+        stages = [stage for stage in SleepStage for _ in range(epochs_per_stage)]
+        order = rng.permutation(len(stages))
+        stages = [stages[i] for i in order]
+        recordings.append(synthetic_recording(
+            f"SYN{s:02d}", 1, stages, samples_per_epoch, seed=seed))
     return recordings
 
 
@@ -142,9 +139,9 @@ def write_edf(
     Path(path).write_bytes(b"".join(head) + b"".join(records))
 
 
-def tal_bytes(events: list[AnnotationEvent], record_onset: float = 0.0) -> bytes:
-    """Encode events as one annotation record (keepalive stamp first)."""
-    out = [f"+{record_onset:g}".encode("ascii") + b"\x14\x14\x00"]
+def tal_bytes(events: list[AnnotationEvent]) -> bytes:
+    """Encode events as one annotation record (keepalive stamp +0 first)."""
+    out = [b"+0\x14\x14\x00"]
     for e in events:
         out.append(
             f"+{e.onset:g}".encode("ascii") + b"\x15" + f"{e.duration:g}".encode("ascii")

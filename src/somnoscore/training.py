@@ -271,11 +271,13 @@ def run_crossvalidation(
     fold is serialized immediately and folds with existing results are
     skipped (crash-resume). One fold's failure, in training or saving, does
     not abort the rest: `failures` gets its message, fold_XX/failure.txt its
-    traceback. A fold index outside the folds, or an output directory whose
-    record differs from this run's (another seed, config or corpus) or that
-    holds fold results without a record, raises ValueError before anything
-    is written.
+    traceback. A `parallel` below 1, a fold index outside the folds, or an
+    output directory whose record differs from this run's (another seed,
+    config or corpus) or that holds fold results without a record, raises
+    ValueError before anything is written.
     """
+    if parallel < 1:
+        raise ValueError(f"parallel must be at least 1, got {parallel}")
     subjects = sorted({r.subject_id for r in recordings})
     folds = make_folds(subjects, seed)
     for i in fold_indices or ():
@@ -334,7 +336,7 @@ def run_crossvalidation(
                     write_atomic(fold_dir / FAILURE_FILE, traceback.format_exc().encode())
             return f"{type(exc).__name__}: {exc}"
 
-    with ThreadPoolExecutor(max_workers=max(parallel, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=parallel) as pool:
         fan_out = pool.map if parallel > 1 and len(todo) > 1 else map
         for fold, outcome in zip(todo, fan_out(run_one, todo)):
             if isinstance(outcome, str):

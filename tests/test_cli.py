@@ -167,6 +167,14 @@ class TestCrossval:
         assert not (out / "run_manifest.json").exists()
         assert not list(out.glob("fold_*"))
 
+    @pytest.mark.parametrize("parallel", ["0", "-2"])
+    def test_parallel_below_one_exits_data(self, tmp_path, run_config, capsys, parallel):
+        rc = cli.main(["crossval", "--config", str(run_config), "--seed", "4",
+                       "--folds", "0", "--parallel", parallel])
+        assert rc == cli.EXIT_DATA
+        assert f"parallel must be at least 1, got {parallel}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("change", [["--folds", "25"], ["--seed", "5"]])
     def test_refused_rerun_leaves_directory_unchanged(self, tmp_path, run_config, capsys,
                                                       change):
@@ -378,6 +386,25 @@ class TestAnalyzeFilters:
         rc = cli.main(["analyze-filters", "--checkpoint", str(trained_checkpoint),
                        "--data-dir", str(corpus_dir), "--subjects", "NOPE"])
         assert rc == cli.EXIT_DATA
+
+
+class TestMissingInputFile:
+    @pytest.mark.parametrize("command", ["predict", "analyze-filters", "evaluate"])
+    def test_exits_data_naming_the_path(self, tmp_path, corpus_dir, capsys, command):
+        missing = tmp_path / "missing.somn"
+        out = tmp_path / "out"
+        argv = {
+            "predict": ["predict", "--checkpoint", str(missing),
+                        "--psg", str(corpus_dir / "S00A-PSG.edf"),
+                        "--annotations", str(corpus_dir / "S00A-Hypnogram.edf")],
+            "analyze-filters": ["analyze-filters", "--checkpoint", str(missing),
+                                "--data-dir", str(corpus_dir)],
+            "evaluate": ["evaluate", str(tmp_path), "--config", str(missing)],
+        }[command]
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(missing) in err
+        assert not out.exists()
 
 
 class TestUsage:

@@ -229,23 +229,6 @@ class TestOrderFilters:
         assert all(argmax[i] <= argmax[i + 1] for i in range(n - 1))
 
 
-class TestMatching:
-    def test_identical_banks_score_one(self):
-        bank = M.make_morlet_bank(np.geomspace(1, 25, 20), 4.0)
-        spectra = FA.bank_spectra(bank)
-        assert FA.match_filter_banks(spectra, spectra) == pytest.approx(1.0, abs=1e-12)
-
-    def test_permuted_bank_still_scores_one(self):
-        bank = M.make_morlet_bank(np.geomspace(1, 25, 20), 4.0)
-        spectra = FA.bank_spectra(bank)
-        assert FA.match_filter_banks(spectra, spectra[::-1]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_disjoint_banks_score_low(self):
-        low = FA.bank_spectra(M.make_morlet_bank(np.linspace(1, 5, 4), 6.0))
-        high = FA.bank_spectra(M.make_morlet_bank(np.linspace(30, 45, 4), 6.0))
-        assert FA.match_filter_banks(low, high) < 0.5
-
-
 class TestExport:
     @pytest.fixture()
     def exported(self, tmp_path, band_windows):

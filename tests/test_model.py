@@ -423,7 +423,7 @@ class TestCheckpoint:
         params, cfg = reduced_params(seed=13)
         path = tmp_path / "m.somn"
         M.save_checkpoint(params, path)
-        loaded = M.load_checkpoint(path, expect_config=cfg)
+        loaded = M.load_checkpoint(path)
         for name in params.tensors:
             assert loaded.tensors[name].tobytes() == params.tensors[name].tobytes()
             assert loaded.tensors[name].dtype == params.tensors[name].dtype
@@ -465,12 +465,21 @@ class TestCheckpoint:
         with pytest.raises(M.CheckpointError):
             M.load_checkpoint(path)
 
-    def test_architecture_mismatch_rejected(self, tmp_path):
+    def test_tensor_shape_against_own_config_rejected(self, tmp_path):
+        wide, _ = reduced_params(f1=32)
+        path = tmp_path / "m.somn"
+        M.save_checkpoint(M.ModelParameters(M.reduced_config(f1=16), wide.tensors), path)
+        with pytest.raises(M.CheckpointError,
+                           match=r"tensor 'f1_w' shape \(32, 528\) != \(16, 528\)"):
+            M.load_checkpoint(path)
+
+    def test_missing_tensor_rejected(self, tmp_path):
         params, _ = reduced_params()
+        del params.tensors["out_b"]
         path = tmp_path / "m.somn"
         M.save_checkpoint(params, path)
-        with pytest.raises(M.CheckpointError, match="architecture"):
-            M.load_checkpoint(path, expect_config=M.reduced_config(f1=32))
+        with pytest.raises(M.CheckpointError, match="tensor 'out_b' missing"):
+            M.load_checkpoint(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
         params, _ = reduced_params()

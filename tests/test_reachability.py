@@ -1,0 +1,59 @@
+"""Every public name in the package is reached by a program, not only by tests.
+
+A function, class or method of `src/somnoscore` must appear as a whole word
+somewhere in `src/`, `scripts/` or `benchmark/` (outside `benchmark/tests/`)
+other than on a line that defines that name. Names only tests reach go, unless
+listed below with the reason a test needs them.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "somnoscore"
+PROGRAM_DIRS = ("src", "scripts", "benchmark")
+
+TEST_ONLY = {
+    "finite_diff_check": "the finite-difference gradient oracle",
+    "shape_trace": "the acceptance test's check of every layer's output shape",
+}
+
+
+def defined_names() -> set[str]:
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    names.add(node.name)
+    return names
+
+
+def program_lines() -> list[str]:
+    lines = []
+    for top in PROGRAM_DIRS:
+        for path in sorted((ROOT / top).rglob("*")):
+            if path.suffix not in (".py", ".sh") or "tests" in path.relative_to(ROOT).parts:
+                continue
+            lines += path.read_text().splitlines()
+    return lines
+
+
+def unreached(names: set[str], lines: list[str]) -> set[str]:
+    found = set()
+    for name in names:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        definition = re.compile(rf"^\s*(async\s+def|def|class)\s+{re.escape(name)}\b")
+        if not any(word.search(line) and not definition.match(line) for line in lines):
+            found.add(name)
+    return found
+
+
+def test_every_name_is_reached_by_a_program():
+    assert unreached(defined_names(), program_lines()) == set(TEST_ONLY)
+
+
+def test_unreached_detects_a_name_used_only_on_its_def_line():
+    lines = ["def used(): pass", "used()", "def orphan(): pass", "class Orphan: pass"]
+    assert unreached({"used", "orphan", "Orphan"}, lines) == {"orphan", "Orphan"}
