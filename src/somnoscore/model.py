@@ -306,6 +306,9 @@ def backward(params: ModelParameters, cache: ForwardCache, labels) -> dict[str, 
     return grads
 
 
+_UPDATE_BLOCK = 1 << 15  # elements of w, v and g that sgd_step updates per pass
+
+
 def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray],
              config: ModelConfig) -> None:
     """Momentum SGD with L2 decay, in place: v <- mu*v - lr*(g + lam*w); w <- w + v.
@@ -313,21 +316,35 @@ def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray],
     lr, mu and lam come from `config`; lam is 0 outside `params.l2_weight_names()`.
     The gradients are consumed as scratch. A velocity starts at zero on its first
     update. Frozen tensors and tensors absent from `gradients` are left untouched.
+
+    Each tensor is updated in one sweep of `_UPDATE_BLOCK`-element slices of its
+    flat w, v and g, so a slice stays in cache across the five in-place ops; the
+    result is bit-identical to whole-tensor ops. Each gradient slice is checked
+    before it is used: a NaN or infinity raises FloatingPointError naming the
+    tensor, leaving the earlier tensors and the earlier slices of this one
+    updated. `training.train_fold` turns the error into a failed fold.
     """
-    lr, lam = config.learning_rate, config.l2_lambda
+    lr, mu, lam = config.learning_rate, config.momentum, config.l2_lambda
     for name, g in gradients.items():
         if name in params.frozen:
             continue
-        T.assert_finite(f"the gradient of tensor {name!r}", g)
+        what = f"the gradient of tensor {name!r}"
+        decay = lam and name in params.l2_weight_names()
         w = params.tensors[name]
         if name not in params.velocity:
             params.velocity[name] = np.zeros(w.shape, w.dtype)
-        v = params.velocity[name]
-        v *= config.momentum
-        v -= np.multiply(g, lr, out=g)
-        if lam and name in params.l2_weight_names():
-            v -= np.multiply(w, lr * lam, out=g)
-        w += v
+        w_flat = w.reshape(-1, copy=False)  # raises rather than update a copy
+        v_flat = params.velocity[name].reshape(-1, copy=False)
+        g_flat = g.reshape(-1)
+        for start in range(0, w_flat.size, _UPDATE_BLOCK):
+            block = slice(start, start + _UPDATE_BLOCK)
+            wb, vb, gb = w_flat[block], v_flat[block], g_flat[block]
+            T.assert_finite(what, gb)
+            vb *= mu
+            vb -= np.multiply(gb, lr, out=gb)
+            if decay:
+                vb -= np.multiply(wb, lr * lam, out=gb)
+            wb += vb
 
 
 def predict(params: ModelParameters, signal: np.ndarray) -> SleepStage:

@@ -1,6 +1,7 @@
 """Network assembly, gradients, SGD, Morlet bank and checkpoint format."""
 
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -377,6 +378,83 @@ class TestSgdStep:
             M.sgd_step(params, grads, replace(cfg, learning_rate=0.05, momentum=0.9))
         np.testing.assert_array_equal(params.tensors["c1_kernels"], frozen)
         assert "c1_kernels" not in params.velocity and "c1_bias" not in params.velocity
+
+
+B = M._UPDATE_BLOCK
+
+
+def whole_tensor_step(params, gradients, config):
+    """The update as whole-tensor ops: the reference for the blocked sgd_step."""
+    lr, lam = config.learning_rate, config.l2_lambda
+    for name, g in gradients.items():
+        if name in params.frozen:
+            continue
+        w = params.tensors[name]
+        v = params.velocity.setdefault(name, np.zeros(w.shape, w.dtype))
+        v *= config.momentum
+        v -= np.multiply(g, lr, out=g)
+        if lam and name in params.l2_weight_names():
+            v -= np.multiply(w, lr * lam, out=g)
+        w += v
+
+
+class TestBlockedSgdStep:
+    @pytest.mark.parametrize("size", [1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("lam, scope", [(0.0, "all"), (0.02, "all"), (0.02, "softmax_only")])
+    def test_block_boundaries_bit_identical_to_whole_tensor_rule(self, size, dtype, lam, scope):
+        # f1_w is decayed under "all" only, out_w under both scopes, f1_b never;
+        # c1_kernels is frozen and f2_w has no gradient
+        cfg = step_config(0.05, 0.9, lam=lam, l2_scope=scope, dtype=dtype)
+        rng = np.random.default_rng(size)
+        draw = lambda: rng.standard_normal((1, size)).astype(dtype)  # noqa: E731
+        tensors = {n: draw() for n in ("f1_w", "out_w", "f1_b", "c1_kernels", "f2_w")}
+        velocity = {n: draw() for n in ("f1_w", "f2_w")}
+        grads = {n: draw() for n in ("f1_w", "out_w", "f1_b", "c1_kernels")}
+
+        def run(step):
+            params = M.ModelParameters(
+                cfg, {k: v.copy() for k, v in tensors.items()},
+                {k: v.copy() for k, v in velocity.items()}, frozenset({"c1_kernels"}))
+            step(params, {k: g.copy() for k, g in grads.items()}, cfg)
+            return params
+
+        got, want = run(M.sgd_step), run(whole_tensor_step)
+        assert set(got.velocity) == set(want.velocity) == {"f1_w", "out_w", "f1_b", "f2_w"}
+        for name in tensors:
+            assert np.array_equal(got.tensors[name], want.tensors[name])
+        for name in got.velocity:
+            assert np.array_equal(got.velocity[name], want.velocity[name])
+        for name in ("c1_kernels", "f2_w"):
+            assert np.array_equal(got.tensors[name], tensors[name])
+        assert np.array_equal(got.velocity["f2_w"], velocity["f2_w"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_last_block_raises_naming_the_tensor(self, bad):
+        # the earlier blocks are already updated when the last one raises
+        params = M.ModelParameters(step_config(0.1, 0.9), {"f1_w": np.zeros(2 * B + 3)})
+        g = np.ones(2 * B + 3)
+        g[-2] = bad
+        with pytest.raises(FloatingPointError, match="f1_w"):
+            M.sgd_step(params, {"f1_w": g}, step_config(0.1, 0.9))
+        w = params.tensors["f1_w"]
+        assert (w[:2 * B] == -0.1).all() and not w[2 * B:].any()
+
+    def test_update_allocates_no_tensor_sized_temporary(self):
+        # a whole-tensor finite check alone would allocate an eighth of the tensor
+        rng = np.random.default_rng(5)
+        n = 1_000_003
+        params = M.ModelParameters(step_config(0.05, 0.9, lam=0.01),
+                                   {"f1_w": rng.standard_normal(n)},
+                                   {"f1_w": rng.standard_normal(n)})
+        g = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            M.sgd_step(params, {"f1_w": g}, params.config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < g.nbytes / 16
 
 
 class TestPredict:
