@@ -2,9 +2,9 @@
 # Full 20-subject cross-validation on the real sleep-cassette corpus.
 #
 # This is the long-running experiment: 20 folds x a 145M-parameter network.
-# A batch-100 step takes about 8 s on 2 Xeon vCPUs (numpy 2.4, OpenBLAS), so
+# A batch-100 step takes about 8.5 s on 2 Xeon vCPUs (numpy 2.4, OpenBLAS), so
 # a fold that runs to the 20000-iteration cap takes about two days; each fold
-# peaks at about 3.7 GB RSS, so PARALLEL folds need about 4 GB each (keep
+# peaks at about 3.2 GB RSS, so PARALLEL folds need about 3.2 GB each (keep
 # PARALLEL=1 on an 8 GB machine). Desk-scale checks
 # live in the test suite; this recipe exists to reproduce the headline
 # numbers (target: mean F1 within 3 percentage points of 81) once the corpus

@@ -271,16 +271,18 @@ def forward(params: ModelParameters, x: np.ndarray) -> tuple[np.ndarray, Forward
     return probs, cache
 
 
-def backward(params: ModelParameters, cache: ForwardCache, labels) -> dict[str, np.ndarray]:
+def backward(params: ModelParameters, cache: ForwardCache,
+             labels) -> dict[str, np.ndarray | T.OuterGrad]:
     """Gradients of the mean cross-entropy over the forward pass's windows.
 
     `labels` is one stage for a single window, or one stage per window of a
-    batch. Frozen tensors receive no gradient entry. The L2 decay term is not
-    included; batch_update adds it once.
+    batch. Frozen tensors receive no gradient entry. The dense weight
+    gradients are `T.OuterGrad` factors; `np.asarray` forms one whole. The L2
+    decay term is not included; batch_update adds it once.
     """
     cfg = params.config
     t = params.tensors
-    grads: dict[str, np.ndarray] = {}
+    grads: dict[str, np.ndarray | T.OuterGrad] = {}
 
     _, g_logits = T.cross_entropy(cache.probs, labels)
     g_logits = g_logits.astype(cfg.np_dtype)
@@ -293,11 +295,13 @@ def backward(params: ModelParameters, cache: ForwardCache, labels) -> dict[str, 
 
     g_r2 = T.maxpool1d_backward(cache.p2_idx, g_flat.reshape(cache.p2_out.shape), cfg.c2_out)
     g_a2 = T.relu_backward(cache.a2, g_r2)
-    del g_r2  # conv2-sized; freeing it lowers a batch-100 full-size step's peak by 0.2 GB
+    del g_r2  # conv2-sized, freed before conv2's backward, where a full-size step
+    # peaks: the freeing lowers a batch-100 step's peak by 0.22 GB (2.83 to 2.61 GB)
+    conv1_trains = "c1_kernels" not in params.frozen
     g_s1, grads["c2_kernels"], grads["c2_bias"] = T.conv2d_fullheight_backward(
-        cache.s1, t["c2_kernels"], g_a2[..., None, :])
+        cache.s1, t["c2_kernels"], g_a2[..., None, :], input_grad=conv1_trains)
 
-    if "c1_kernels" not in params.frozen:
+    if conv1_trains:
         g_p1 = T.unstack(g_s1)
         g_r1 = T.maxpool1d_backward(cache.p1_idx, g_p1, cfg.c1_out)
         g_a1 = T.relu_backward(cache.a1, g_r1)
@@ -306,23 +310,38 @@ def backward(params: ModelParameters, cache: ForwardCache, labels) -> dict[str, 
     return grads
 
 
-_UPDATE_BLOCK = 1 << 15  # elements of w, v and g that sgd_step updates per pass
+_TILE_ROWS = 64         # rows of a tensor's (rows, cols) view per sgd_step tile
+_UPDATE_BLOCK = 1 << 18  # elements of w, v and g per tile: 64 x 4096 for f1_w
 
 
-def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray],
+def _tiles(rows: int, cols: int):
+    """(rows, cols) slices of the tiles that cover a (rows, cols) view in order."""
+    height = min(rows, _TILE_ROWS)
+    width = _UPDATE_BLOCK // height
+    for r in range(0, rows, height):
+        for c in range(0, cols, width):
+            yield slice(r, r + height), slice(c, c + width)
+
+
+def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray | T.OuterGrad],
              config: ModelConfig) -> None:
     """Momentum SGD with L2 decay, in place: v <- mu*v - lr*(g + lam*w); w <- w + v.
 
     lr, mu and lam come from `config`; lam is 0 outside `params.l2_weight_names()`.
-    The gradients are consumed as scratch. A velocity starts at zero on its first
-    update. Frozen tensors and tensors absent from `gradients` are left untouched.
+    Array gradients are consumed as scratch. A velocity starts at zero on its
+    first update. Frozen tensors and tensors absent from `gradients` are left
+    untouched.
 
-    Each tensor is updated in one sweep of `_UPDATE_BLOCK`-element slices of its
-    flat w, v and g, so a slice stays in cache across the five in-place ops; the
-    result is bit-identical to whole-tensor ops. Each gradient slice is checked
-    before it is used: a NaN or infinity raises FloatingPointError naming the
-    tensor, leaving the earlier tensors and the earlier slices of this one
-    updated. `training.train_fold` turns the error into a failed fold.
+    Each tensor is updated in one sweep of tiles of its (rows, cols) view (a
+    vector is one row), `_TILE_ROWS` high and about `_UPDATE_BLOCK` elements
+    in all, so a tile of w, v and g stays in cache across the five in-place
+    ops. A tile of an array gradient is a slice of it, and the result is
+    bit-identical to whole-tensor ops. A `T.OuterGrad` is formed one tile at a
+    time, so its whole product is never built; the result is whole-tensor ops
+    on those tiles. Each gradient tile is checked before it is used: a NaN or
+    infinity raises FloatingPointError naming the tensor, leaving the earlier
+    tensors and the earlier tiles of this one updated. `training.train_fold`
+    turns the error into a failed fold.
     """
     lr, mu, lam = config.learning_rate, config.momentum, config.l2_lambda
     for name, g in gradients.items():
@@ -333,18 +352,21 @@ def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray],
         w = params.tensors[name]
         if name not in params.velocity:
             params.velocity[name] = np.zeros(w.shape, w.dtype)
-        w_flat = w.reshape(-1, copy=False)  # raises rather than update a copy
-        v_flat = params.velocity[name].reshape(-1, copy=False)
-        g_flat = g.reshape(-1)
-        for start in range(0, w_flat.size, _UPDATE_BLOCK):
-            block = slice(start, start + _UPDATE_BLOCK)
-            wb, vb, gb = w_flat[block], v_flat[block], g_flat[block]
-            T.assert_finite(what, gb)
-            vb *= mu
-            vb -= np.multiply(gb, lr, out=gb)
+        view = (len(w), -1) if w.ndim > 1 else (1, -1)
+        w2 = w.reshape(view, copy=False)  # raises rather than update a copy
+        v2 = params.velocity[name].reshape(view, copy=False)
+        factored = isinstance(g, T.OuterGrad)
+        if not factored:
+            g = g.reshape(w2.shape)
+        for rows, cols in _tiles(*w2.shape):
+            wt, vt = w2[rows, cols], v2[rows, cols]
+            gt = g.tile(rows, cols) if factored else g[rows, cols]
+            T.assert_finite(what, gt)
+            vt *= mu
+            vt -= np.multiply(gt, lr, out=gt)
             if decay:
-                vb -= np.multiply(wb, lr * lam, out=gb)
-            wb += vb
+                vt -= np.multiply(wt, lr * lam, out=gt)
+            wt += vt
 
 
 def predict(params: ModelParameters, signal: np.ndarray) -> SleepStage:

@@ -61,6 +61,9 @@ def conv1d_backward(
     return grad_kernels, grad_bias
 
 
+_POOL_CHUNK = 1 << 18  # window elements whose argmax maxpool1d takes per pass
+
+
 def maxpool1d(x: np.ndarray, size: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """Max-pool each row of x (..., L) with the given window size and stride.
 
@@ -75,10 +78,16 @@ def maxpool1d(x: np.ndarray, size: int, stride: int) -> tuple[np.ndarray, np.nda
     if stride < 1:
         raise ValueError("stride must be >= 1")
     rows = x.reshape(-1, l)
-    arg = _windows(rows, size, stride).argmax(axis=2)   # first max on ties
-    indices = arg + np.arange(0, arg.shape[1] * stride, stride)
+    win = _windows(rows, size, stride)                  # (R, n, size)
+    indices = np.empty(win.shape[:2], np.intp)
+    # argmax first copies the overlapping windows into a contiguous array;
+    # taking about _POOL_CHUNK window elements at a time keeps that copy in cache
+    step = max(1, _POOL_CHUNK // (win.shape[1] * size))
+    for start in range(0, len(rows), step):  # first max on ties
+        win[start:start + step].argmax(axis=2, out=indices[start:start + step])
+    indices += np.arange(0, indices.shape[1] * stride, stride)
     y = rows[np.arange(len(rows))[:, None], indices]
-    shape = (*x.shape[:-1], arg.shape[1])
+    shape = (*x.shape[:-1], indices.shape[1])
     return y.reshape(shape), indices.reshape(shape)
 
 
@@ -130,9 +139,13 @@ def conv2d_fullheight(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> n
 
 
 def conv2d_fullheight_backward(
-    x: np.ndarray, kernels: np.ndarray, grad_y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients for :func:`conv2d_fullheight`; grad_y has shape (..., F, 1, P)."""
+    x: np.ndarray, kernels: np.ndarray, grad_y: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients for :func:`conv2d_fullheight`; grad_y has shape (..., F, 1, P).
+
+    Returns (grad_x, grad_kernels, grad_bias); grad_x is None, and not
+    computed, when `input_grad` is False (nothing upstream trains).
+    """
     h, l = x.shape[-2:]
     f, _, k = kernels.shape
     p = l - k + 1
@@ -141,6 +154,8 @@ def conv2d_fullheight_backward(
     cols = cols.reshape(*cols.shape[:-2], h * k)
     grad_kernels = np.matmul(g, cols).reshape(-1, f, h * k).sum(axis=0)
     grad_bias = g.reshape(-1, f, p).sum(axis=(0, 2))
+    if not input_grad:
+        return None, grad_kernels.reshape(f, h, k), grad_bias
     grad_x = np.zeros_like(x)
     for j in range(k):
         grad_x[..., 0, :, j:j + p] += np.matmul(kernels[:, :, j].T, g)
@@ -152,13 +167,40 @@ def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return x @ weights.T + bias
 
 
+class OuterGrad:
+    """The weight gradient g.T @ x of a dense layer, kept as its factors
+    g (N, M) and x (N, K).
+
+    `tile` forms one block of the (M, K) product, so an update can stream the
+    gradient through the cache without the whole product ever existing;
+    `np.asarray` forms all of it. BLAS may order a tile's N-term sums
+    differently from the whole product's, so the two can differ by the
+    rounding of an N-term dot product; at N=1 they are bit-identical.
+    """
+
+    def __init__(self, g: np.ndarray, x: np.ndarray):
+        self.g, self.x = g, x
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.g.shape[1], self.x.shape[1]
+
+    def tile(self, rows: slice, cols: slice) -> np.ndarray:
+        return self.g[:, rows].T @ self.x[:, cols]
+
+    def __array__(self, dtype=None, copy=None):
+        full = self.g.T @ self.x
+        return full if dtype is None else full.astype(dtype, copy=False)
+
+
 def dense_backward(
     x: np.ndarray, weights: np.ndarray, grad_y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients for :func:`dense`; the weight gradient is one GEMM over the batch."""
+) -> tuple[np.ndarray, OuterGrad, np.ndarray]:
+    """Gradients for :func:`dense`; the weight gradient, summed over the
+    batch, is returned as its factors (see :class:`OuterGrad`)."""
     grad_x = grad_y @ weights
     g, x = np.atleast_2d(grad_y), np.atleast_2d(x)
-    return grad_x, g.T @ x, g.sum(axis=0)
+    return grad_x, OuterGrad(g, x), g.sum(axis=0)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -107,7 +107,6 @@ def batch_update(
     probs, cache = model.forward(params, np.stack([w.signal() for w in batch]))
     loss = T.cross_entropy(probs, labels)[0]
     grads = model.backward(params, cache, labels)
-    del cache  # the activations: at small batches sgd_step is the step's peak
     loss += T.l2_penalty([params.tensors[n] for n in params.l2_weight_names()],
                          config.l2_lambda)
     model.sgd_step(params, grads, config)

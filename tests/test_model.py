@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from somnoscore import model as M
+from somnoscore import tensor_ops as T
 from somnoscore import training as Tr
 from somnoscore.dataset import build_windows
 from somnoscore.edf_ingest import SleepStage
@@ -174,6 +175,11 @@ def finite_diff_model_grads(params, x, label, eps=1e-5):
     return worst, masked / total
 
 
+def dense_arrays(grads):
+    """backward's gradients with each factored dense weight gradient formed whole."""
+    return {name: np.asarray(g) for name, g in grads.items()}
+
+
 class TestBackward:
     def test_end_to_end_gradient_reduced_architecture(self):
         params, cfg = reduced_params(seed=7, l2_lambda=1e-3)
@@ -204,8 +210,8 @@ class TestBackward:
         labels = [w.label for w in batch]
         assert len(set(labels)) == 5
         _, cache = M.forward(params, x)
-        batched = M.backward(params, cache, labels)
-        singles = [M.backward(params, M.forward(params, row)[1], label)
+        batched = dense_arrays(M.backward(params, cache, labels))
+        singles = [dense_arrays(M.backward(params, M.forward(params, row)[1], label))
                    for row, label in zip(x, labels)]
         assert set(batched) == set(singles[0])
         for name, g in batched.items():
@@ -242,11 +248,46 @@ class TestBackward:
         params, cfg = reduced_params(l2_lambda=0.0)
         x = np.random.default_rng(3).standard_normal(cfg.input_len)
         _, cache = M.forward(params, x)
-        single = M.backward(params, cache, 1)
+        single = dense_arrays(M.backward(params, cache, 1))
         # mean over a batch of the same example equals the single-example gradient
-        doubled = {k: (v + v) / 2 for k, v in M.backward(params, cache, 1).items()}
+        doubled = {k: (v + v) / 2 for k, v in dense_arrays(M.backward(params, cache, 1)).items()}
         for name in single:
             np.testing.assert_allclose(single[name], doubled[name], rtol=0, atol=0)
+
+    @pytest.mark.filterwarnings("ignore:Morlet filter")
+    @pytest.mark.parametrize("mode, computed", [("trainable", True), ("fixed_morlet", False)])
+    def test_conv2_input_gradient_computed_only_when_conv1_trains(self, mode, computed,
+                                                                   monkeypatch):
+        params, cfg = reduced_params(first_layer_mode=mode, morlet_min_hz=2.0,
+                                     morlet_max_hz=20.0)
+        x = np.random.default_rng(4).standard_normal((3, cfg.input_len))
+        _, cache = M.forward(params, x)
+        real, returned = T.conv2d_fullheight_backward, []
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            returned.append(out[0])
+            return out
+
+        monkeypatch.setattr(T, "conv2d_fullheight_backward", spy)
+        M.backward(params, cache, [0, 2, 4])
+        assert len(returned) == 1 and (returned[0] is not None) == computed
+
+    @pytest.mark.filterwarnings("ignore:Morlet filter")
+    def test_fixed_morlet_gradients_bit_identical_without_conv2_input_gradient(
+            self, monkeypatch):
+        params, cfg = reduced_params(first_layer_mode="fixed_morlet", morlet_min_hz=2.0,
+                                     morlet_max_hz=20.0)
+        x = np.random.default_rng(5).standard_normal((3, cfg.input_len))
+        _, cache = M.forward(params, x)
+        skipped = dense_arrays(M.backward(params, cache, [1, 3, 3]))
+        real = T.conv2d_fullheight_backward
+        monkeypatch.setattr(T, "conv2d_fullheight_backward",
+                            lambda x, k, g, input_grad=True: real(x, k, g))
+        computed = dense_arrays(M.backward(params, cache, [1, 3, 3]))
+        assert set(skipped) == set(computed)
+        for name in skipped:
+            assert np.array_equal(skipped[name], computed[name])
 
     @pytest.mark.filterwarnings("ignore:Morlet filter")
     def test_fixed_morlet_freezes_first_layer_gradient(self):
@@ -381,6 +422,15 @@ class TestSgdStep:
 
 
 B = M._UPDATE_BLOCK
+R, W = M._TILE_ROWS, M._UPDATE_BLOCK // M._TILE_ROWS  # f1_w's tile: R rows, W columns
+
+
+def integer_factors(n, m, k, dtype, seed):
+    """Dense-gradient factors (N, M) and (N, K) whose products and sums are all
+    exact, so every tile is bit-identical to the whole product in any BLAS order."""
+    rng = np.random.default_rng(seed)
+    return (rng.integers(-8, 9, (n, m)).astype(dtype) / 64,
+            rng.integers(-8, 9, (n, k)).astype(dtype))
 
 
 def whole_tensor_step(params, gradients, config):
@@ -455,6 +505,64 @@ class TestBlockedSgdStep:
         finally:
             tracemalloc.stop()
         assert peak < g.nbytes / 16
+
+
+    @pytest.mark.parametrize("n", [1, 10])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("lam", [0.0, 0.02])
+    def test_factored_gradient_equals_whole_tensor_rule(self, n, dtype, lam):
+        # 2R+5 rows and W+7 columns: full tiles and both kinds of edge tile
+        cfg = step_config(0.05, 0.9, lam=lam, dtype=dtype)
+        m, k = 2 * R + 5, W + 7
+        g, x = integer_factors(n, m, k, dtype, seed=3)
+        rng = np.random.default_rng(4)
+        w, v = (rng.standard_normal((m, k)).astype(dtype) for _ in range(2))
+        grad = T.OuterGrad(g.copy(), x.copy())
+
+        def run(step, gradient):
+            params = M.ModelParameters(cfg, {"f1_w": w.copy()}, {"f1_w": v.copy()})
+            step(params, {"f1_w": gradient}, cfg)
+            return params
+
+        got, want = run(M.sgd_step, grad), run(whole_tensor_step, np.asarray(grad))
+        assert np.array_equal(got.tensors["f1_w"], want.tensors["f1_w"])
+        assert np.array_equal(got.velocity["f1_w"], want.velocity["f1_w"])
+        # the factors are not scratch
+        assert np.array_equal(grad.g, g) and np.array_equal(grad.x, x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+    def test_non_finite_in_later_tile_of_factored_gradient_raises_naming_it(self, bad):
+        # a bad last column of x makes the last column of the product non-finite;
+        # the first tile to hold it is rows [0, R), columns [W, W+7), and only
+        # the tile before it, rows [0, R) and columns [0, W), is updated
+        m, k = 2 * R + 5, W + 7
+        g, x = integer_factors(10, m, k, "float64", seed=5)
+        x[:, -1] = bad
+        params = M.ModelParameters(step_config(0.1, 0.9), {"f1_w": np.zeros((m, k))})
+        with pytest.raises(FloatingPointError, match="f1_w"):
+            M.sgd_step(params, {"f1_w": T.OuterGrad(g, x)}, params.config)
+        w = params.tensors["f1_w"]
+        np.testing.assert_array_equal(w[:R, :W], -(g[:, :R].T @ x[:, :W] * 0.1))
+        assert not w[:R, W:].any() and not w[R:].any()
+
+    def test_dense_update_allocates_no_weight_sized_temporary(self):
+        # dense_backward's weight gradient and its update together; the whole
+        # product alone would be as large as the weight
+        rng = np.random.default_rng(6)
+        n, m, k = 10, 512, 32768
+        draw = lambda *shape: rng.standard_normal(shape, dtype=np.float32)  # noqa: E731
+        cfg = step_config(0.05, 0.9, lam=0.01, dtype="float32")
+        params = M.ModelParameters(cfg, {"f1_w": draw(m, k)}, {"f1_w": draw(m, k)})
+        x, grad_y = draw(n, k), draw(n, m)
+        tracemalloc.start()
+        try:
+            _, grad_w, _ = T.dense_backward(x, params.tensors["f1_w"], grad_y)
+            M.sgd_step(params, {"f1_w": grad_w}, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.tensors["f1_w"].nbytes / 16
 
 
 class TestPredict:

@@ -1,5 +1,7 @@
 """Forward/backward kernel contracts, with finite differences as the oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,35 @@ class TestMaxPool:
         with pytest.raises(ValueError):
             T.maxpool1d_backward(np.array([[99]]), np.ones((1, 1)), 4)
 
+    @pytest.mark.parametrize("chunk", [1, 2 * 721 * 10 + 1, T._POOL_CHUNK],
+                             ids=["row-per-chunk", "two-rows-per-chunk", "default"])
+    def test_chunked_argmax_equals_unchunked_across_chunk_edges(self, chunk, monkeypatch):
+        # pool2's extents: 114 rows of 721 windows of 10, so every chunk size
+        # leaves a partial last chunk. ReLU zeroes about half of each row and
+        # all of row 5's samples 100-199, so many windows tie at 0 and must
+        # keep their first index.
+        monkeypatch.setattr(T, "_POOL_CHUNK", chunk)
+        x = np.maximum(rand((3, 38, 1450), 7), 0).astype(np.float32)
+        x[0, 5, 100:200] = 0
+        y, idx = T.maxpool1d(x, 10, 2)
+        rows = x.reshape(-1, 1450)
+        want = T._windows(rows, 10, 2).argmax(axis=2) + np.arange(0, 721 * 2, 2)
+        np.testing.assert_array_equal(idx.reshape(-1, 721), want)
+        np.testing.assert_array_equal(y.reshape(-1, 721), np.take_along_axis(rows, want, axis=1))
+
+    def test_window_copy_is_chunk_sized(self):
+        # unchunked, argmax copies every window: 5x the input at size 10,
+        # stride 2; chunked, the copy is at most _POOL_CHUNK elements
+        x = np.maximum(np.random.default_rng(8).standard_normal((4, 400, 1450),
+                                                                dtype=np.float32), 0)
+        tracemalloc.start()
+        try:
+            y, idx = T.maxpool1d(x, 10, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < y.nbytes + idx.nbytes + 2 * T._POOL_CHUNK * x.itemsize
+
     @given(l=st.integers(1, 60), p=st.integers(1, 60), s=st.integers(1, 10),
            seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -197,6 +228,14 @@ class TestConv2dFullHeight:
             lambda v: float((g * T.conv2d_fullheight(x, k, v)).sum()), b, gb)
         assert max(err_x, err_k, err_b) < 1e-6
 
+    def test_input_gradient_skipped_on_request(self):
+        x, k, g = rand((2, 1, 3, 11)), rand((2, 3, 4), 1), rand((2, 2, 1, 8), 3)
+        gx, gk, gb = T.conv2d_fullheight_backward(x, k, g)
+        skipped, gk2, gb2 = T.conv2d_fullheight_backward(x, k, g, input_grad=False)
+        assert skipped is None and gx.shape == x.shape
+        np.testing.assert_array_equal(gk2, gk)
+        np.testing.assert_array_equal(gb2, gb)
+
     @given(h=st.integers(1, 6), l=st.integers(1, 30), k=st.integers(1, 30),
            f=st.integers(1, 4), seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -225,6 +264,35 @@ class TestDense:
         err_w = T.finite_diff_check(lambda v: float((g * T.dense(x, v, b)).sum()), w, gw)
         err_b = T.finite_diff_check(lambda v: float((g * T.dense(x, w, v)).sum()), b, gb)
         assert max(err_x, err_w, err_b) < 1e-6
+
+
+class TestOuterGrad:
+    @pytest.mark.parametrize("n", [1, 10])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tiles_equal_whole_product_across_tile_edges(self, n, dtype):
+        # Two full tile rows and 5 more, one full tile column and 7 more, as
+        # model.sgd_step sweeps them. At N=1 every entry is one rounded
+        # product, so tiles are bit-identical. At N=10 BLAS may order a tile's
+        # 10-term sums differently from the whole product's (it does in
+        # float64 here), so the two may differ by the rounding of a 10-term dot
+        # product: at most 2 * N * eps * (|g|.T @ |x|) per entry.
+        m, k = 2 * M._TILE_ROWS + 5, M._UPDATE_BLOCK // M._TILE_ROWS + 7
+        g, x = rand((n, m), 1).astype(dtype), rand((n, k), 2).astype(dtype)
+        grad = T.OuterGrad(g, x)
+        whole = g.T @ x
+        assert grad.shape == (m, k)
+        np.testing.assert_array_equal(np.asarray(grad), whole)
+        assert np.asarray(grad, dtype=np.float64).dtype == np.float64
+        bound = 2 * n * np.finfo(dtype).eps * (np.abs(g).T @ np.abs(x))
+        covered = np.zeros((m, k), dtype=int)
+        for rows, cols in M._tiles(m, k):
+            tile = grad.tile(rows, cols)
+            covered[rows, cols] += 1
+            if n == 1:
+                np.testing.assert_array_equal(tile, whole[rows, cols])
+            else:
+                assert (np.abs(tile - whole[rows, cols]) <= bound[rows, cols]).all()
+        assert (covered == 1).all()
 
 
 class TestBatchAxis:
@@ -271,7 +339,8 @@ class TestBatchAxis:
         gx, gw, gb = T.dense_backward(x, w, g)
         singles = [T.dense_backward(x[i], w, g[i]) for i in range(3)]
         np.testing.assert_allclose(gx, [sx for sx, _, _ in singles], rtol=1e-12)
-        np.testing.assert_allclose(gw, sum(s[1] for s in singles), rtol=1e-12)
+        np.testing.assert_allclose(np.asarray(gw), sum(np.asarray(s[1]) for s in singles),
+                                   rtol=1e-12)
         np.testing.assert_allclose(gb, sum(s[2] for s in singles), rtol=1e-12)
 
     def test_cross_entropy_is_the_batch_mean(self):
