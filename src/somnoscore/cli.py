@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, filter_analysis, model, training
-from .dataset import build_windows
+from .dataset import build_windows, windows_for_subjects
 from .edf_ingest import (
     DEFAULT_CHANNEL,
     IngestError,
@@ -83,17 +83,10 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             setattr(cfg, name, value)
     model_cfg = cfg.model.to_json_dict()
-    for flag, key in (
-        ("batch_size", "batch_size"), ("learning_rate", "learning_rate"),
-        ("momentum", "momentum"), ("l2", "l2_lambda"),
-        ("max_iterations", "max_iterations"), ("eval_every", "eval_every"),
-        ("patience", "patience"), ("first_layer_mode", "first_layer_mode"),
-    ):
-        value = getattr(args, flag, None)
+    for name in model_cfg:  # the training flags and --seed share the field names
+        value = getattr(args, name, None)
         if value is not None:
-            model_cfg[key] = value
-    if getattr(args, "seed", None) is not None:
-        model_cfg["seed"] = args.seed
+            model_cfg[name] = value
     cfg.model = ModelConfig.from_json_dict(model_cfg)
 
     if cfg.data_dir is None:
@@ -262,14 +255,11 @@ def cmd_analyze_filters(args) -> int:
     cfg = load_run_config(args)
     params = model.load_checkpoint(Path(args.checkpoint))
     recordings = _load_corpus(cfg)
-    if args.subjects:
-        wanted = set(args.subjects.split(","))
-        recordings = [r for r in recordings if r.subject_id in wanted]
-        if not recordings:
-            raise IngestError(f"no recordings for subjects {sorted(wanted)}")
-    windows = []
-    for rec in recordings:
-        windows.extend(build_windows(rec))
+    wanted = (set(args.subjects.split(",")) if args.subjects
+              else {r.subject_id for r in recordings})
+    windows = windows_for_subjects(recordings, wanted)
+    if not windows:
+        raise IngestError(f"no recordings for subjects {sorted(wanted)}")
     spectra = filter_analysis.bank_spectra(params.tensors["c1_kernels"])
     profile = filter_analysis.build_profile(params, windows,
                                             tap=args.tap, mode=args.power_mode)
@@ -306,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--batch-size", dest="batch_size", type=int)
         p.add_argument("--learning-rate", dest="learning_rate", type=float)
         p.add_argument("--momentum", type=float)
-        p.add_argument("--l2", type=float)
+        p.add_argument("--l2", dest="l2_lambda", type=float)
         p.add_argument("--max-iterations", dest="max_iterations", type=int)
         p.add_argument("--eval-every", dest="eval_every", type=int)
         p.add_argument("--patience", type=int)

@@ -15,6 +15,7 @@ import numpy as np
 from .edf_ingest import N_STAGES, STAGES, Recording, SleepStage
 
 CONTEXT_EPOCHS = 2  # epochs of context on each side of the scored one
+WINDOW_EPOCHS = 2 * CONTEXT_EPOCHS + 1  # the scored epoch is the middle one
 
 
 @dataclass(frozen=True, eq=False)  # identity equality (holds a Recording)
@@ -22,7 +23,7 @@ class LabeledWindow:
     """Lazy view of one training example: five epochs around `epoch_index`.
 
     Missing context at recording boundaries replicates the nearest existing
-    epoch, so the window length is always 5 x samples_per_epoch.
+    epoch, so the window length is always WINDOW_EPOCHS x samples_per_epoch.
     """
 
     recording: Recording
@@ -32,10 +33,6 @@ class LabeledWindow:
     @property
     def recording_ref(self) -> tuple[str, int, int]:
         return (self.recording.subject_id, self.recording.night, self.epoch_index)
-
-    @property
-    def subject_id(self) -> str:
-        return self.recording.subject_id
 
     def signal(self) -> np.ndarray:
         rec = self.recording

@@ -110,18 +110,6 @@ class AnnotationEvent:
     label: str
 
 
-@dataclass
-class EdfHeader:
-    version: str
-    patient_id: str
-    recording_id: str
-    start_date: str
-    start_time: str
-    n_records: int
-    record_duration: float
-    n_signals: int
-
-
 def signal_index(specs: list[SignalSpec], label: str) -> int:
     """Position of the signal named `label`; IngestError if none has it."""
     for i, spec in enumerate(specs):
@@ -132,7 +120,6 @@ def signal_index(specs: list[SignalSpec], label: str) -> int:
 
 @dataclass
 class ParsedEdf:
-    header: EdfHeader
     specs: list[SignalSpec]
     physical: list[np.ndarray]
     digital: list[np.ndarray]
@@ -202,7 +189,8 @@ def _float_field(raw: bytes, offset: int, what: str) -> float:
 
 
 def parse_edf(data: bytes) -> ParsedEdf:
-    """Parse an EDF byte string into header, per-signal specs and samples.
+    """Parse an EDF byte string into per-signal specs and samples; every
+    header field is checked, but only the specs are kept.
 
     Samples are converted from 16-bit digital counts to physical units via
     the per-signal linear map; the raw digital values are kept alongside.
@@ -216,11 +204,8 @@ def parse_edf(data: bytes) -> ParsedEdf:
         off = buf.tell()
         return buf.read(n), off
 
-    version = _ascii_field(*take(8))
-    patient_id = _ascii_field(*take(80))
-    recording_id = _ascii_field(*take(80))
-    start_date = _ascii_field(*take(8))
-    start_time = _ascii_field(*take(8))
+    for width in (8, 80, 80, 8, 8):  # version, patient, recording, start date and time
+        _ascii_field(*take(width))
     header_bytes = _int_field(*take(8), what="header size")
     _ascii_field(*take(44))  # reserved
     n_records = _int_field(*take(8), what="record count")
@@ -294,9 +279,7 @@ def parse_edf(data: bytes) -> ParsedEdf:
         scale = (spec.physical_max - spec.physical_min) / (spec.digital_max - spec.digital_min)
         physical.append((d.astype(np.float64) - spec.digital_min) * scale + spec.physical_min)
 
-    header = EdfHeader(version, patient_id, recording_id, start_date, start_time,
-                       n_records, record_duration, n_signals)
-    return ParsedEdf(header, specs, physical, digital)
+    return ParsedEdf(specs, physical, digital)
 
 
 def parse_tal(data: bytes) -> list[AnnotationEvent]:

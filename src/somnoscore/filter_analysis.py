@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor_ops as T
+from .dataset import CONTEXT_EPOCHS, WINDOW_EPOCHS
 from .edf_ingest import N_STAGES, SCORING_RATE_HZ, STAGES, SleepStage
 from .model import ModelParameters
 
@@ -40,10 +41,10 @@ def bank_spectra(kernels: np.ndarray) -> np.ndarray:
 
 def middle_epoch_output_range(input_len: int, kernel_len: int) -> tuple[int, int]:
     """Output index range (inclusive) whose receptive field lies entirely
-    inside the middle epoch of a five-epoch window."""
-    epoch = input_len // 5
-    first = 2 * epoch
-    last = 3 * epoch - kernel_len
+    inside the scored (middle) epoch of a `dataset` window."""
+    epoch = input_len // WINDOW_EPOCHS
+    first = CONTEXT_EPOCHS * epoch
+    last = first + epoch - kernel_len
     if last < first:
         raise ValueError(f"kernel ({kernel_len}) longer than one epoch ({epoch})")
     return first, last

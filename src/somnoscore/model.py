@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .edf_ingest import N_STAGES, SCORING_RATE_HZ, SleepStage
+from .dataset import WINDOW_EPOCHS
+from .edf_ingest import N_STAGES, SAMPLES_PER_EPOCH, SCORING_RATE_HZ, SleepStage
 from .fileio import write_atomic
 from . import tensor_ops as T
 
@@ -37,7 +38,7 @@ _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 @dataclass
 class ModelConfig:
-    input_len: int = 15000
+    input_len: int = WINDOW_EPOCHS * SAMPLES_PER_EPOCH  # 15000
     c1_filters: int = 20
     c1_len: int = 200
     p1: tuple[int, int] = (20, 10)          # (size, stride)
@@ -129,10 +130,6 @@ class ModelConfig:
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelConfig":
         """Build from a possibly partial dict; omitted fields keep defaults."""
-        d = dict(d)
-        for key in ("p1", "p2"):
-            if key in d:
-                d[key] = tuple(d[key])
         return cls(**d)
 
 
@@ -178,36 +175,21 @@ class ModelParameters:
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParameters:
     """Variance-preserving Gaussian initialization.
 
-    ReLU-fed weights draw from Normal(0, sqrt(2/fan_in)); the softmax layer
-    from Normal(0, sqrt(1/fan_in)). Biases start at zero. In fixed-Morlet mode
-    the first layer is replaced by the generated wavelet bank and frozen.
+    A weight's fan-in n is the product of its shape after the first axis.
+    ReLU-fed weights draw from Normal(0, sqrt(2/n)), the softmax layer from
+    Normal(0, sqrt(1/n)), in `tensor_shapes` order; biases start at zero. In
+    fixed-Morlet mode the first layer is replaced by the generated wavelet
+    bank and frozen.
     """
     dtype = config.np_dtype
-    shapes = config.tensor_shapes()
-    fan_in = {
-        "c1_kernels": config.c1_len,
-        "c2_kernels": config.c1_filters * config.c2_len,
-        "f1_w": config.flat_size,
-        "f2_w": config.f1,
-        "out_w": config.f2,
-    }
-
-    def draw(name: str, gain: float) -> np.ndarray:
-        std = np.sqrt(gain / fan_in[name])
-        return (rng.standard_normal(shapes[name], dtype=dtype) * dtype.type(std))
-
-    tensors = {
-        "c1_kernels": draw("c1_kernels", 2.0),
-        "c1_bias": np.zeros(shapes["c1_bias"], dtype=dtype),
-        "c2_kernels": draw("c2_kernels", 2.0),
-        "c2_bias": np.zeros(shapes["c2_bias"], dtype=dtype),
-        "f1_w": draw("f1_w", 2.0),
-        "f1_b": np.zeros(shapes["f1_b"], dtype=dtype),
-        "f2_w": draw("f2_w", 2.0),
-        "f2_b": np.zeros(shapes["f2_b"], dtype=dtype),
-        "out_w": draw("out_w", 1.0),
-        "out_b": np.zeros(shapes["out_b"], dtype=dtype),
-    }
+    tensors = {}
+    for name, shape in config.tensor_shapes().items():
+        if name in WEIGHT_NAMES:
+            gain = 1.0 if name in SOFTMAX_WEIGHT_NAMES else 2.0
+            std = dtype.type(np.sqrt(gain / np.prod(shape[1:])))
+            tensors[name] = rng.standard_normal(shape, dtype=dtype) * std
+        else:
+            tensors[name] = np.zeros(shape, dtype=dtype)
     frozen: frozenset[str] = frozenset()
     if config.first_layer_mode == FIXED_MORLET_MODE:
         freqs = default_morlet_frequencies(

@@ -61,7 +61,7 @@ def conv1d_backward(
     return grad_kernels, grad_bias
 
 
-_POOL_CHUNK = 1 << 18  # window elements whose argmax maxpool1d takes per pass
+_POOL_CHUNK = 1 << 18  # window elements (maxpool1d) or outputs (its backward) per pass
 
 
 def maxpool1d(x: np.ndarray, size: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
@@ -96,9 +96,16 @@ def maxpool1d_backward(indices: np.ndarray, grad_y: np.ndarray, input_length: in
     if indices.size and (indices.min() < 0 or indices.max() >= input_length):
         raise ValueError("pool index out of range")
     idx = indices.reshape(-1, indices.shape[-1])
+    g = grad_y.reshape(idx.shape)
     grad_x = np.zeros((idx.shape[0], input_length), dtype=grad_y.dtype)
-    rows = np.repeat(np.arange(idx.shape[0]), idx.shape[1])
-    np.add.at(grad_x, (rows, idx.ravel()), grad_y.ravel())
+    flat = grad_x.reshape(-1)
+    # one flat index takes np.add.at's fast path; forming it for about
+    # _POOL_CHUNK outputs at a time keeps it small (blocks share no row)
+    step = max(1, _POOL_CHUNK // max(1, idx.shape[1]))
+    for start in range(0, len(idx), step):
+        rows = np.arange(start, min(start + step, len(idx)))[:, None]
+        np.add.at(flat, (idx[start:start + step] + rows * input_length).ravel(),
+                  g[start:start + step].ravel())
     return grad_x.reshape(*indices.shape[:-1], input_length)
 
 

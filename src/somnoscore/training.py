@@ -128,18 +128,12 @@ def train_fold(
 
     train_windows = windows_for_subjects(recordings, fold.training_subjects)
     val_windows = windows_for_subjects(recordings, fold.validation_subjects)
-    assert all(w.subject_id in set(fold.training_subjects) for w in train_windows)
-    assert all(w.subject_id in set(fold.validation_subjects) for w in val_windows)
-    if not val_windows:
-        raise TrainingError("validation subjects contributed no windows")
     pools = class_pools(train_windows)
 
     params = model.init_params(config, rng)
     history = TrainingHistory()
     best_tensors: dict[str, np.ndarray] = {}
-    best_f1 = -np.inf
     best_index = -1
-    bad_evals = 0
     loss_window: list[float] = []
     t0 = time.monotonic()
 
@@ -166,15 +160,11 @@ def train_fold(
             )
             history.records.append(record)
             loss_window.clear()
-            if mean_f1 > best_f1:  # always true at the first evaluation
-                best_f1 = mean_f1
+            if best_index < 0 or mean_f1 > history.records[best_index].val_mean_f1:
                 # Tensors only: checkpoints keep no velocity.
                 best_tensors = {k: v.copy() for k, v in params.tensors.items()}
                 best_index = len(history.records) - 1
-                bad_evals = 0
-            else:
-                bad_evals += 1
-            if bad_evals >= config.patience:
+            if len(history.records) - 1 - best_index >= config.patience:
                 break
 
     if not history.records:

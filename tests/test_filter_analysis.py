@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from somnoscore import filter_analysis as FA
 from somnoscore import model as M
 from somnoscore import tensor_ops as T
-from somnoscore.dataset import build_windows
-from somnoscore.edf_ingest import STAGES, SleepStage
+from somnoscore.dataset import WINDOW_EPOCHS, build_windows
+from somnoscore.edf_ingest import STAGES, Recording, SleepStage
 from somnoscore.synthetic import STAGE_BAND_HZ, synthetic_recording
 
 pytestmark = pytest.mark.filterwarnings("ignore:Morlet filter")
@@ -73,6 +73,30 @@ class TestActivationPower:
         first, last = FA.middle_epoch_output_range(15000, 200)
         assert (first, last) == (6000, 8800)
         assert last - first + 1 == 2801
+
+    @pytest.mark.parametrize("input_len", [300, 15000])
+    def test_reads_exactly_the_scored_epoch_of_a_dataset_window(self, input_len):
+        # epoch e holds the value e + 1, so each window shows where its scored
+        # epoch lies; NaN everywhere else must leave the power unchanged, and
+        # NaN at either end of the scored epoch must reach it
+        params = M.init_params(M.reduced_config(input_len=input_len),
+                               np.random.default_rng(0))
+        spe = input_len // WINDOW_EPOCHS
+        rec = Recording("S", 1, np.repeat(np.arange(1.0, 8.0), spe),
+                        [SleepStage.N2] * 7, samples_per_epoch=spe)
+        for w in build_windows(rec)[2:5]:  # windows with no replicated epoch
+            x = w.signal()
+            assert x.shape == (input_len,)
+            scored = np.flatnonzero(x == w.epoch_index + 1)
+            assert len(scored) == spe and scored[-1] - scored[0] == spe - 1
+            masked = np.full(input_len, np.nan)
+            masked[scored] = x[scored]
+            np.testing.assert_array_equal(FA.c1_activation_power(params, masked),
+                                          FA.c1_activation_power(params, x))
+            for end in (scored[0], scored[-1]):
+                poked = x.copy()
+                poked[end] = np.nan
+                assert np.isnan(FA.c1_activation_power(params, poked)).all()
 
     def test_matched_filter_discriminates_bands(self):
         params, _ = small_bank_params(n_filters=2)

@@ -1,5 +1,6 @@
 """Network assembly, gradients, SGD, Morlet bank and checkpoint format."""
 
+import hashlib
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -60,6 +61,44 @@ class TestInit:
         b, _ = reduced_params(seed=5)
         for name in a.tensors:
             assert a.tensors[name].tobytes() == b.tensors[name].tobytes()
+
+    # SHA-256 of each seeded init's tensors (name, dtype, shape, bytes) and
+    # frozen names, at seeds 0, 1 and 2
+    GOLDEN_INIT_DIGESTS = {
+        "reduced_float64": ({}, (
+            "8a1b22de6ab2cd962d65dc9b9a5747def11441f952312f96fdb4d79139d46195",
+            "99746f1442631e709d88dbcea5b5ae3da5111e48b6bbd43694529890bb07e023",
+            "9afd67eeca24468c53b9ae590ad4e25df3aa3e8864d34ff92f0769635ffa05c3",
+        )),
+        "reduced_float32": ({"dtype": "float32"}, (
+            "ee3f6ff9bc9172cbc86e28dd6b98d9430df48f6e1d74f6e488a1f606d1614fd7",
+            "a2d67fe4cc06e1fcf0f16fc9cdfa09507b723cd8f662aee120c17c2f6507ee10",
+            "fc21fd75e588510ee14ce75175685ce41c357e23a472b7f118f926ebc744a602",
+        )),
+        "full_length_float32": ({"input_len": 15000, "dtype": "float32"}, (
+            "f089afbf541d2d14077e550603b593e62ff9e8279c971d6d9a842572acf2a035",
+            "84cc9166e52286f4e9435a1b6919ff738e05ba76042bb6142d0de9ca1b9195fd",
+            "826420c28d667fa0d6d7d73a4ac5b5924f25ae7d7e65270a499c492183a7ada0",
+        )),
+        "fixed_morlet": ({"first_layer_mode": "fixed_morlet"}, (
+            "b899ee546edc806bb9d5ef2dae29e787077c3b5dccd3cd65599866db655c8c1b",
+            "2c7080b6d8d5a6c4edd40231ff4da8202aa8acdd15b1fca469bffa18fd0a2866",
+            "294b878dddac9fb15699061f270e5d517c1ae02d1d032191f942424ed4d2d70f",
+        )),
+    }
+
+    @pytest.mark.filterwarnings("ignore:Morlet filter")
+    @pytest.mark.parametrize("case", GOLDEN_INIT_DIGESTS)
+    def test_seeded_init_matches_golden_digest(self, case):
+        overrides, digests = self.GOLDEN_INIT_DIGESTS[case]
+        for seed, want in enumerate(digests):
+            params = M.init_params(M.reduced_config(**overrides), np.random.default_rng(seed))
+            h = hashlib.sha256()
+            for name, t in params.tensors.items():
+                h.update(f"{name}{t.dtype}{t.shape}".encode())
+                h.update(t.tobytes())
+            h.update(",".join(sorted(params.frozen)).encode())
+            assert h.hexdigest() == want, (case, seed)
 
     def test_biases_exactly_zero(self):
         params, _ = reduced_params()

@@ -155,6 +155,36 @@ class TestMaxPool:
             tracemalloc.stop()
         assert peak < y.nbytes + idx.nbytes + 2 * T._POOL_CHUNK * x.itemsize
 
+    @pytest.mark.parametrize("chunk", [3 * 721, T._POOL_CHUNK],
+                             ids=["three-rows-per-block", "default"])
+    def test_blocked_backward_equals_one_scatter(self, chunk, monkeypatch):
+        # 74 rows of pool2's 721 overlapping windows, not a multiple of the
+        # 3-row block; ReLU zeros make ties, so inputs take several outputs
+        monkeypatch.setattr(T, "_POOL_CHUNK", chunk)
+        x = np.maximum(rand((2, 37, 1450), 9), 0).astype(np.float32)
+        x[1, 3, 200:400] = 0
+        _, idx = T.maxpool1d(x, 10, 2)
+        g = rand(idx.shape, 10).astype(np.float32)
+        want = np.zeros((74, 1450), np.float32)
+        np.add.at(want, (np.repeat(np.arange(74), 721), idx.ravel()), g.ravel())
+        got = T.maxpool1d_backward(idx, g, 1450)
+        assert got.shape == x.shape and got.tobytes() == want.tobytes()
+
+    def test_backward_scatter_index_is_block_sized(self):
+        # a row index for every output would add 8 bytes per output (2x the
+        # float32 result); a block's index is at most _POOL_CHUNK of them
+        x = np.maximum(np.random.default_rng(8).standard_normal((10, 400, 1450),
+                                                                dtype=np.float32), 0)
+        _, idx = T.maxpool1d(x, 10, 2)
+        g = np.ones(idx.shape, np.float32)
+        tracemalloc.start()
+        try:
+            gx = T.maxpool1d_backward(idx, g, 1450)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * gx.nbytes
+
     @given(l=st.integers(1, 60), p=st.integers(1, 60), s=st.integers(1, 10),
            seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)

@@ -67,6 +67,27 @@ class TestTrainFold:
         assert len(result.history.records) == 2
         assert result.history.records[0].is_best
 
+    def test_plateau_stops_after_patience_and_flags_first_tied_best(
+            self, corpus, folds, monkeypatch):
+        # scripted validation F1: the best (0.5) comes second and is tied
+        # twice; the third evaluation that does not beat it ends the fold
+        def scripted(*f1s):
+            f1 = iter(f1s)
+            monkeypatch.setattr(Tr, "validation_scores", lambda counts: (next(f1), 0.0))
+
+        scripted(0.2, 0.5, 0.5, 0.4, 0.5, 0.9)
+        cfg = tiny_config(eval_every=2, patience=3, max_iterations=50)
+        result = Tr.train_fold(corpus, folds[0], cfg, np.random.default_rng(0))
+        records = result.history.records
+        assert [r.val_mean_f1 for r in records] == [0.2, 0.5, 0.5, 0.4, 0.5]
+        assert [r.is_best for r in records] == [False, True, False, False, False]
+        # the kept tensors are those at the first tied best, iteration 4
+        scripted(0.2, 0.5)
+        cut = Tr.train_fold(corpus, folds[0], tiny_config(eval_every=2, max_iterations=4),
+                            np.random.default_rng(0))
+        for name, tensor in cut.best_params.tensors.items():
+            assert tensor.tobytes() == result.best_params.tensors[name].tobytes()
+
     def test_single_balanced_step_bitwise_reproducible(self, corpus, folds):
         from somnoscore.dataset import balanced_batch, class_pools
 
