@@ -4,11 +4,9 @@
 # This is the long-running experiment: 20 folds x a 145M-parameter network.
 # A batch-100 step takes about 8.5 s on 2 Xeon vCPUs (numpy 2.4, OpenBLAS), so
 # a fold that runs to the 20000-iteration cap takes about two days; each fold
-# peaks at about 3.2 GB RSS, so PARALLEL folds need about 3.2 GB each (keep
-# PARALLEL=1 on an 8 GB machine). Desk-scale checks
-# live in the test suite; this recipe exists to reproduce the headline
-# numbers (target: mean F1 within 3 percentage points of 81) once the corpus
-# is available locally.
+# peaks at about 3.2 GB RSS. Desk-scale checks live in the test suite; this
+# recipe exists to reproduce the headline numbers (target: mean F1 within 3
+# percentage points of 81) once the corpus is available locally.
 #
 # Corpus layout expected under $SOMNO_DATA_DIR (or --data-dir):
 #   SC4ssNE0-PSG.edf + SC4ssNE*-Hypnogram.edf pairs, 20 subjects, 39 nights.
@@ -23,12 +21,16 @@ somnoscore ingest --data-dir "$DATA_DIR" --out "$OUT_DIR/ingest"
 # Resumes automatically: completed folds under $OUT_DIR are skipped.
 # Raw microvolt-scale input saturates the softmax under the default rate;
 # see README "Configuration" (learning rate ~1e-7..1e-6 for raw uV signals).
+# With memory for two folds (about 6.4 GB), split the folds over two processes
+# into the same directory instead, then evaluate once both are done:
+#   somnoscore crossval ...same flags... --folds 0,2,4,6,8,10,12,14,16,18 &
+#   somnoscore crossval ...same flags... --folds 1,3,5,7,9,11,13,15,17,19 &
+#   wait
 somnoscore crossval \
   --data-dir "$DATA_DIR" \
   --output-dir "$OUT_DIR" \
   --seed "$SEED" \
-  --learning-rate "${LEARNING_RATE:-3e-7}" \
-  --parallel "${PARALLEL:-1}"
+  --learning-rate "${LEARNING_RATE:-3e-7}"
 
 somnoscore evaluate "$OUT_DIR" --out "$OUT_DIR/report" --data-dir "$DATA_DIR"
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, filter_analysis, model, training
-from .dataset import build_windows, windows_for_subjects
+from .dataset import build_windows
 from .edf_ingest import (
     DEFAULT_CHANNEL,
     IngestError,
@@ -94,11 +94,13 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _load_corpus(cfg: RunConfig) -> list[Recording]:
+def _load_corpus(cfg: RunConfig, subjects: set[str] | None = None) -> list[Recording]:
+    """The corpus's recordings; with `subjects`, only theirs are read."""
     if not cfg.data_dir:
         raise IngestError(f"no data directory: pass --data-dir or set {DATA_DIR_ENV}")
     pairs = discover_pairs(Path(cfg.data_dir))
-    return [load_recording(p, cfg.channel, cfg.lights_out_epoch) for p in pairs]
+    return [load_recording(p, cfg.channel, cfg.lights_out_epoch) for p in pairs
+            if subjects is None or p.subject_id in subjects]
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: RunConfig, extra: dict | None = None):
@@ -149,8 +151,7 @@ def cmd_crossval(args) -> int:
     recordings = _load_corpus(cfg)
     out_dir = Path(cfg.output_dir)
     outcome = training.run_crossvalidation(
-        recordings, cfg.model, args.seed, out_dir=out_dir,
-        fold_indices=cfg.folds, parallel=args.parallel)
+        recordings, cfg.model, args.seed, out_dir=out_dir, fold_indices=cfg.folds)
     # Written after the runner, which refuses bad folds or another run's
     # directory before it writes anything, so a refused command changes no file.
     _write_manifest(out_dir, args.command, cfg)
@@ -182,16 +183,21 @@ def cmd_evaluate(args) -> int:
             missing.append(i)
         else:
             found[i] = payload
+    if not found:
+        raise IngestError(f"no fold result under {results_dir}: all folds {missing} missing")
     if missing:
-        raise IngestError(f"missing fold result(s) under {results_dir}: {missing}")
+        print(f"missing fold result(s) under {results_dir}: {missing}; "
+              f"scoring the {len(found)} present", file=sys.stderr)
 
     aggregate = sum(p["test_matrix"] for p in found.values())
     per_recording = [s for p in found.values() for s in p["per_recording"]]
 
     metrics = evaluation.class_metrics(aggregate, overall=cfg.overall)
-    boot = evaluation.bootstrap_ci(
-        [s.matrix for s in per_recording], n_samples=cfg.bootstrap_samples,
-        seed=cfg.bootstrap_seed, overall=cfg.overall)
+    boot = None
+    if len(per_recording) > 1:  # one recording leaves nothing to resample
+        boot = evaluation.bootstrap_ci(
+            [s.matrix for s in per_recording], n_samples=cfg.bootstrap_samples,
+            seed=cfg.bootstrap_seed, overall=cfg.overall)
 
     regressions = None
     if cfg.data_dir:
@@ -222,12 +228,14 @@ def cmd_evaluate(args) -> int:
                     print(f"regression {name} skipped: {exc}", file=sys.stderr)
 
     out_dir = Path(args.out or cfg.output_dir)
-    evaluation.write_metrics_report(aggregate, metrics, boot, out_dir, regressions)
+    evaluation.write_metrics_report(aggregate, metrics, boot, out_dir, regressions,
+                                    missing_folds=missing)
     _write_manifest(out_dir, "evaluate", cfg, {"results_dir": str(results_dir)})
     for name in METRIC_NAMES:
-        iv = boot.intervals[name]
-        print(f"{name}: {100 * metrics.as_dict()[name]:.1f} "
-              f"(bootstrap {100 * iv.mean:.1f}, CI {100 * iv.lower:.1f}-{100 * iv.upper:.1f})")
+        iv = boot.intervals[name] if boot else None
+        print(f"{name}: {100 * metrics.as_dict()[name]:.1f} " + (
+            f"(bootstrap {100 * iv.mean:.1f}, CI {100 * iv.lower:.1f}-{100 * iv.upper:.1f})"
+            if iv else "(one recording, no bootstrap)"))
     return EXIT_OK
 
 
@@ -254,12 +262,11 @@ def cmd_predict(args) -> int:
 def cmd_analyze_filters(args) -> int:
     cfg = load_run_config(args)
     params = model.load_checkpoint(Path(args.checkpoint))
-    recordings = _load_corpus(cfg)
-    wanted = (set(args.subjects.split(",")) if args.subjects
-              else {r.subject_id for r in recordings})
-    windows = windows_for_subjects(recordings, wanted)
-    if not windows:
+    wanted = set(args.subjects.split(",")) if args.subjects else None
+    recordings = _load_corpus(cfg, wanted)
+    if not recordings:  # only a --subjects filter can leave none
         raise IngestError(f"no recordings for subjects {sorted(wanted)}")
+    windows = [w for rec in recordings for w in build_windows(rec)]
     spectra = filter_analysis.bank_spectra(params.tensors["c1_kernels"])
     profile = filter_analysis.build_profile(params, windows,
                                             tap=args.tap, mode=args.power_mode)
@@ -307,12 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, needs_seed=True)
     train_flags(p)
     p.add_argument("--fold", type=int, required=True)
-    p.set_defaults(func=cmd_crossval, parallel=1)
+    p.set_defaults(func=cmd_crossval)
 
     p = sub.add_parser("crossval", help="run all folds (resumes after a crash)")
     common(p, needs_seed=True)
     train_flags(p)
-    p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--folds", help="comma-separated fold indices (default: all)")
     p.set_defaults(func=cmd_crossval)
 

@@ -414,11 +414,16 @@ def hypnogram_svg(labels: list[SleepStage]) -> str:
 def write_metrics_report(
     counts: np.ndarray,
     metrics: ClassMetrics,
-    boot: BootstrapResult,
+    boot: BootstrapResult | None,
     out_dir: Path,
     regressions: dict[str, RegressionResult] | None = None,
+    missing_folds: list[int] = (),
 ) -> None:
-    """JSON at full precision plus CSVs rounded to 0.1 percentage points."""
+    """JSON at full precision plus CSVs rounded to 0.1 percentage points.
+
+    `boot` is None when the counts come from one recording, which leaves
+    nothing to resample; `missing_folds` names the folds the counts lack.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {
@@ -426,13 +431,15 @@ def write_metrics_report(
         "confusion_row_normalized": row_normalize(counts).tolist(),
         "per_stage": metrics.per_stage_dict(),
         "summary": metrics.as_dict(),
-        "bootstrap": {
-            name: {"mean": iv.mean, "lower": iv.lower, "upper": iv.upper}
-            for name, iv in boot.intervals.items()
-        },
-        "bootstrap_excluded": boot.excluded,
-        "bootstrap_samples": boot.n_samples,
+        "missing_folds": list(missing_folds),
     }
+    if boot is not None:
+        report |= {
+            "bootstrap": {name: {"mean": iv.mean, "lower": iv.lower, "upper": iv.upper}
+                          for name, iv in boot.intervals.items()},
+            "bootstrap_excluded": boot.excluded,
+            "bootstrap_samples": boot.n_samples,
+        }
     if regressions:
         report["regressions"] = {
             name: {"slope": r.slope, "intercept": r.intercept,
@@ -450,10 +457,10 @@ def write_metrics_report(
 
     rows = [["metric", "value", "bootstrap_mean", "ci_lower", "ci_upper"]]
     for name in METRIC_NAMES:
-        iv = boot.intervals[name]
-        rows.append([name, f"{100 * metrics.as_dict()[name]:.1f}",
-                     f"{100 * iv.mean:.1f}", f"{100 * iv.lower:.1f}",
-                     f"{100 * iv.upper:.1f}"])
+        iv = boot.intervals[name] if boot else None
+        rows.append([name, f"{100 * metrics.as_dict()[name]:.1f}"] +
+                    ([f"{100 * v:.1f}" for v in (iv.mean, iv.lower, iv.upper)] if iv
+                     else [""] * 3))
     write_csv(out_dir / "summary.csv", rows)
 
     if regressions:

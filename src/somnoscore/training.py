@@ -15,7 +15,6 @@ import hashlib
 import json
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -250,23 +249,19 @@ def run_crossvalidation(
     seed: int,
     out_dir: Path | None = None,
     fold_indices: list[int] | None = None,
-    parallel: int = 1,
 ) -> CrossValidationOutcome:
     """Run the 20 leave-one-subject-out folds and sum their test matrices.
 
     Fold RNG streams derive from (seed, fold), so folds are independent of
-    execution order and may run concurrently. With an output directory, the
-    run record (`RUN_RECORD`) is written before any fold trains, each finished
-    fold is serialized immediately and folds with existing results are
-    skipped (crash-resume). One fold's failure, in training or saving, does
-    not abort the rest: `failures` gets its message, fold_XX/failure.txt its
-    traceback. A `parallel` below 1, a fold index outside the folds, or an
-    output directory whose record differs from this run's (another seed,
-    config or corpus) or that holds fold results without a record, raises
-    ValueError before anything is written.
+    execution order. With an output directory, the run record (`RUN_RECORD`)
+    is written before any fold trains, each finished fold is serialized
+    immediately and folds with existing results are skipped (crash-resume).
+    One fold's failure, in training or saving, does not abort the rest:
+    `failures` gets its message, fold_XX/failure.txt its traceback. A fold
+    index outside the folds, or an output directory whose record differs from
+    this run's (another seed, config or corpus) or that holds fold results
+    without a record, raises ValueError before anything is written.
     """
-    if parallel < 1:
-        raise ValueError(f"parallel must be at least 1, got {parallel}")
     subjects = sorted({r.subject_id for r in recordings})
     folds = make_folds(subjects, seed)
     for i in fold_indices or ():
@@ -289,8 +284,11 @@ def run_crossvalidation(
             "folds": [f.to_json_dict() for f in folds],
         }
         path = out_dir / RUN_RECORD
+        # Looked for before the record: a process sharing the directory writes
+        # the record before any result, so a result seen here has its record.
+        has_results = any(out_dir.glob("fold_*/result.json"))
         if not path.exists():
-            if any(out_dir.glob("fold_*/result.json")):
+            if has_results:
                 raise ValueError(f"{out_dir} holds fold results but no {RUN_RECORD}, so "
                                  "their run is unknown; use a new output directory")
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -299,40 +297,26 @@ def run_crossvalidation(
             raise ValueError(f"{path} records another run (seed, model config, corpus "
                              "or folds differ); use a new output directory")
 
-    todo = []
     for fold in selected:
         prior = load_fold_result_json(out_dir, fold.fold_index) if out_dir else None
         if prior is not None:
             skipped.append(fold.fold_index)
             aggregate += prior["test_matrix"]
             continue
-        todo.append(fold)
-
-    def run_one(fold: FoldSplit) -> FoldResult | str:
-        """The fold's result, saved as soon as it finishes, or the one-line
-        message of what failed in training or saving it."""
         try:
             rng = np.random.default_rng([seed, fold.fold_index])
             result = train_fold(recordings, fold, config, rng)
             if out_dir is not None:
                 save_fold_result(result, out_dir, seed)
-            return result
         except Exception as exc:  # isolate fold failures
             if out_dir is not None:  # the traceback, unless the disk is what failed
                 with contextlib.suppress(OSError):
                     fold_dir = _fold_dir(out_dir, fold.fold_index)
                     fold_dir.mkdir(parents=True, exist_ok=True)
                     write_atomic(fold_dir / FAILURE_FILE, traceback.format_exc().encode())
-            return f"{type(exc).__name__}: {exc}"
-
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        fan_out = pool.map if parallel > 1 and len(todo) > 1 else map
-        for fold, outcome in zip(todo, fan_out(run_one, todo)):
-            if isinstance(outcome, str):
-                failures[fold.fold_index] = outcome
-                continue
-            results[fold.fold_index] = outcome
-            aggregate += outcome.test_matrix
+            failures[fold.fold_index] = f"{type(exc).__name__}: {exc}"
+            continue
+        results[fold.fold_index] = result
+        aggregate += result.test_matrix
 
     return CrossValidationOutcome(results, skipped, failures, aggregate)
-

@@ -1,12 +1,16 @@
 """End-to-end command-line behavior on synthetic EDF corpora."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from somnoscore import cli, filter_analysis, model
-from somnoscore.edf_ingest import SleepStage
+from somnoscore.edf_ingest import SleepStage, load_recording
 from somnoscore.synthetic import write_synthetic_pair
 from test_evaluation import GOLDEN_COUNTS, GOLDEN_F1_MEAN, GOLDEN_OVERALL
 
@@ -167,14 +171,6 @@ class TestCrossval:
         assert not (out / "run_manifest.json").exists()
         assert not list(out.glob("fold_*"))
 
-    @pytest.mark.parametrize("parallel", ["0", "-2"])
-    def test_parallel_below_one_exits_data(self, tmp_path, run_config, capsys, parallel):
-        rc = cli.main(["crossval", "--config", str(run_config), "--seed", "4",
-                       "--folds", "0", "--parallel", parallel])
-        assert rc == cli.EXIT_DATA
-        assert f"parallel must be at least 1, got {parallel}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize("change", [["--folds", "25"], ["--seed", "5"]])
     def test_refused_rerun_leaves_directory_unchanged(self, tmp_path, run_config, capsys,
                                                       change):
@@ -199,6 +195,40 @@ class TestCrossval:
         assert rc == cli.EXIT_NUMERIC
         assert "fold 0 FAILED: OSError: [Errno 28]" in capsys.readouterr().err
         assert (tmp_path / "out" / "fold_00" / "failure.txt").exists()
+
+    def test_two_processes_into_one_directory_match_one_serial_run(self, tmp_path,
+                                                                  run_config):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["crossval", "--config", str(run_config), "--seed", "4"]
+        shared, serial = tmp_path / "shared", tmp_path / "serial"
+        procs = [subprocess.Popen(
+            [sys.executable, "-m", "somnoscore.cli", *argv, "--output-dir", str(shared),
+             "--folds", fold], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for fold in ("0", "1")]
+        assert cli.main(argv + ["--output-dir", str(serial), "--folds", "0,1"]) == 0
+        for proc in procs:
+            _, err = proc.communicate(timeout=600)
+            assert proc.returncode == 0, err.decode()
+
+        def fold_outputs(out):
+            outputs = {}
+            for fold_dir in sorted(out.glob("fold_*")):
+                result = json.loads((fold_dir / "result.json").read_text())
+                for record in result["history"]:
+                    del record["wall_clock"]  # timing
+                outputs[fold_dir.name] = ((fold_dir / "best.somn").read_bytes(), result)
+            return outputs
+
+        assert list(fold_outputs(shared)) == ["fold_00", "fold_01"]
+        assert fold_outputs(shared) == fold_outputs(serial)
+        for out in (shared, serial):
+            assert cli.main(["evaluate", str(out), "--out", str(out / "report"),
+                             "--bootstrap-samples", "20"]) == 0
+        for name in ("run_manifest.json", "report/metrics.json"):
+            assert (shared / name).read_bytes() == (serial / name).read_bytes()
+        assert not list(shared.rglob("*.tmp"))
 
 
 def write_fold_fixture(results_dir, fold_index, matrix, subjects):
@@ -240,10 +270,43 @@ class TestEvaluate:
             np.asarray(report["confusion_counts"]), GOLDEN_COUNTS)
         assert (out / "summary.csv").exists()
 
-    def test_missing_folds_listed(self, tmp_path, results_dir):
+    def test_missing_folds_listed(self, tmp_path, results_dir, capsys):
         (results_dir / "fold_01" / "result.json").unlink()
+        out = tmp_path / "r"
+        rc = cli.main(["evaluate", str(results_dir), "--out", str(out),
+                       "--bootstrap-samples", "20"])
+        assert rc == 0
+        assert f"missing fold result(s) under {results_dir}: [1]" in capsys.readouterr().err
+        report = json.loads((out / "metrics.json").read_text())
+        assert report["missing_folds"] == [1]
+        np.testing.assert_array_equal(report["confusion_counts"], GOLDEN_COUNTS // 2)
+
+    def test_complete_run_lists_no_missing_fold(self, tmp_path, results_dir):
+        out = tmp_path / "r"
+        assert cli.main(["evaluate", str(results_dir), "--out", str(out),
+                         "--bootstrap-samples", "20"]) == 0
+        assert json.loads((out / "metrics.json").read_text())["missing_folds"] == []
+
+    def test_no_fold_result_is_data_error(self, tmp_path, results_dir, capsys):
+        for i in (0, 1):
+            (results_dir / f"fold_{i:02d}" / "result.json").unlink()
         rc = cli.main(["evaluate", str(results_dir), "--out", str(tmp_path / "r")])
         assert rc == cli.EXIT_DATA
+        assert "no fold result under" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_single_fold_train_output_evaluates(self, tmp_path, run_config, capsys):
+        assert cli.main(["train", "--config", str(run_config), "--seed", "3",
+                         "--fold", "2"]) == 0
+        out = tmp_path / "report"
+        assert cli.main(["evaluate", str(tmp_path / "out"), "--out", str(out),
+                         "--bootstrap-samples", "20"]) == 0
+        others = [i for i in range(20) if i != 2]
+        assert f": {others}; scoring the 1 present" in capsys.readouterr().err
+        report = json.loads((out / "metrics.json").read_text())
+        assert report["missing_folds"] == others
+        assert "bootstrap" not in report  # one test recording: nothing to resample
+        assert (out / "summary.csv").read_text().splitlines()[1].endswith(",,,")
 
     def test_missing_run_record_is_data_error(self, tmp_path, results_dir, capsys):
         (results_dir / "run_manifest.json").unlink()
@@ -381,6 +444,21 @@ class TestAnalyzeFilters:
         expected = filter_analysis.bank_spectra(bank.astype(cfg.np_dtype))
         np.testing.assert_array_equal(np.asarray(bundle["spectra"]), expected)
 
+    def test_subjects_filter_before_loading(self, tmp_path, corpus_dir, trained_checkpoint,
+                                            monkeypatch):
+        loaded = []
+
+        def counting_load(pair, *args):
+            loaded.append(pair.subject_id)
+            return load_recording(pair, *args)
+
+        monkeypatch.setattr(cli, "load_recording", counting_load)
+        rc = cli.main(["analyze-filters", "--checkpoint", str(trained_checkpoint),
+                       "--data-dir", str(corpus_dir), "--subjects", "S05A",
+                       "--out", str(tmp_path / "filters")])
+        assert rc == 0
+        assert loaded == ["S05A"]
+
     def test_unknown_subject_is_data_error(self, tmp_path, corpus_dir,
                                            trained_checkpoint):
         rc = cli.main(["analyze-filters", "--checkpoint", str(trained_checkpoint),
@@ -416,4 +494,9 @@ class TestUsage:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["ingest", "--frobnicate"])
+        assert exc.value.code == cli.EXIT_USAGE
+
+    def test_crossval_has_no_parallel_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["crossval", "--seed", "1", "--parallel", "2"])
         assert exc.value.code == cli.EXIT_USAGE

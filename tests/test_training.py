@@ -225,20 +225,6 @@ class TestCrossValidation:
                                    fold_indices=[0, index])
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("parallel", [0, -2])
-    def test_parallel_below_one_rejected_before_writing(self, corpus, tmp_path, parallel):
-        with pytest.raises(ValueError, match=f"parallel must be at least 1, got {parallel}"):
-            Tr.run_crossvalidation(corpus, tiny_config(), seed=5, out_dir=tmp_path / "out",
-                                   fold_indices=[0], parallel=parallel)
-        assert not (tmp_path / "out").exists()
-
-    def test_parallel_matches_serial(self, corpus):
-        cfg = tiny_config(max_iterations=3)
-        serial = Tr.run_crossvalidation(corpus, cfg, seed=8, fold_indices=[0, 1, 2])
-        parallel = Tr.run_crossvalidation(corpus, cfg, seed=8,
-                                          fold_indices=[0, 1, 2], parallel=2)
-        np.testing.assert_array_equal(serial.aggregate, parallel.aggregate)
-
     def test_resume_skips_completed_folds(self, corpus, tmp_path):
         cfg = tiny_config(max_iterations=3)
         first = Tr.run_crossvalidation(corpus, cfg, seed=6, out_dir=tmp_path,
