@@ -114,6 +114,7 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
+    """grad_y where x > 0, else 0; x is ReLU's input or output, > 0 at the same places."""
     return np.where(x > 0, grad_y, 0)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import os
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -258,15 +259,17 @@ def run_crossvalidation(
     immediately and folds with existing results are skipped (crash-resume).
     One fold's failure, in training or saving, does not abort the rest:
     `failures` gets its message, fold_XX/failure.txt its traceback. A fold
-    index outside the folds, or an output directory whose record differs from
-    this run's (another seed, config or corpus) or that holds fold results
-    without a record, raises ValueError before anything is written.
+    index outside the folds or repeated, or an output directory whose record
+    differs from this run's (another seed, config or corpus) or that holds
+    fold results without a record, raises ValueError before anything is written.
     """
     subjects = sorted({r.subject_id for r in recordings})
     folds = make_folds(subjects, seed)
-    for i in fold_indices or ():
+    for n, i in enumerate(fold_indices or ()):
         if not 0 <= i < len(folds):
             raise ValueError(f"fold {i} out of range 0..{len(folds) - 1}")
+        if i in fold_indices[:n]:
+            raise ValueError(f"fold {i} repeated")
     selected = folds if fold_indices is None else [folds[i] for i in fold_indices]
 
     results: dict[int, FoldResult] = {}
@@ -292,8 +295,14 @@ def run_crossvalidation(
                 raise ValueError(f"{out_dir} holds fold results but no {RUN_RECORD}, so "
                                  "their run is unknown; use a new output directory")
             out_dir.mkdir(parents=True, exist_ok=True)
-            write_json(path, record)
-        elif json.loads(path.read_text()) != record:
+            mine = path.with_name(f".{RUN_RECORD}.{os.getpid()}")
+            write_json(mine, record)
+            try:  # linked, not renamed: a record another process made since the check stays
+                with contextlib.suppress(FileExistsError):
+                    os.link(mine, path)
+            finally:
+                mine.unlink()
+        if json.loads(path.read_text()) != record:
             raise ValueError(f"{path} records another run (seed, model config, corpus "
                              "or folds differ); use a new output directory")
 

@@ -171,6 +171,13 @@ class TestCrossval:
         assert not (out / "run_manifest.json").exists()
         assert not list(out.glob("fold_*"))
 
+    def test_repeated_fold_exits_data_and_writes_nothing(self, tmp_path, run_config, capsys):
+        rc = cli.main(["crossval", "--config", str(run_config), "--seed", "4",
+                       "--folds", "0,0"])
+        assert rc == cli.EXIT_DATA
+        assert "fold 0 repeated" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("change", [["--folds", "25"], ["--seed", "5"]])
     def test_refused_rerun_leaves_directory_unchanged(self, tmp_path, run_config, capsys,
                                                       change):

@@ -1,9 +1,13 @@
 """Network assembly, gradients, SGD, Morlet bank and checkpoint format."""
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +154,15 @@ class TestForward:
             with pytest.raises(ValueError, match="length"):
                 M.forward(params, bad)
 
+    def test_cache_holds_no_conv_output_length_array(self):
+        # each ReLU runs on its pool's output, so no conv output is kept
+        params, cfg = reduced_params()
+        x = np.random.default_rng(6).standard_normal((3, cfg.input_len))
+        for window in (x, x[0]):
+            _, cache = M.forward(params, window)
+            lengths = {a.shape[-1] for a in vars(cache).values() if isinstance(a, np.ndarray)}
+            assert not lengths & {cfg.c1_out, cfg.c2_out}, lengths
+
     def test_batch_rows_equal_single_windows(self):
         params, cfg = reduced_params()
         x = np.random.default_rng(5).standard_normal((4, cfg.input_len))
@@ -164,9 +177,9 @@ def tie_signature(cache):
     Finite-difference checks compare signatures of the +/- evaluations to
     mask coordinates whose perturbation crosses a nondifferentiable point.
     """
-    return ((cache.a1 > 0).tobytes(), cache.p1_idx.tobytes(),
-            (cache.a2 > 0).tobytes(), cache.p2_idx.tobytes(),
-            (cache.z1 > 0).tobytes(), (cache.z2 > 0).tobytes())
+    return ((cache.s1 > 0).tobytes(), cache.p1_idx.tobytes(),
+            (cache.flat > 0).tobytes(), cache.p2_idx.tobytes(),
+            (cache.h1 > 0).tobytes(), (cache.h2 > 0).tobytes())
 
 
 def loss_and_signature(params, x, label):
@@ -217,6 +230,79 @@ def finite_diff_model_grads(params, x, label, eps=1e-5):
 def dense_arrays(grads):
     """backward's gradients with each factored dense weight gradient formed whole."""
     return {name: np.asarray(g) for name, g in grads.items()}
+
+
+def pass_digest(params, *passes) -> str:
+    """SHA-256 over (x, labels) passes of forward's probabilities and of every
+    backward gradient (name, dtype, shape, bytes), each dense factor pair
+    formed by np.asarray."""
+    h = hashlib.sha256()
+    for x, labels in passes:
+        probs, cache = M.forward(params, x)
+        h.update(probs.tobytes())
+        grads = M.backward(params, cache, labels)
+        for name in sorted(grads):
+            g = np.asarray(grads.pop(name))  # one formed gradient at a time at full size
+            h.update(f"{name}{g.dtype}{g.shape}".encode())
+            h.update(g.tobytes())
+    return h.hexdigest()
+
+
+FULL_SIZE_PASS = """
+import numpy as np
+from somnoscore import model as M
+from test_model import pass_digest
+params = M.init_params(M.ModelConfig(), np.random.default_rng(0))
+x = np.random.default_rng(100).standard_normal((3, 15000))
+print(pass_digest(params, (x, [0, 2, 4])))
+"""
+
+
+class TestGoldenPass:
+    # pass_digest of a 5-window batch and then of its first window alone, at
+    # seeds 0, 1 and 2 (the seed draws the parameters, seed + 100 the input).
+    # Taken with numpy 2.4's bundled OpenBLAS 0.3.31 on x86-64 (AVX-512);
+    # another BLAS build may round differently.
+    GOLDEN_PASS_DIGESTS = {
+        "reduced_float64": ({}, (
+            "e0cb9974af902c1a5ffd5b8967dcd913bfeac95f6945a512aa1bdedf97b115e7",
+            "5564e86e6a775077a963982815e96b807cbae5c94e401abfb8f0b8f18c63118f",
+            "c1f8bef152bbe3e8c56c9d39bfd00537577c1238d67617c7246ad3c114595df2",
+        )),
+        "reduced_float32": ({"dtype": "float32"}, (
+            "4c3993c18052a12c49adfbabf771cd60c864cd789e41da98df4fa65ee6c10c40",
+            "06ef77520fa4dbb45a9b4cd46c41a0558eb17a311cdf8b6402997602d0767d27",
+            "271616c0072f24d4a4b37c39748beda9086989fbdee5167cde06950d8655c106",
+        )),
+        "fixed_morlet": ({"first_layer_mode": "fixed_morlet"}, (
+            "4abebbbbe553051fca3ec08ce8632e7a8dfb3951cd840a8c9d3fed4c28aa2e55",
+            "211c10d541eb72fc110a017e64414106391bccc9bd53904fb8af373a576286c1",
+            "9b501dfa8870df561262b7a494fdec6b7c9accfd37bd44a9fda80c9e9f79b169",
+        )),
+    }
+
+    @pytest.mark.filterwarnings("ignore:Morlet filter")
+    @pytest.mark.parametrize("case", GOLDEN_PASS_DIGESTS)
+    def test_reduced_pass_matches_golden_digest(self, case):
+        overrides, digests = self.GOLDEN_PASS_DIGESTS[case]
+        for seed, want in enumerate(digests):
+            cfg = M.reduced_config(**overrides)
+            params = M.init_params(cfg, np.random.default_rng(seed))
+            x = np.random.default_rng(seed + 100).standard_normal((5, cfg.input_len))
+            assert pass_digest(params, (x, [0, 1, 2, 3, 4]), (x[0], 0)) == want, (case, seed)
+
+    def test_full_size_batch_pass_matches_golden_digest(self):
+        # In a process of its own with one BLAS thread: at full size, how
+        # OpenBLAS splits a product over threads changes its rounding.
+        tests = Path(__file__).resolve().parent
+        path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+        env = os.environ | {"OPENBLAS_NUM_THREADS": "1",
+                            "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        out = subprocess.run([sys.executable, "-c", FULL_SIZE_PASS], env=env,
+                             capture_output=True, text=True, timeout=600)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == (
+            "df3b0bcc5ae6f1c2154d1131bc7c08f19156196f62964923cfd383536909ecc0")
 
 
 class TestBackward:

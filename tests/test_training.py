@@ -225,6 +225,40 @@ class TestCrossValidation:
                                    fold_indices=[0, index])
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_fold_index_rejected_before_writing(self, corpus, tmp_path):
+        with pytest.raises(ValueError, match="fold 0 repeated"):
+            Tr.run_crossvalidation(corpus, tiny_config(), seed=5, out_dir=tmp_path / "out",
+                                   fold_indices=[0, 0])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rival_seed, refused", [(4, False), (5, True)])
+    def test_record_written_first_by_another_process_is_kept(self, corpus, tmp_path,
+                                                             monkeypatch, rival_seed,
+                                                             refused):
+        # Another process's record lands after the runner found none, as the
+        # runner writes its own (the only JSON written to the directory's top).
+        cfg = tiny_config(max_iterations=3)
+        real, record = Tr.write_json, tmp_path / Tr.RUN_RECORD
+        rival = []
+
+        def rival_first(path, payload):
+            if path.parent == tmp_path and not rival:
+                real(record, payload | {"seed": rival_seed})
+                rival.append(record.read_bytes())
+            real(path, payload)
+
+        monkeypatch.setattr(Tr, "write_json", rival_first)
+        if refused:
+            with pytest.raises(ValueError, match="run_manifest.json records another run"):
+                Tr.run_crossvalidation(corpus, cfg, seed=4, out_dir=tmp_path, fold_indices=[0])
+            assert not list(tmp_path.glob("fold_*"))
+        else:
+            outcome = Tr.run_crossvalidation(corpus, cfg, seed=4, out_dir=tmp_path,
+                                             fold_indices=[0])
+            assert set(outcome.fold_results) == {0}
+        assert record.read_bytes() == rival[0]
+        assert not list(tmp_path.glob(".*"))  # no temporary file left
+
     def test_resume_skips_completed_folds(self, corpus, tmp_path):
         cfg = tiny_config(max_iterations=3)
         first = Tr.run_crossvalidation(corpus, cfg, seed=6, out_dir=tmp_path,
