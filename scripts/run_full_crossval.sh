@@ -2,9 +2,9 @@
 # Full 20-subject cross-validation on the real sleep-cassette corpus.
 #
 # This is the long-running experiment: 20 folds x a 145M-parameter network.
-# A batch-100 step takes about 8.5 s on 2 Xeon vCPUs (numpy 2.4, OpenBLAS), so
-# a fold that runs to the 20000-iteration cap takes about two days; each fold
-# peaks at about 2.75 GB RSS. Desk-scale checks live in the test suite; this
+# A batch-100 step takes about 7 s on 2 Xeon vCPUs (numpy 2.4, OpenBLAS), so
+# a fold that runs to the 20000-iteration cap takes about 39 hours; each fold
+# peaks at about 2.3 GB RSS. Desk-scale checks live in the test suite; this
 # recipe exists to reproduce the headline numbers (target: mean F1 within 3
 # percentage points of 81) once the corpus is available locally.
 #
@@ -21,7 +21,7 @@ somnoscore ingest --data-dir "$DATA_DIR" --out "$OUT_DIR/ingest"
 # Resumes automatically: completed folds under $OUT_DIR are skipped.
 # Raw microvolt-scale input saturates the softmax under the default rate;
 # see README "Configuration" (learning rate ~1e-7..1e-6 for raw uV signals).
-# With memory for two folds (about 5.5 GB), split the folds over two processes
+# With memory for two folds (about 4.6 GB), split the folds over two processes
 # into the same directory instead, then evaluate once both are done:
 #   somnoscore crossval ...same flags... --folds 0,2,4,6,8,10,12,14,16,18 &
 #   somnoscore crossval ...same flags... --folds 1,3,5,7,9,11,13,15,17,19 &

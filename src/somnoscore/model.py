@@ -202,11 +202,15 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParameter
 
 @dataclass
 class ForwardCache:
-    """What backward needs: each layer's output once (a conv's only pooled), batch axis kept."""
+    """What backward needs: each layer's output once (a conv's only pooled), batch axis kept.
+
+    A pool's offsets are one byte per output (see `T.maxpool1d`), so pool2's
+    are a quarter of its float32 output.
+    """
     x: np.ndarray
-    p1_idx: np.ndarray      # pool1's argmax into conv1's output
+    p1_off: np.ndarray      # pool1's argmax offsets into conv1's output
     s1: np.ndarray          # ReLU'd pool1 output, stacked: conv2's input
-    p2_idx: np.ndarray      # pool2's argmax into conv2's output
+    p2_off: np.ndarray      # pool2's argmax offsets into conv2's output
     flat: np.ndarray        # ReLU'd pool2 output, flattened: dense1's input
     h1: np.ndarray
     h2: np.ndarray
@@ -215,7 +219,7 @@ class ForwardCache:
 
     def shape_trace(self) -> list:
         """Layer output shapes; the flat and dense extents are per window."""
-        (c1_out, c2_out), p1, p2 = self.conv_lengths, self.p1_idx.shape, self.p2_idx.shape
+        (c1_out, c2_out), p1, p2 = self.conv_lengths, self.p1_off.shape, self.p2_off.shape
         return [
             (*p1[:-1], c1_out), p1, self.s1.shape,
             (*p2[:-1], c2_out), p2, self.flat.shape[-1],
@@ -223,25 +227,47 @@ class ForwardCache:
         ]
 
 
+_CONV2_CHUNK = 1 << 19  # im2col elements per conv2 chunk: one window at full size
+
+
+def _conv2_chunks(cfg: ModelConfig, n: int) -> list[slice]:
+    """The windows of a batch of n that conv2 and pool2 take at a time, in
+    order, each about `_CONV2_CHUNK` elements of im2col copy: the whole of a
+    `reduced_config` batch, or one full-size window."""
+    step = max(1, _CONV2_CHUNK // (cfg.c2_out * cfg.c1_filters * cfg.c2_len))
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
 def forward(params: ModelParameters, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Stage probabilities, (5,) for one window (input_len,), (N, 5) for a
-    batch (N, input_len); and the cache that backward needs."""
+    batch (N, input_len); and the cache that backward needs.
+
+    conv2 and pool2 run a few windows at a time, so no conv2 output or im2col
+    copy is ever batch-sized.
+    """
     cfg = params.config
     t = params.tensors
     x = np.asarray(x, dtype=cfg.np_dtype)
     if x.ndim not in (1, 2) or x.shape[-1] != cfg.input_len:
         raise ValueError(f"input shape {x.shape}: want window length {cfg.input_len}, 1 or 2 axes")
 
-    p1, p1_idx = T.maxpool1d(T.conv1d_valid(x, t["c1_kernels"], t["c1_bias"]), *cfg.p1)
+    p1, p1_off = T.maxpool1d(T.conv1d_valid(x, t["c1_kernels"], t["c1_bias"]), *cfg.p1)
     s1 = T.stack(T.relu(p1))
-    p2, p2_idx = T.maxpool1d(
-        T.conv2d_fullheight(s1, t["c2_kernels"], t["c2_bias"])[..., 0, :], *cfg.p2)
+    # len(s1) is the batch size, or 1 for one window's (1, H, L) stack. Each
+    # chunk's result is copied into place at once; keeping the chunks to join
+    # them fragments the heap and raises a batch-100 step's peak (1.81 GB, not 1.68)
+    p2 = np.empty((len(s1), cfg.c2_filters, cfg.p2_out), cfg.np_dtype)
+    p2_off = np.empty(p2.shape, T.pool_offset_dtype(cfg.p2[0]))
+    for rows in _conv2_chunks(cfg, len(s1)):
+        p2[rows], p2_off[rows] = T.maxpool1d(
+            T.conv2d_fullheight(s1[rows], t["c2_kernels"], t["c2_bias"])[..., 0, :], *cfg.p2)
+    p2_off = p2_off.reshape(*x.shape[:-1], *p2.shape[1:])
     flat = T.relu(p2).reshape(*x.shape[:-1], -1)
     h1 = T.relu(T.dense(flat, t["f1_w"], t["f1_b"]))
     h2 = T.relu(T.dense(h1, t["f2_w"], t["f2_b"]))
     probs = T.softmax(T.dense(h2, t["out_w"], t["out_b"]))
 
-    cache = ForwardCache(x, p1_idx, s1, p2_idx, flat, h1, h2, probs, (cfg.c1_out, cfg.c2_out))
+    cache = ForwardCache(x, p1_off, s1, p2_off, flat, h1, h2, probs, (cfg.c1_out, cfg.c2_out))
     return probs, cache
 
 
@@ -266,14 +292,23 @@ def backward(params: ModelParameters, cache: ForwardCache,
         cache.h1, t["f2_w"], T.relu_backward(cache.h2, g))
     g, grads["f1_w"], grads["f1_b"] = T.dense_backward(
         cache.flat, t["f1_w"], T.relu_backward(cache.h1, g))
-    g = T.relu_backward(cache.flat, g).reshape(cache.p2_idx.shape)
-    g = T.maxpool1d_backward(cache.p2_idx, g, cfg.c2_out)
+    g = T.relu_backward(cache.flat, g).reshape(cache.p2_off.shape)
+    g = T.maxpool1d_backward(cache.p2_off, g, cfg.c2_out, cfg.p2[1])
+    # conv2 a few windows at a time, as in forward; its parameter gradients
+    # are carried from chunk to chunk, in window order
     conv1_trains = "c1_kernels" not in params.frozen
-    g, grads["c2_kernels"], grads["c2_bias"] = T.conv2d_fullheight_backward(
-        cache.s1, t["c2_kernels"], g[..., None, :], input_grad=conv1_trains)
+    batch = cache.s1.reshape(-1, *cache.s1.shape[-3:])
+    g = g.reshape(len(batch), cfg.c2_filters, 1, cfg.c2_out)
+    sums, grad_s1 = None, []
+    for rows in _conv2_chunks(cfg, len(batch)):
+        gx, *sums = T.conv2d_fullheight_backward(
+            batch[rows], t["c2_kernels"], g[rows], input_grad=conv1_trains, sums=sums)
+        grad_s1.append(gx)
+    grads["c2_kernels"], grads["c2_bias"] = sums
     if conv1_trains:
+        g = (grad_s1[0] if len(grad_s1) == 1 else np.concatenate(grad_s1)).reshape(cache.s1.shape)
         g = T.unstack(T.relu_backward(cache.s1, g))
-        g = T.maxpool1d_backward(cache.p1_idx, g, cfg.c1_out)
+        g = T.maxpool1d_backward(cache.p1_off, g, cfg.c1_out, cfg.p1[1])
         grads["c1_kernels"], grads["c1_bias"] = T.conv1d_backward(cache.x, t["c1_kernels"], g)
     return grads
 

@@ -4,13 +4,18 @@ Forward and backward kernels for valid-extent 1D/2D cross-correlation,
 max-pooling, ReLU, dense layers, softmax cross-entropy and the L2 penalty,
 plus a central finite-difference checker used as the gradient oracle in the
 test suite. Kernels take leading batch axes (one window is a batch of one);
-backward kernels sum parameter gradients over the batch. Convolutions use the
-im2col layout of Chellapilla, Puri & Simard (2006): one matrix product per window.
+backward kernels sum parameter gradients over the batch. The 2D
+convolution's backward sums window by window, in order, and can carry its
+sums on from earlier windows, so a caller may take a batch a few windows at a
+time and get the same bits. Convolutions use the im2col layout of
+Chellapilla, Puri & Simard (2006): one matrix product per window; the 2D
+convolution's input gradient is one more, written into its spent im2col copy.
 
 Conventions, fixed so that learned-filter analysis stays meaningful:
   - convolutions are cross-correlations (kernels are templates, never flipped)
   - only "valid" extents, unit stride/dilation for convolution
-  - max-pool ties break to the first (lowest) index
+  - max-pool ties break to the first (lowest) index; it records each
+    maximum's offset within its window, one byte when the window fits
   - ReLU subgradient at exactly 0 is 0
   - trailing pool remainder beyond the last full window is dropped
 """
@@ -64,14 +69,29 @@ def conv1d_backward(
 _POOL_CHUNK = 1 << 18  # window elements (maxpool1d) or outputs (its backward) per pass
 
 
+def pool_offset_dtype(size: int) -> type:
+    """The dtype of :func:`maxpool1d`'s offsets for windows of `size`: one byte when it fits."""
+    return np.uint8 if size <= 256 else np.intp
+
+
+def _flat_index(index: np.ndarray, first_row: int, stride: int, length: int) -> np.ndarray:
+    """Turn `index` (rows, n), intp offsets within windows one every `stride`
+    along contiguous rows of `length` from row `first_row` on, in place into
+    the flat index of the samples they pick."""
+    index += np.arange(0, index.shape[1] * stride, stride)
+    index += np.arange(first_row * length, (first_row + len(index)) * length, length)[:, None]
+    return index
+
+
 def maxpool1d(x: np.ndarray, size: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """Max-pool each row of x (..., L) with the given window size and stride.
 
-    Returns (y, indices): y has shape (..., 1 + (L-size)//stride); indices
-    holds, for every pooled output, the index within its row of x of its
-    maximum (first occurrence on ties), as needed to route gradients back.
+    Returns (y, offsets), both (..., 1 + (L-size)//stride): offsets holds,
+    for every pooled output, its maximum's offset within its window (first
+    occurrence on ties; a NaN counts as the maximum, as under argmax), as
+    uint8 when size <= 256. Output i's maximum is x[..., i*stride + offsets[..., i]].
     """
-    x = np.asarray(x)
+    x = np.ascontiguousarray(x)
     l = x.shape[-1]
     if size > l:
         raise ValueError(f"pool size {size} exceeds length {l}")
@@ -79,34 +99,46 @@ def maxpool1d(x: np.ndarray, size: int, stride: int) -> tuple[np.ndarray, np.nda
         raise ValueError("stride must be >= 1")
     rows = x.reshape(-1, l)
     win = _windows(rows, size, stride)                  # (R, n, size)
-    indices = np.empty(win.shape[:2], np.intp)
+    n = win.shape[1]
+    y = np.empty(win.shape[:2], x.dtype)
+    offsets = np.empty(win.shape[:2], pool_offset_dtype(size))
     # argmax first copies the overlapping windows into a contiguous array;
     # taking about _POOL_CHUNK window elements at a time keeps that copy in cache
-    step = max(1, _POOL_CHUNK // (win.shape[1] * size))
+    step = max(1, _POOL_CHUNK // (n * size))
+    first = np.empty((min(step, len(rows)), n), np.intp)
     for start in range(0, len(rows), step):  # first max on ties
-        win[start:start + step].argmax(axis=2, out=indices[start:start + step])
-    indices += np.arange(0, indices.shape[1] * stride, stride)
-    y = rows[np.arange(len(rows))[:, None], indices]
-    shape = (*x.shape[:-1], indices.shape[1])
-    return y.reshape(shape), indices.reshape(shape)
+        block = win[start:start + step]
+        index = block.argmax(axis=2, out=first[:len(block)])
+        offsets[start:start + step] = index
+        # every index is in range by construction: "clip" spares take a buffered copy
+        np.take(rows.reshape(-1), _flat_index(index, start, stride, l),
+                out=y[start:start + step], mode="clip")
+    shape = (*x.shape[:-1], n)
+    return y.reshape(shape), offsets.reshape(shape)
 
 
-def maxpool1d_backward(indices: np.ndarray, grad_y: np.ndarray, input_length: int) -> np.ndarray:
-    """Scatter pooled gradients back to argmax positions, summing overlaps."""
-    if indices.size and (indices.min() < 0 or indices.max() >= input_length):
-        raise ValueError("pool index out of range")
-    idx = indices.reshape(-1, indices.shape[-1])
-    g = grad_y.reshape(idx.shape)
-    grad_x = np.zeros((idx.shape[0], input_length), dtype=grad_y.dtype)
+def maxpool1d_backward(offsets: np.ndarray, grad_y: np.ndarray, input_length: int,
+                       stride: int) -> np.ndarray:
+    """Scatter pooled gradients back to their maxima, summing overlaps.
+
+    `offsets` and `stride` are as :func:`maxpool1d` gave and took. Each of a
+    row's n offsets must be below input_length - (n-1)*stride, the reach of
+    its last window, so that no gradient leaves its row; ValueError otherwise.
+    """
+    off = offsets.reshape(-1, offsets.shape[-1])
+    n = off.shape[1]
+    if off.size and (off.min() < 0 or off.max() >= input_length - (n - 1) * stride):
+        raise ValueError("pool offset out of range")
+    g = grad_y.reshape(off.shape)
+    grad_x = np.zeros((off.shape[0], input_length), dtype=grad_y.dtype)
     flat = grad_x.reshape(-1)
     # one flat index takes np.add.at's fast path; forming it for about
     # _POOL_CHUNK outputs at a time keeps it small (blocks share no row)
-    step = max(1, _POOL_CHUNK // max(1, idx.shape[1]))
-    for start in range(0, len(idx), step):
-        rows = np.arange(start, min(start + step, len(idx)))[:, None]
-        np.add.at(flat, (idx[start:start + step] + rows * input_length).ravel(),
-                  g[start:start + step].ravel())
-    return grad_x.reshape(*indices.shape[:-1], input_length)
+    step = max(1, _POOL_CHUNK // max(1, n))
+    for start in range(0, len(off), step):
+        index = _flat_index(off[start:start + step].astype(np.intp), start, stride, input_length)
+        np.add.at(flat, index.ravel(), g[start:start + step].ravel())
+    return grad_x.reshape(*offsets.shape[:-1], input_length)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -147,27 +179,47 @@ def conv2d_fullheight(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> n
 
 
 def conv2d_fullheight_backward(
-    x: np.ndarray, kernels: np.ndarray, grad_y: np.ndarray, input_grad: bool = True
+    x: np.ndarray, kernels: np.ndarray, grad_y: np.ndarray, input_grad: bool = True,
+    sums: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients for :func:`conv2d_fullheight`; grad_y has shape (..., F, 1, P).
 
     Returns (grad_x, grad_kernels, grad_bias); grad_x is None, and not
-    computed, when `input_grad` is False (nothing upstream trains).
+    computed, when `input_grad` is False (nothing upstream trains). `sums`,
+    the (grad_kernels, grad_bias) of earlier windows, are carried on: each
+    window's share is added in order, so a batch taken a few windows at a
+    time sums bit for bit as one taken whole.
+
+    grad_x is one product, written into the im2col copy once the kernel
+    gradient has spent it, and then K overlap-adds.
     """
     h, l = x.shape[-2:]
     f, _, k = kernels.shape
     p = l - k + 1
-    g = grad_y[..., 0, :]                                           # (..., F, P)
-    cols = np.swapaxes(_windows(x[..., 0, :, :], k), -2, -3)      # (..., P, H, K)
-    cols = cols.reshape(*cols.shape[:-2], h * k)
-    grad_kernels = np.matmul(g, cols).reshape(-1, f, h * k).sum(axis=0)
-    grad_bias = g.reshape(-1, f, p).sum(axis=(0, 2))
+    g = grad_y[..., 0, :].reshape(-1, f, p)                         # (N, F, P)
+    n, lead = len(g), int(sums is not None)
+    # a buffer of this call's own (a reshape may return the read-only window
+    # view itself), so that grad_x's product can be written into it
+    cols = np.empty((n, p, h, k), x.dtype)                          # (N, P, H, K)
+    np.copyto(cols, np.swapaxes(_windows(x.reshape(n, h, l), k), -2, -3))
+    # a leading slot holds the carried sums: one sum over axis 0 then adds
+    # each window's share to them in order
+    per_window = np.empty((lead + n, f, h * k), np.result_type(g, cols))
+    np.matmul(g, cols.reshape(n, p, h * k), out=per_window[lead:])
+    row_sums = np.empty((lead + n, f), g.dtype)
+    g.sum(axis=-1, out=row_sums[lead:])
+    if sums is not None:
+        per_window[0], row_sums[0] = sums[0].reshape(f, h * k), sums[1]
+    grad_kernels, grad_bias = per_window.sum(axis=0).reshape(f, h, k), row_sums.sum(axis=0)
     if not input_grad:
-        return None, grad_kernels.reshape(f, h, k), grad_bias
-    grad_x = np.zeros_like(x)
+        return None, grad_kernels, grad_bias
+    product = cols.reshape(n, h * k, p)
+    np.matmul(kernels.reshape(f, h * k).T, g, out=product)
+    product = product.reshape(n, h, k, p)
+    grad_x = np.zeros((n, h, l), x.dtype)
     for j in range(k):
-        grad_x[..., 0, :, j:j + p] += np.matmul(kernels[:, :, j].T, g)
-    return grad_x, grad_kernels.reshape(f, h, k), grad_bias
+        grad_x[..., j:j + p] += product[:, :, j]
+    return grad_x.reshape(x.shape), grad_kernels, grad_bias
 
 
 def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -177,8 +177,8 @@ def tie_signature(cache):
     Finite-difference checks compare signatures of the +/- evaluations to
     mask coordinates whose perturbation crosses a nondifferentiable point.
     """
-    return ((cache.s1 > 0).tobytes(), cache.p1_idx.tobytes(),
-            (cache.flat > 0).tobytes(), cache.p2_idx.tobytes(),
+    return ((cache.s1 > 0).tobytes(), cache.p1_off.tobytes(),
+            (cache.flat > 0).tobytes(), cache.p2_off.tobytes(),
             (cache.h1 > 0).tobytes(), (cache.h2 > 0).tobytes())
 
 
@@ -305,6 +305,86 @@ class TestGoldenPass:
             "df3b0bcc5ae6f1c2154d1131bc7c08f19156196f62964923cfd383536909ecc0")
 
 
+def window_im2col(cfg):
+    """Elements of conv2's im2col copy for one window."""
+    return cfg.c2_out * cfg.c1_filters * cfg.c2_len
+
+
+class TestConv2Chunks:
+    # conv2 and pool2 take a batch a few windows at a time; 7 windows split
+    # into chunks of 1, of 3 + 3 + 1, and into one chunk
+    CHUNKS = {"one-window": (1, 7), "three-windows": (3, 3), "whole": (7, 1)}
+
+    def pass_arrays(self, params, x, labels):
+        probs, cache = M.forward(params, x)
+        return probs, dense_arrays(M.backward(params, cache, labels))
+
+    @pytest.mark.filterwarnings("ignore:Morlet filter")
+    @pytest.mark.parametrize("overrides", [
+        {}, {"dtype": "float32"}, {"first_layer_mode": "fixed_morlet"},
+    ], ids=["reduced_float64", "reduced_float32", "fixed_morlet"])
+    def test_chunked_pass_bit_identical_to_one_chunk(self, overrides, monkeypatch):
+        params, cfg = reduced_params(seed=3, **overrides)
+        x = np.random.default_rng(4).standard_normal((7, cfg.input_len))
+        labels = [0, 1, 2, 3, 4, 0, 1]
+        assert len(M._conv2_chunks(cfg, 7)) == 1
+        want_probs, want = self.pass_arrays(params, x, labels)
+        for windows, count in self.CHUNKS.values():
+            monkeypatch.setattr(M, "_CONV2_CHUNK", windows * window_im2col(cfg))
+            assert len(M._conv2_chunks(cfg, 7)) == count
+            probs, grads = self.pass_arrays(params, x, labels)
+            assert np.array_equal(probs, want_probs), windows
+            assert grads.keys() == want.keys()
+            for name in want:
+                assert np.array_equal(grads[name], want[name]), (windows, name)
+
+    def test_tracer_call_order_over_several_chunks(self, monkeypatch):
+        # benchmark/tracing.py books the n-th call of a kernel inside forward
+        # or backward to the n-th layer of its list, the last one repeating:
+        # relu conv1, conv2, dense1, dense2; maxpool1d pool1 then pool2's
+        # chunks; maxpool1d_backward pool2 then pool1, once each
+        params, cfg = reduced_params(seed=3)
+        monkeypatch.setattr(M, "_CONV2_CHUNK", 3 * window_im2col(cfg))
+        x = np.random.default_rng(4).standard_normal((7, cfg.input_len))
+        calls = []
+
+        def spy(name, length):  # records each call's name and pooled input length
+            real = getattr(T, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append((name, length(args)))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(T, name, wrapper)
+
+        spy("relu", lambda args: None)
+        spy("maxpool1d", lambda args: args[0].shape[-1])
+        spy("maxpool1d_backward", lambda args: args[2])
+        _, cache = M.forward(params, x)
+        assert calls.count(("relu", None)) == 4
+        assert [length for name, length in calls if name == "maxpool1d"] == (
+            [cfg.c1_out] + [cfg.c2_out] * 3)
+        calls.clear()
+        M.backward(params, cache, [0, 1, 2, 3, 4, 0, 1])
+        assert calls == [("maxpool1d_backward", cfg.c2_out), ("maxpool1d_backward", cfg.c1_out)]
+
+    def test_step_peaks_below_the_batch_im2col_copy(self):
+        # full-length windows, few filters: conv2's im2col copy of the whole
+        # batch (N*P*H*K values) outweighs everything else a pass allocates,
+        # so a pass that built it, or its product's equal, would peak above it
+        cfg = M.ModelConfig(c1_filters=4, c2_filters=8, f1=16, f2=16)
+        params = M.init_params(cfg, np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((8, cfg.input_len)).astype(np.float32)
+        assert len(M._conv2_chunks(cfg, 8)) > 1
+        tracemalloc.start()
+        try:
+            _, cache = M.forward(params, x)
+            M.backward(params, cache, [0, 1, 2, 3, 4, 0, 1, 2])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * window_im2col(cfg) * x.itemsize
+
+
 class TestBackward:
     def test_end_to_end_gradient_reduced_architecture(self):
         params, cfg = reduced_params(seed=7, l2_lambda=1e-3)
@@ -408,7 +488,7 @@ class TestBackward:
         skipped = dense_arrays(M.backward(params, cache, [1, 3, 3]))
         real = T.conv2d_fullheight_backward
         monkeypatch.setattr(T, "conv2d_fullheight_backward",
-                            lambda x, k, g, input_grad=True: real(x, k, g))
+                            lambda x, k, g, input_grad=True, sums=None: real(x, k, g, sums=sums))
         computed = dense_arrays(M.backward(params, cache, [1, 3, 3]))
         assert set(skipped) == set(computed)
         for name in skipped:

@@ -78,9 +78,9 @@ class TestConv1d:
 
 class TestMaxPool:
     def test_hand_computed(self):
-        y, idx = T.maxpool1d(np.array([[1.0, 3, 2, 5]]), 2, 2)
+        y, off = T.maxpool1d(np.array([[1.0, 3, 2, 5]]), 2, 2)
         np.testing.assert_array_equal(y, [[3.0, 5.0]])
-        np.testing.assert_array_equal(idx, [[1, 3]])
+        np.testing.assert_array_equal(off, [[1, 1]])  # positions 1 and 3
 
     def test_full_scale_extents(self):
         y, _ = T.maxpool1d(rand((20, 14801)), 20, 10)
@@ -89,8 +89,8 @@ class TestMaxPool:
         assert y.shape == (400, 721)
 
     def test_tie_breaks_to_first_index(self):
-        y, idx = T.maxpool1d(np.array([[7.0, 7.0, 7.0]]), 3, 1)
-        assert idx[0, 0] == 0
+        y, off = T.maxpool1d(np.array([[7.0, 7.0, 7.0]]), 3, 1)
+        assert off[0, 0] == 0
 
     def test_identity_pool(self):
         x = rand((3, 9))
@@ -103,28 +103,32 @@ class TestMaxPool:
 
     def test_backward_scatter_non_overlapping(self):
         x = np.array([[1.0, 3, 2, 5]])
-        _, idx = T.maxpool1d(x, 2, 2)
-        gx = T.maxpool1d_backward(idx, np.array([[10.0, 20.0]]), 4)
+        _, off = T.maxpool1d(x, 2, 2)
+        gx = T.maxpool1d_backward(off, np.array([[10.0, 20.0]]), 4, 2)
         np.testing.assert_array_equal(gx, [[0, 10, 0, 20]])
 
     def test_backward_accumulates_shared_argmax(self):
         x = np.array([[0.0, 9, 0]])  # windows [0,9] and [9,0] share index 1
-        _, idx = T.maxpool1d(x, 2, 1)
-        gx = T.maxpool1d_backward(idx, np.array([[2.0, 5.0]]), 3)
+        _, off = T.maxpool1d(x, 2, 1)
+        gx = T.maxpool1d_backward(off, np.array([[2.0, 5.0]]), 3, 1)
         np.testing.assert_array_equal(gx, [[0, 7, 0]])
 
     def test_backward_vs_finite_difference(self):
         x = rand((3, 17), 5)  # continuous values: ties have measure zero
         g = rand((3, 7), 6)
-        _, idx = T.maxpool1d(x, 5, 2)
-        gx = T.maxpool1d_backward(idx, g, 17)
+        _, off = T.maxpool1d(x, 5, 2)
+        gx = T.maxpool1d_backward(off, g, 17, 2)
         err = T.finite_diff_check(
             lambda v: float((g * T.maxpool1d(v, 5, 2)[0]).sum()), x, gx)
         assert err < 1e-6
 
     def test_index_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            T.maxpool1d_backward(np.array([[99]]), np.ones((1, 1)), 4)
+        # past the row's end; the second window's position 2 + 3 past length
+        # 4 (a flat index would land in the next row); before the row's start
+        for offsets, stride in (([[99]], 1), ([[0, 3]], 2), ([[-1, 0]], 2)):
+            offsets = np.array(offsets)
+            with pytest.raises(ValueError):
+                T.maxpool1d_backward(offsets, np.ones(offsets.shape), 4, stride)
 
     @pytest.mark.parametrize("chunk", [1, 2 * 721 * 10 + 1, T._POOL_CHUNK],
                              ids=["row-per-chunk", "two-rows-per-chunk", "default"])
@@ -136,11 +140,12 @@ class TestMaxPool:
         monkeypatch.setattr(T, "_POOL_CHUNK", chunk)
         x = np.maximum(rand((3, 38, 1450), 7), 0).astype(np.float32)
         x[0, 5, 100:200] = 0
-        y, idx = T.maxpool1d(x, 10, 2)
+        y, off = T.maxpool1d(x, 10, 2)
         rows = x.reshape(-1, 1450)
-        want = T._windows(rows, 10, 2).argmax(axis=2) + np.arange(0, 721 * 2, 2)
-        np.testing.assert_array_equal(idx.reshape(-1, 721), want)
-        np.testing.assert_array_equal(y.reshape(-1, 721), np.take_along_axis(rows, want, axis=1))
+        want = T._windows(rows, 10, 2).argmax(axis=2)
+        np.testing.assert_array_equal(off.reshape(-1, 721), want)
+        np.testing.assert_array_equal(
+            y.reshape(-1, 721), np.take_along_axis(rows, want + np.arange(0, 721 * 2, 2), axis=1))
 
     def test_window_copy_is_chunk_sized(self):
         # unchunked, argmax copies every window: 5x the input at size 10,
@@ -149,11 +154,11 @@ class TestMaxPool:
                                                                 dtype=np.float32), 0)
         tracemalloc.start()
         try:
-            y, idx = T.maxpool1d(x, 10, 2)
+            y, off = T.maxpool1d(x, 10, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < y.nbytes + idx.nbytes + 2 * T._POOL_CHUNK * x.itemsize
+        assert peak < y.nbytes + off.nbytes + 2 * T._POOL_CHUNK * x.itemsize
 
     @pytest.mark.parametrize("chunk", [3 * 721, T._POOL_CHUNK],
                              ids=["three-rows-per-block", "default"])
@@ -163,11 +168,12 @@ class TestMaxPool:
         monkeypatch.setattr(T, "_POOL_CHUNK", chunk)
         x = np.maximum(rand((2, 37, 1450), 9), 0).astype(np.float32)
         x[1, 3, 200:400] = 0
-        _, idx = T.maxpool1d(x, 10, 2)
-        g = rand(idx.shape, 10).astype(np.float32)
+        _, off = T.maxpool1d(x, 10, 2)
+        g = rand(off.shape, 10).astype(np.float32)
         want = np.zeros((74, 1450), np.float32)
-        np.add.at(want, (np.repeat(np.arange(74), 721), idx.ravel()), g.ravel())
-        got = T.maxpool1d_backward(idx, g, 1450)
+        index = off.reshape(74, 721) + np.arange(0, 721 * 2, 2)
+        np.add.at(want, (np.repeat(np.arange(74), 721), index.ravel()), g.ravel())
+        got = T.maxpool1d_backward(off, g, 1450, 2)
         assert got.shape == x.shape and got.tobytes() == want.tobytes()
 
     def test_backward_scatter_index_is_block_sized(self):
@@ -175,15 +181,38 @@ class TestMaxPool:
         # float32 result); a block's index is at most _POOL_CHUNK of them
         x = np.maximum(np.random.default_rng(8).standard_normal((10, 400, 1450),
                                                                 dtype=np.float32), 0)
-        _, idx = T.maxpool1d(x, 10, 2)
-        g = np.ones(idx.shape, np.float32)
+        _, off = T.maxpool1d(x, 10, 2)
+        g = np.ones(off.shape, np.float32)
         tracemalloc.start()
         try:
-            gx = T.maxpool1d_backward(idx, g, 1450)
+            gx = T.maxpool1d_backward(off, g, 1450, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1.2 * gx.nbytes
+
+    @given(p=st.integers(1, 300), extra=st.integers(0, 100), s=st.integers(1, 10),
+           seed=st.integers(0, 10_000), nans=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_offsets_are_argmax_of_explicit_windows(self, p, extra, s, seed, nans):
+        # three values make many ties, which go to the first index; NaNs in
+        # one row are the maximum of every window they fall in, as under argmax
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 3, (3, p + extra)).astype(np.float64)
+        if nans:
+            x[1, rng.integers(0, x.shape[1], 1 + x.shape[1] // 8)] = np.nan
+        y, off = T.maxpool1d(x, p, s)
+        windows = np.stack([x[:, i:i + p] for i in range(0, extra + 1, s)], axis=1)
+        want = windows.argmax(axis=2)
+        assert off.dtype == (np.uint8 if p <= 256 else np.intp)
+        np.testing.assert_array_equal(off, want)
+        np.testing.assert_array_equal(y, np.take_along_axis(windows, want[..., None], 2)[..., 0])
+        # the scatter goes to the same samples and leaves the offsets as they were
+        g = rng.standard_normal(off.shape)
+        want_gx = np.zeros(x.shape)
+        np.add.at(want_gx, (np.arange(3)[:, None], want + np.arange(0, extra + 1, s)), g)
+        np.testing.assert_array_equal(T.maxpool1d_backward(off, g, x.shape[1], s), want_gx)
+        np.testing.assert_array_equal(off, want)
 
     @given(l=st.integers(1, 60), p=st.integers(1, 60), s=st.integers(1, 10),
            seed=st.integers(0, 10_000))
@@ -192,12 +221,12 @@ class TestMaxPool:
         if p > l:
             return
         x = rand((2, l), seed)
-        y, idx = T.maxpool1d(x, p, s)
-        assert y.shape == (2, 1 + (l - p) // s)
-        # every recorded index lies inside its window
+        y, off = T.maxpool1d(x, p, s)
+        assert y.shape == off.shape == (2, 1 + (l - p) // s)
+        # every recorded offset lies inside its window
+        assert np.all(off < p)
         starts = np.arange(y.shape[1]) * s
-        assert np.all(idx >= starts) and np.all(idx < starts + p)
-        np.testing.assert_array_equal(np.take_along_axis(x, idx, axis=1), y)
+        np.testing.assert_array_equal(np.take_along_axis(x, off + starts, axis=1), y)
 
 
 class TestRelu:
@@ -340,13 +369,13 @@ class TestBatchAxis:
 
     def test_maxpool(self):
         x, g = rand((3, 2, 17), 5), rand((3, 2, 7), 6)
-        y, idx = T.maxpool1d(x, 5, 2)
+        y, off = T.maxpool1d(x, 5, 2)
         for i in range(3):
-            yi, idxi = T.maxpool1d(x[i], 5, 2)
+            yi, offi = T.maxpool1d(x[i], 5, 2)
             np.testing.assert_array_equal(y[i], yi)
-            np.testing.assert_array_equal(idx[i], idxi)
-            np.testing.assert_array_equal(T.maxpool1d_backward(idx, g, 17)[i],
-                                          T.maxpool1d_backward(idxi, g[i], 17))
+            np.testing.assert_array_equal(off[i], offi)
+            np.testing.assert_array_equal(T.maxpool1d_backward(off, g, 17, 2)[i],
+                                          T.maxpool1d_backward(offi, g[i], 17, 2))
 
     def test_stack_and_conv2d(self):
         x, k, b, g = rand((3, 4, 7)), rand((2, 4, 3), 1), rand(2, 2), rand((3, 2, 1, 5), 3)
