@@ -14,20 +14,25 @@ import csv
 import io
 import json
 import os
+from collections.abc import Sequence
 from pathlib import Path
 
 
-def write_atomic(path: Path, data: bytes) -> None:
-    """Write `data` to a temporary file beside `path`, then rename it over `path`.
+def write_atomic(path: Path, data: bytes | Sequence[bytes | memoryview]) -> None:
+    """Write `data`, bytes or buffers in order, to a temporary file beside
+    `path`, then rename it over `path`.
 
-    The rename is atomic, so readers see the old file or the complete new
-    one. There is no fsync: this guards against the process dying, not
-    against the machine losing power.
+    Buffers are written as they are, so a caller can stream large arrays
+    without joining them. The rename is atomic, so readers see the old file
+    or the complete new one. There is no fsync: this guards against the
+    process dying, not against the machine losing power.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as f:
+            for piece in (data,) if isinstance(data, bytes) else data:
+                f.write(piece)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -14,8 +14,11 @@ the effect of learning (vs fixing) the input filters can be measured.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 import warnings
+import zlib
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
 
@@ -27,7 +30,7 @@ from .fileio import write_atomic
 from . import tensor_ops as T
 
 CHECKPOINT_MAGIC = b"SOMN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 TRAINABLE_MODE = "trainable"
 FIXED_MORLET_MODE = "fixed_morlet"
@@ -418,30 +421,8 @@ def make_morlet_bank(
 # --- checkpoint format ------------------------------------------------------
 # magic "SOMN" | u16 version | u32 config-JSON length | config JSON |
 # per-tensor records (u16 name len, name, u8 dtype code, u8 ndim, u32 dims,
-# raw little-endian values) | u64 CRC-64 of everything before it.
-
-_CRC64_POLY = 0x42F0E1EBA9EA3693
-
-
-def _crc64_table() -> list[int]:
-    table = []
-    for byte in range(256):
-        crc = byte << 56
-        for _ in range(8):
-            crc = ((crc << 1) ^ _CRC64_POLY if crc & (1 << 63) else crc << 1)
-            crc &= 0xFFFFFFFFFFFFFFFF
-        table.append(crc)
-    return table
-
-
-_CRC64_TABLE = _crc64_table()
-
-
-def crc64(data: bytes) -> int:
-    crc = 0
-    for b in data:
-        crc = ((crc << 8) & 0xFFFFFFFFFFFFFFFF) ^ _CRC64_TABLE[((crc >> 56) ^ b) & 0xFF]
-    return crc
+# raw little-endian values) | u64 holding the CRC-32 (zlib) of everything
+# before it. Version 1, the same layout with a CRC-64, is refused.
 
 
 class CheckpointError(Exception):
@@ -449,58 +430,93 @@ class CheckpointError(Exception):
 
 
 def save_checkpoint(params: ModelParameters, path: Path) -> None:
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<H", CHECKPOINT_VERSION)]
+    """Write `params` atomically, streaming each tensor's own buffer: nothing
+    is copied but the record headers."""
     manifest = {
         "config": params.config.to_json_dict(),
         "frozen": sorted(params.frozen),
         "tensors": list(params.tensors.keys()),
     }
     cfg_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    chunks.append(struct.pack("<I", len(cfg_bytes)))
-    chunks.append(cfg_bytes)
+    pieces = [CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(cfg_bytes)),
+              cfg_bytes]
     for name, arr in params.tensors.items():
         name_b = name.encode("utf-8")
-        a = np.ascontiguousarray(arr)
-        code = _DTYPE_CODES[a.dtype]
-        chunks.append(struct.pack("<H", len(name_b)))
-        chunks.append(name_b)
-        chunks.append(struct.pack("<BB", code, a.ndim))
-        chunks.append(struct.pack(f"<{a.ndim}I", *a.shape))
-        chunks.append(a.astype(a.dtype.newbyteorder("<")).tobytes())
-    body = b"".join(chunks)
-    write_atomic(path, body + struct.pack("<Q", crc64(body)))
+        a = np.ascontiguousarray(arr, arr.dtype.newbyteorder("<"))  # a view if it already is
+        pieces.append(struct.pack(f"<H{len(name_b)}sBB{a.ndim}I", len(name_b), name_b,
+                                  _DTYPE_CODES[arr.dtype], a.ndim, *a.shape))
+        pieces.append(memoryview(a))
+    crc = 0
+    for piece in pieces:
+        crc = zlib.crc32(piece, crc)
+    write_atomic(path, [*pieces, struct.pack("<Q", crc)])
+
+
+class _Body:
+    """A checkpoint's body, the bytes from `f`'s position to the 8-byte
+    trailer, read once in order with its CRC-32 kept. A read past the body
+    raises EOFError before anything is allocated for it."""
+
+    def __init__(self, f, crc: int):
+        self.f, self.crc = f, crc
+        self.left = os.fstat(f.fileno()).st_size - f.tell() - 8
+
+    def _take(self, nbytes: int) -> None:
+        if nbytes > self.left:
+            raise EOFError
+        self.left -= nbytes
+
+    def read(self, n: int) -> bytes:
+        self._take(n)
+        data = self.f.read(n)
+        if len(data) != n:
+            raise EOFError
+        self.crc = zlib.crc32(data, self.crc)
+        return data
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+
+    def array(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        self._take(math.prod(shape) * dtype.itemsize)
+        arr = np.empty(shape, dtype.newbyteorder("<"))
+        if self.f.readinto(arr) != arr.nbytes:
+            raise EOFError
+        self.crc = zlib.crc32(arr, self.crc)
+        return arr.astype(dtype, copy=False)  # a byte swap only on a big-endian host
 
 
 def load_checkpoint(path: Path) -> ModelParameters:
-    data = Path(path).read_bytes()
-    if len(data) < 14 or data[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: format version {version} != {CHECKPOINT_VERSION}")
-    body, crc_stored = data[:-8], struct.unpack("<Q", data[-8:])[0]
-    if crc64(body) != crc_stored:
+    """Read a checkpoint in one pass, each tensor straight into its own array.
+
+    The format version is checked first, then the checksum, then the
+    architecture. A file cut short or damaged past its version fails the
+    checksum, even where its lengths or codes no longer parse; every length
+    is bounded by the bytes left, so no allocation exceeds the file's size.
+    """
+    with open(path, "rb") as f:
+        head = f.read(6)
+        if len(head) < 6 or head[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+        (version,) = struct.unpack("<H", head[4:])
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: format version {version} != {CHECKPOINT_VERSION}")
+        body = _Body(f, zlib.crc32(head))
+        tensors: dict[str, np.ndarray] = {}
+        try:
+            cfg_bytes = body.read(*body.unpack("<I"))
+            while body.left:
+                name = body.read(*body.unpack("<H")).decode("utf-8")
+                code, ndim = body.unpack("<BB")
+                dtype = _CODE_DTYPES[code]
+                tensors[name] = body.array(body.unpack(f"<{ndim}I"), dtype)
+            intact = f.read(8) == struct.pack("<Q", body.crc)
+        except (EOFError, KeyError, ValueError):  # a length past the end, a bad code or name
+            intact = False
+    if not intact:
         raise CheckpointError(f"{path}: checksum failure (corrupt or truncated)")
-    (cfg_len,) = struct.unpack_from("<I", body, 6)
-    pos = 10
-    manifest = json.loads(body[pos:pos + cfg_len].decode("utf-8"))
-    pos += cfg_len
+    manifest = json.loads(cfg_bytes)
     config = ModelConfig.from_json_dict(manifest["config"])
-    tensors: dict[str, np.ndarray] = {}
-    while pos < len(body):
-        (name_len,) = struct.unpack_from("<H", body, pos)
-        pos += 2
-        name = body[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        code, ndim = struct.unpack_from("<BB", body, pos)
-        pos += 2
-        shape = struct.unpack_from(f"<{ndim}I", body, pos)
-        pos += 4 * ndim
-        dtype = _CODE_DTYPES[code].newbyteorder("<")
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(body, dtype=dtype, count=count, offset=pos)
-        pos += arr.nbytes
-        tensors[name] = arr.reshape(shape).astype(_CODE_DTYPES[code])
     expected = config.tensor_shapes()
     for name, shape in expected.items():
         if name not in tensors:

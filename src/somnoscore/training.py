@@ -31,7 +31,7 @@ from .model import ModelConfig, ModelParameters
 
 
 FAILURE_FILE = "failure.txt"  # a failed fold's traceback
-RUN_RECORD = "run_manifest.json"  # seed, model config, subjects, corpus hash, fold splits
+RUN_RECORD = "run_manifest.json"  # seed, model config, subjects, corpus hash, folds, threads
 
 
 class TrainingError(Exception):
@@ -260,8 +260,9 @@ def run_crossvalidation(
     One fold's failure, in training or saving, does not abort the rest:
     `failures` gets its message, fold_XX/failure.txt its traceback. A fold
     index outside the folds or repeated, or an output directory whose record
-    differs from this run's (another seed, config or corpus) or that holds
-    fold results without a record, raises ValueError before anything is written.
+    differs from this run's (another seed, config, corpus or BLAS thread
+    setting) or that holds fold results without a record, raises ValueError
+    before anything is written.
     """
     subjects = sorted({r.subject_id for r in recordings})
     folds = make_folds(subjects, seed)
@@ -285,6 +286,10 @@ def run_crossvalidation(
             "subjects": subjects,
             "corpus_sha256": corpus_fingerprint(recordings),
             "folds": [f.to_json_dict() for f in folds],
+            # full-size probabilities and gradients differ between BLAS thread counts
+            "threads": {name: os.environ.get(name)
+                        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            | {"cpus": len(os.sched_getaffinity(0))},
         }
         path = out_dir / RUN_RECORD
         # Looked for before the record: a process sharing the directory writes
@@ -303,8 +308,8 @@ def run_crossvalidation(
             finally:
                 mine.unlink()
         if json.loads(path.read_text()) != record:
-            raise ValueError(f"{path} records another run (seed, model config, corpus "
-                             "or folds differ); use a new output directory")
+            raise ValueError(f"{path} records another run (seed, model config, corpus, "
+                             "folds or thread setting differ); use a new output directory")
 
     for fold in selected:
         prior = load_fold_result_json(out_dir, fold.fold_index) if out_dir else None

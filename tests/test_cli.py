@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -411,6 +412,20 @@ class TestPredict:
         params = model.load_checkpoint(trained_checkpoint)
         counts_lib = Tr._score_windows(params, build_windows(rec))
         np.testing.assert_array_equal(counts_cli, counts_lib)
+
+    def test_version_1_checkpoint_is_data_error(self, tmp_path, corpus_dir,
+                                                trained_checkpoint, capsys):
+        v1 = tmp_path / "v1.somn"
+        data = bytearray(trained_checkpoint.read_bytes())
+        data[4:6] = struct.pack("<H", 1)
+        v1.write_bytes(bytes(data))
+        rc = cli.main(["predict", "--checkpoint", str(v1),
+                       "--psg", str(corpus_dir / "S00A-PSG.edf"),
+                       "--annotations", str(corpus_dir / "S00A-Hypnogram.edf"),
+                       "--out", str(tmp_path / "pred")])
+        assert rc == cli.EXIT_DATA
+        assert "format version 1 != 2" in capsys.readouterr().err
+        assert not (tmp_path / "pred").exists()
 
     def test_bad_checkpoint_is_data_error(self, tmp_path, corpus_dir):
         bad = tmp_path / "bad.somn"

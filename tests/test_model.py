@@ -5,12 +5,16 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from somnoscore import model as M
 from somnoscore import tensor_ops as T
@@ -879,7 +883,7 @@ class TestCheckpoint:
         data = bytearray(path.read_bytes())
         data[4] = 99
         body = bytes(data[:-8])
-        path.write_bytes(body + struct.pack("<Q", M.crc64(body)))
+        path.write_bytes(body + struct.pack("<Q", zlib.crc32(body)))
         with pytest.raises(M.CheckpointError, match="version"):
             M.load_checkpoint(path)
 
@@ -889,18 +893,18 @@ class TestCheckpoint:
         path = tmp_path / "m.somn"
         M.save_checkpoint(params, path)
         data = bytearray(path.read_bytes())
-        data[4:6] = struct.pack("<H", 2)
+        data[4:6] = struct.pack("<H", 1)
         path.write_bytes(bytes(data))
-        with pytest.raises(M.CheckpointError, match="format version 2 != 1"):
+        with pytest.raises(M.CheckpointError, match="format version 1 != 2"):
             M.load_checkpoint(path)
 
     def test_checksum_trailer_and_no_temporary_file(self, tmp_path):
-        assert M.crc64(b"123456789") == 0x6C40DF5F0B497347  # CRC-64/ECMA-182 check value
+        assert zlib.crc32(b"123456789") == 0xCBF43926  # the CRC-32 check value
         params, _ = reduced_params()
         path = tmp_path / "m.somn"
         M.save_checkpoint(params, path)
         data = path.read_bytes()
-        assert data[-8:] == struct.pack("<Q", M.crc64(data[:-8]))
+        assert data[-8:] == struct.pack("<Q", zlib.crc32(data[:-8]))
         assert [p.name for p in tmp_path.iterdir()] == ["m.somn"]
 
     @pytest.mark.filterwarnings("ignore:Morlet filter")
@@ -910,3 +914,85 @@ class TestCheckpoint:
         path = tmp_path / "m.somn"
         M.save_checkpoint(params, path)
         assert M.load_checkpoint(path).frozen == frozenset({"c1_kernels", "c1_bias"})
+
+    def test_round_trip_keeps_file_size_and_layout(self, tmp_path):
+        # the v2 layout is v1's byte for byte: the CRC-32 fills the u64 trailer
+        params, _ = reduced_params()
+        path = tmp_path / "m.somn"
+        M.save_checkpoint(params, path)
+        data = path.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", data, 6)
+        records = sum(2 + len(name) + 2 + 4 * a.ndim + a.nbytes
+                      for name, a in params.tensors.items())
+        assert len(data) == 10 + cfg_len + records + 8
+        assert data[:6] == b"SOMN" + struct.pack("<H", 2) and data[-4:] == bytes(4)
+
+    def test_save_and_load_copy_no_body(self, tmp_path):
+        # f1_w is 3.2 MB; a save allocates well under it, a load about the tensors alone
+        params, _ = reduced_params(f1=768)
+        tensor_bytes = sum(a.nbytes for a in params.tensors.values())
+        path = tmp_path / "m.somn"
+        tracemalloc.start()
+        try:
+            M.save_checkpoint(params, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            loaded = M.load_checkpoint(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert save_peak < params.tensors["f1_w"].nbytes // 16
+        assert load_peak <= tensor_bytes + 64 * 1024
+        assert loaded.tensors["f1_w"].tobytes() == params.tensors["f1_w"].tobytes()
+
+
+def _small_checkpoint_bytes() -> bytes:
+    """A checkpoint of 1525 bytes, small enough to damage at every byte."""
+    cfg = M.reduced_config(input_len=40, c1_filters=2, c1_len=5, c2_filters=2, c2_len=3,
+                           f1=3, f2=3)
+    params = M.init_params(cfg, np.random.default_rng(3))
+    with tempfile.TemporaryDirectory() as tmp:
+        M.save_checkpoint(params, Path(tmp) / "m.somn")
+        return (Path(tmp) / "m.somn").read_bytes()
+
+
+SMALL_CHECKPOINT = _small_checkpoint_bytes()
+
+
+@pytest.fixture(scope="module")
+def damaged_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("damaged") / "m.somn"
+
+
+def assert_refused(path: Path, data: bytes, damaged_at: int) -> None:
+    """`data` fails to load with a CheckpointError naming what is wrong: the
+    magic or the version for damage in the first 6 bytes, the checksum past
+    them. Any other exception (struct.error, JSONDecodeError,
+    UnicodeDecodeError, MemoryError) escapes and fails the test."""
+    path.write_bytes(data)
+    with pytest.raises(M.CheckpointError) as err:
+        M.load_checkpoint(path)
+    want = ("bad magic", "version") if damaged_at < 6 else ("checksum",)
+    assert any(w in str(err.value) for w in want), (damaged_at, str(err.value))
+
+
+class TestCheckpointCorruption:
+    def test_every_truncated_prefix_refused(self, damaged_path):
+        for n in range(len(SMALL_CHECKPOINT)):
+            assert_refused(damaged_path, SMALL_CHECKPOINT[:n], n)
+        damaged_path.write_bytes(SMALL_CHECKPOINT)
+        assert M.load_checkpoint(damaged_path).tensors["f1_w"].shape == (3, 12)
+
+    def test_every_byte_inverted_refused(self, damaged_path):
+        for i in range(len(SMALL_CHECKPOINT)):
+            data = bytearray(SMALL_CHECKPOINT)
+            data[i] ^= 0xFF
+            assert_refused(damaged_path, bytes(data), i)
+
+    @settings(max_examples=300, deadline=None)
+    @given(position=st.integers(0, len(SMALL_CHECKPOINT) - 1), mask=st.integers(1, 255))
+    def test_any_single_byte_flip_refused(self, damaged_path, position, mask):
+        data = bytearray(SMALL_CHECKPOINT)
+        data[position] ^= mask
+        assert_refused(damaged_path, bytes(data), position)

@@ -1,5 +1,7 @@
 """Training loop behavior: stopping, determinism, isolation, serialization."""
 
+import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +287,21 @@ class TestCrossValidation:
         with pytest.raises(ValueError, match="run_manifest.json records another run"):
             Tr.run_crossvalidation(recordings, config, seed=seed, out_dir=tmp_path,
                                    fold_indices=[0, 1])
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_run_under_another_thread_setting_refused(self, corpus, tmp_path, monkeypatch,
+                                                      variable):
+        cfg = tiny_config(max_iterations=3)
+        monkeypatch.delenv(variable, raising=False)
+        Tr.run_crossvalidation(corpus, cfg, seed=4, out_dir=tmp_path, fold_indices=[0])
+        record = json.loads((tmp_path / Tr.RUN_RECORD).read_text())
+        assert record["threads"][variable] is None
+        assert record["threads"]["cpus"] == len(os.sched_getaffinity(0))
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        monkeypatch.setenv(variable, "1")
+        with pytest.raises(ValueError, match="run_manifest.json records another run"):
+            Tr.run_crossvalidation(corpus, cfg, seed=4, out_dir=tmp_path, fold_indices=[1])
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     def test_each_fold_saved_before_the_next_trains(self, corpus, tmp_path, monkeypatch):
