@@ -72,7 +72,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         try:
             cfg = RunConfig.from_json_dict(json.loads(Path(args.config).read_text()))
-        except (json.JSONDecodeError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError) as exc:  # bad JSON, an unknown or bad field
             raise IngestError(f"invalid config file {args.config}: {exc}") from exc
     else:
         cfg = RunConfig()
@@ -83,7 +83,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             setattr(cfg, name, value)
     model_cfg = cfg.model.to_json_dict()
-    for name in model_cfg:  # the training flags and --seed share the field names
+    for name in model_cfg:  # the training flags share the field names
         value = getattr(args, name, None)
         if value is not None:
             model_cfg[name] = value
@@ -111,7 +111,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: RunConfig, extra: dict | N
 
 def cmd_ingest(args) -> int:
     cfg = load_run_config(args)
-    out_dir = Path(args.out or cfg.output_dir)
+    out_dir = Path(cfg.output_dir)
     recordings = _load_corpus(cfg)
     per_recording = []
     for rec in recordings:
@@ -154,7 +154,7 @@ def cmd_crossval(args) -> int:
         recordings, cfg.model, args.seed, out_dir=out_dir, fold_indices=cfg.folds)
     # Written after the runner, which refuses bad folds or another run's
     # directory before it writes anything, so a refused command changes no file.
-    _write_manifest(out_dir, args.command, cfg)
+    _write_manifest(out_dir, args.command, cfg, {"seed": args.seed})
     write_csv(out_dir / "aggregate_confusion.csv", outcome.aggregate.tolist())
     if outcome.skipped:
         print(f"skipped completed folds: {outcome.skipped}")
@@ -227,7 +227,7 @@ def cmd_evaluate(args) -> int:
                 except evaluation.MetricError as exc:
                     print(f"regression {name} skipped: {exc}", file=sys.stderr)
 
-    out_dir = Path(args.out or cfg.output_dir)
+    out_dir = Path(cfg.output_dir)
     evaluation.write_metrics_report(aggregate, metrics, boot, out_dir, regressions,
                                     missing_folds=missing)
     _write_manifest(out_dir, "evaluate", cfg, {"results_dir": str(results_dir)})
@@ -247,7 +247,7 @@ def cmd_predict(args) -> int:
     rec = load_recording(pair, cfg.channel, cfg.lights_out_epoch)
     windows = build_windows(rec)
     predictions = [SleepStage(p) for p in training.predict_windows(params, windows)]
-    out_dir = Path(args.out or cfg.output_dir)
+    out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     evaluation.export_hypnogram(predictions, out_dir / "predicted.csv")
     evaluation.export_hypnogram([w.label for w in windows], out_dir / "expert.csv")
@@ -270,7 +270,7 @@ def cmd_analyze_filters(args) -> int:
     spectra = filter_analysis.bank_spectra(params.tensors["c1_kernels"])
     profile = filter_analysis.build_profile(params, windows,
                                             tap=args.tap, mode=args.power_mode)
-    out_dir = Path(args.out or cfg.output_dir)
+    out_dir = Path(cfg.output_dir)
     filter_analysis.export_profile(profile, spectra, out_dir, fold_index=args.fold)
     _write_manifest(out_dir, "analyze-filters", cfg, {"checkpoint": str(args.checkpoint)})
     print(f"analyzed {params.config.c1_filters} filters over {len(windows)} windows; "
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_seed=False):
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--data-dir", dest="data_dir")
-        p.add_argument("--output-dir", dest="output_dir")
+        p.add_argument("--output-dir", "--out", dest="output_dir")
         p.add_argument("--channel")
         p.add_argument("--lights-out-epoch", dest="lights_out_epoch", type=int)
         if needs_seed:
@@ -296,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="parse all recordings, emit a dataset summary")
     common(p)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_ingest)
 
     def train_flags(p):
@@ -325,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="aggregate fold results into reports")
     common(p)
     p.add_argument("results_dir")
-    p.add_argument("--out")
     p.add_argument("--bootstrap-samples", dest="bootstrap_samples", type=int)
     p.add_argument("--bootstrap-seed", dest="bootstrap_seed", type=int)
     p.add_argument("--overall", choices=["raw", "balanced"])
@@ -336,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--psg", required=True)
     p.add_argument("--annotations", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("analyze-filters", help="export filter spectra and stage profiles")
@@ -347,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tap", choices=["post_relu", "pre_relu"], default="post_relu")
     p.add_argument("--power-mode", dest="power_mode", choices=["mean", "sum"],
                    default="mean")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_analyze_filters)
 
     return parser

@@ -19,7 +19,7 @@ import os
 import struct
 import warnings
 import zlib
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .fileio import write_atomic
 from . import tensor_ops as T
 
 CHECKPOINT_MAGIC = b"SOMN"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 TRAINABLE_MODE = "trainable"
 FIXED_MORLET_MODE = "fixed_morlet"
@@ -50,7 +50,6 @@ class ModelConfig:
     p2: tuple[int, int] = (10, 2)
     f1: int = 500
     f2: int = 500
-    classes: int = N_STAGES
     l2_lambda: float = 1e-4
     l2_scope: str = "all"                   # "all" | "softmax_only"
     learning_rate: float = 0.003
@@ -59,7 +58,6 @@ class ModelConfig:
     max_iterations: int = 20000
     eval_every: int = 500
     patience: int = 10
-    seed: int = 0
     first_layer_mode: str = TRAINABLE_MODE  # "trainable" | "fixed_morlet"
     dtype: str = "float32"
     morlet_min_hz: float = 0.5
@@ -69,15 +67,15 @@ class ModelConfig:
     def __post_init__(self):
         self.p1 = tuple(self.p1)
         self.p2 = tuple(self.p2)
-        for name in ("input_len", "c1_filters", "c1_len", "c2_filters",
-                     "c2_len", "f1", "f2", "classes"):
+        for name in ("input_len", "c1_filters", "c1_len", "c2_filters", "c2_len", "f1", "f2",
+                     "batch_size", "max_iterations", "eval_every"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if any(v <= 0 for v in (*self.p1, *self.p2)):
             raise ValueError("pool sizes and strides must be positive")
-        if self.batch_size % self.classes != 0:
+        if self.batch_size % N_STAGES != 0:
             raise ValueError(
-                f"batch size {self.batch_size} not divisible by {self.classes} classes")
+                f"batch size {self.batch_size} not divisible by {N_STAGES} stages")
         if self.first_layer_mode not in (TRAINABLE_MODE, FIXED_MORLET_MODE):
             raise ValueError(f"unknown first_layer_mode {self.first_layer_mode!r}")
         if self.l2_scope not in ("all", "softmax_only"):
@@ -120,8 +118,8 @@ class ModelConfig:
             "f1_b": (self.f1,),
             "f2_w": (self.f2, self.f1),
             "f2_b": (self.f2,),
-            "out_w": (self.classes, self.f2),
-            "out_b": (self.classes,),
+            "out_w": (N_STAGES, self.f2),
+            "out_b": (N_STAGES,),
         }
 
     def to_json_dict(self) -> dict:
@@ -132,7 +130,13 @@ class ModelConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelConfig":
-        """Build from a possibly partial dict; omitted fields keep defaults."""
+        """Build from a possibly partial dict; omitted fields keep defaults and
+        a field this class does not declare is a ValueError naming it."""
+        if not isinstance(d, dict):
+            raise ValueError(f"model config must be a JSON object, not {type(d).__name__}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown model config field(s) {unknown}")
         return cls(**d)
 
 
@@ -160,7 +164,12 @@ class ModelParameters:
     config: ModelConfig
     tensors: dict[str, np.ndarray]
     velocity: dict[str, np.ndarray] = field(default_factory=dict)  # filled by sgd_step
-    frozen: frozenset[str] = frozenset()
+
+    @property
+    def frozen(self) -> frozenset[str]:
+        """The tensors no update moves: the Morlet bank's in fixed-Morlet mode."""
+        fixed = self.config.first_layer_mode == FIXED_MORLET_MODE
+        return frozenset({"c1_kernels", "c1_bias"} if fixed else ())
 
     def l2_weight_names(self) -> tuple[str, ...]:
         names = SOFTMAX_WEIGHT_NAMES if self.config.l2_scope == "softmax_only" else WEIGHT_NAMES
@@ -171,7 +180,6 @@ class ModelParameters:
             config=self.config,
             tensors={k: v.copy() for k, v in self.tensors.items()},
             velocity={k: v.copy() for k, v in self.velocity.items()},
-            frozen=self.frozen,
         )
 
 
@@ -193,14 +201,12 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParameter
             tensors[name] = rng.standard_normal(shape, dtype=dtype) * std
         else:
             tensors[name] = np.zeros(shape, dtype=dtype)
-    frozen: frozenset[str] = frozenset()
     if config.first_layer_mode == FIXED_MORLET_MODE:
         freqs = default_morlet_frequencies(
             config.c1_filters, config.morlet_min_hz, config.morlet_max_hz)
         tensors["c1_kernels"] = make_morlet_bank(
             freqs, config.morlet_cycles, length=config.c1_len).astype(dtype)
-        frozen = frozenset({"c1_kernels", "c1_bias"})
-    return ModelParameters(config, tensors, frozen=frozen)
+    return ModelParameters(config, tensors)
 
 
 @dataclass
@@ -335,8 +341,8 @@ def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray | T.OuterG
 
     lr, mu and lam come from `config`; lam is 0 outside `params.l2_weight_names()`.
     Array gradients are consumed as scratch. A velocity starts at zero on its
-    first update. Frozen tensors and tensors absent from `gradients` are left
-    untouched.
+    first update. Tensors absent from `gradients`, the frozen ones among them
+    (`backward` gives them none), are left untouched.
 
     Each tensor is updated in one sweep of tiles of its (rows, cols) view (a
     vector is one row), `_TILE_ROWS` high and about `_UPDATE_BLOCK` elements
@@ -351,8 +357,6 @@ def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray | T.OuterG
     """
     lr, mu, lam = config.learning_rate, config.momentum, config.l2_lambda
     for name, g in gradients.items():
-        if name in params.frozen:
-            continue
         what = f"the gradient of tensor {name!r}"
         decay = lam and name in params.l2_weight_names()
         w = params.tensors[name]
@@ -419,10 +423,11 @@ def make_morlet_bank(
 
 
 # --- checkpoint format ------------------------------------------------------
-# magic "SOMN" | u16 version | u32 config-JSON length | config JSON |
-# per-tensor records (u16 name len, name, u8 dtype code, u8 ndim, u32 dims,
-# raw little-endian values) | u64 holding the CRC-32 (zlib) of everything
-# before it. Version 1, the same layout with a CRC-64, is refused.
+# magic "SOMN" | u16 version | u32 config-JSON length | config JSON (the
+# ModelConfig's fields) | per-tensor records (u16 name len, name, u8 dtype
+# code, u8 ndim, u32 dims, raw little-endian values) | u64 holding the CRC-32
+# (zlib) of everything before it. Version 2, the same layout whose JSON wraps
+# the config, and version 1, with a CRC-64, are refused.
 
 
 class CheckpointError(Exception):
@@ -432,12 +437,7 @@ class CheckpointError(Exception):
 def save_checkpoint(params: ModelParameters, path: Path) -> None:
     """Write `params` atomically, streaming each tensor's own buffer: nothing
     is copied but the record headers."""
-    manifest = {
-        "config": params.config.to_json_dict(),
-        "frozen": sorted(params.frozen),
-        "tensors": list(params.tensors.keys()),
-    }
-    cfg_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    cfg_bytes = json.dumps(params.config.to_json_dict(), sort_keys=True).encode("utf-8")
     pieces = [CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(cfg_bytes)),
               cfg_bytes]
     for name, arr in params.tensors.items():
@@ -489,10 +489,11 @@ class _Body:
 def load_checkpoint(path: Path) -> ModelParameters:
     """Read a checkpoint in one pass, each tensor straight into its own array.
 
-    The format version is checked first, then the checksum, then the
-    architecture. A file cut short or damaged past its version fails the
-    checksum, even where its lengths or codes no longer parse; every length
-    is bounded by the bytes left, so no allocation exceeds the file's size.
+    The format version is checked first, then the checksum, then the config
+    and the architecture. A file cut short or damaged past its version fails
+    the checksum, even where its lengths or codes no longer parse; every
+    length is bounded by the bytes left, so no allocation exceeds the file's
+    size. An intact file whose config does not build is refused by name.
     """
     with open(path, "rb") as f:
         head = f.read(6)
@@ -515,8 +516,10 @@ def load_checkpoint(path: Path) -> ModelParameters:
             intact = False
     if not intact:
         raise CheckpointError(f"{path}: checksum failure (corrupt or truncated)")
-    manifest = json.loads(cfg_bytes)
-    config = ModelConfig.from_json_dict(manifest["config"])
+    try:
+        config = ModelConfig.from_json_dict(json.loads(cfg_bytes))
+    except (TypeError, ValueError) as exc:  # not an object, an unknown field, a bad value
+        raise CheckpointError(f"{path}: bad model config: {exc}") from exc
     expected = config.tensor_shapes()
     for name, shape in expected.items():
         if name not in tensors:
@@ -524,4 +527,4 @@ def load_checkpoint(path: Path) -> ModelParameters:
         if tensors[name].shape != shape:
             raise CheckpointError(
                 f"{path}: tensor {name!r} shape {tensors[name].shape} != {shape}")
-    return ModelParameters(config, tensors, frozen=frozenset(manifest["frozen"]))
+    return ModelParameters(config, tensors)

@@ -167,10 +167,8 @@ def train_fold(
             if len(history.records) - 1 - best_index >= config.patience:
                 break
 
-    if not history.records:
-        raise TrainingError("no evaluation ever ran; check eval_every vs max_iterations")
     history.records[best_index].is_best = True
-    best_params = ModelParameters(config, best_tensors, frozen=params.frozen)
+    best_params = ModelParameters(config, best_tensors)
 
     per_recording = []
     test_set = set(fold.test_subjects)

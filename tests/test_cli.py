@@ -14,6 +14,7 @@ from somnoscore import cli, filter_analysis, model
 from somnoscore.edf_ingest import SleepStage, load_recording
 from somnoscore.synthetic import write_synthetic_pair
 from test_evaluation import GOLDEN_COUNTS, GOLDEN_F1_MEAN, GOLDEN_OVERALL
+from test_model import rewrite_config
 
 pytestmark = pytest.mark.filterwarnings("ignore:Morlet filter")
 
@@ -78,6 +79,13 @@ class TestIngest:
         assert cli.main(argv) == 0
         assert (out / "dataset_summary.json").read_text() == first
 
+    @pytest.mark.parametrize("flag", ["--out", "--output-dir"])
+    def test_manifest_names_the_directory_written(self, tmp_path, corpus_dir, flag):
+        out = tmp_path / "sum"
+        assert cli.main(["ingest", "--data-dir", str(corpus_dir), flag, str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["output_dir"] == str(out)
+
     def test_env_var_fallback(self, tmp_path, corpus_dir, monkeypatch):
         monkeypatch.setenv(cli.DATA_DIR_ENV, str(corpus_dir))
         out = tmp_path / "sum"
@@ -101,10 +109,10 @@ class TestTrain:
         assert (out / "aggregate_confusion.csv").exists()
         assert not (out / "folds.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
-        assert set(manifest) == {"command", "config"}
-        assert manifest["command"] == "train"
+        assert set(manifest) == {"command", "config", "seed"}
+        assert manifest["command"] == "train" and manifest["seed"] == 3
         assert manifest["config"]["model"]["c1_filters"] == 2
-        assert manifest["config"]["model"]["seed"] == 3
+        assert manifest["config"]["output_dir"] == str(out)
         record = json.loads((out / "run_manifest.json").read_text())
         assert record["seed"] == 3 and len(record["corpus_sha256"]) == 64
         assert len(record["folds"]) == 20 and record["folds"][2]["fold"] == 2
@@ -139,6 +147,26 @@ class TestTrain:
         with pytest.raises(SystemExit) as exc:
             cli.main(["train", "--config", str(run_config), "--fold", "0"])
         assert exc.value.code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--batch-size", "--max-iterations", "--eval-every"])
+    def test_zero_schedule_flag_exits_data_and_writes_nothing(self, tmp_path, run_config,
+                                                              capsys, flag):
+        rc = cli.main(["train", "--config", str(run_config), "--seed", "3", "--fold", "0",
+                       flag, "0"])
+        assert rc == cli.EXIT_DATA
+        assert f"{flag[2:].replace('-', '_')} must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_model_field_in_config_file_exits_data(self, tmp_path, run_config,
+                                                           capsys):
+        run = json.loads(run_config.read_text())
+        run["model"]["seed"] = 3
+        run_config.write_text(json.dumps(run))
+        rc = cli.main(["train", "--config", str(run_config), "--seed", "3", "--fold", "0"])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "'seed'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_flag_overrides_config(self, tmp_path, run_config):
         rc = cli.main(["train", "--config", str(run_config), "--seed", "3",
@@ -377,6 +405,12 @@ def trained_checkpoint(tmp_path_factory, corpus_dir):
     return out / "fold_00" / "best.somn"
 
 
+def set_version(path, version):
+    data = bytearray(path.read_bytes())
+    data[4:6] = struct.pack("<H", version)
+    path.write_bytes(bytes(data))
+
+
 class TestPredict:
     def test_prediction_count_and_determinism(self, tmp_path, corpus_dir,
                                               trained_checkpoint):
@@ -413,18 +447,22 @@ class TestPredict:
         counts_lib = Tr._score_windows(params, build_windows(rec))
         np.testing.assert_array_equal(counts_cli, counts_lib)
 
-    def test_version_1_checkpoint_is_data_error(self, tmp_path, corpus_dir,
-                                                trained_checkpoint, capsys):
-        v1 = tmp_path / "v1.somn"
-        data = bytearray(trained_checkpoint.read_bytes())
-        data[4:6] = struct.pack("<H", 1)
-        v1.write_bytes(bytes(data))
-        rc = cli.main(["predict", "--checkpoint", str(v1),
+    @pytest.mark.parametrize("damage, message", [
+        (lambda path: set_version(path, 2), "format version 2 != 3"),
+        (lambda path: rewrite_config(path, lambda c: c | {"dropout": 0.5}), "'dropout'"),
+    ], ids=["previous_version", "unknown_config_field"])
+    def test_refused_checkpoint_is_data_error(self, tmp_path, corpus_dir, trained_checkpoint,
+                                              capsys, damage, message):
+        refused = tmp_path / "refused.somn"
+        refused.write_bytes(trained_checkpoint.read_bytes())
+        damage(refused)
+        rc = cli.main(["predict", "--checkpoint", str(refused),
                        "--psg", str(corpus_dir / "S00A-PSG.edf"),
                        "--annotations", str(corpus_dir / "S00A-Hypnogram.edf"),
                        "--out", str(tmp_path / "pred")])
         assert rc == cli.EXIT_DATA
-        assert "format version 1 != 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
         assert not (tmp_path / "pred").exists()
 
     def test_bad_checkpoint_is_data_error(self, tmp_path, corpus_dir):

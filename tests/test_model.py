@@ -1,7 +1,9 @@
 """Network assembly, gradients, SGD, Morlet bank and checkpoint format."""
 
 import hashlib
+import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -20,7 +22,7 @@ from somnoscore import model as M
 from somnoscore import tensor_ops as T
 from somnoscore import training as Tr
 from somnoscore.dataset import build_windows
-from somnoscore.edf_ingest import SleepStage
+from somnoscore.edf_ingest import N_STAGES, SleepStage
 from somnoscore.synthetic import synthetic_recording
 
 
@@ -42,7 +44,7 @@ class TestConfig:
                     + cfg.c2_filters * cfg.c1_filters * cfg.c2_len + cfg.c2_filters
                     + cfg.f1 * cfg.flat_size + cfg.f1
                     + cfg.f2 * cfg.f1 + cfg.f2
-                    + cfg.classes * cfg.f2 + cfg.classes)
+                    + N_STAGES * cfg.f2 + N_STAGES)
         assert expected == 144_697_925
         shapes = cfg.tensor_shapes()
         assert sum(int(np.prod(s)) for s in shapes.values()) == expected
@@ -54,6 +56,23 @@ class TestConfig:
     def test_json_round_trip(self):
         cfg = M.reduced_config(learning_rate=0.5, first_layer_mode="fixed_morlet")
         assert M.ModelConfig.from_json_dict(cfg.to_json_dict()) == cfg
+
+    @pytest.mark.parametrize("name", ["seed", "classes", "dropout"])
+    def test_unknown_field_refused_by_name(self, name):
+        with pytest.raises(ValueError, match=f"unknown model config field.*'{name}'"):
+            M.ModelConfig.from_json_dict(M.reduced_config().to_json_dict() | {name: 3})
+
+    def test_non_object_refused(self):
+        with pytest.raises(ValueError, match="JSON object, not list"):
+            M.ModelConfig.from_json_dict([])
+
+    @pytest.mark.parametrize("name", ["batch_size", "max_iterations", "eval_every"])
+    def test_schedule_field_must_be_positive(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            M.reduced_config(**{name: 0})
+
+    def test_patience_zero_allowed(self):
+        assert M.reduced_config(patience=0).patience == 0
 
 
 class TestInit:
@@ -646,8 +665,6 @@ def whole_tensor_step(params, gradients, config):
     """The update as whole-tensor ops: the reference for the blocked sgd_step."""
     lr, lam = config.learning_rate, config.l2_lambda
     for name, g in gradients.items():
-        if name in params.frozen:
-            continue
         w = params.tensors[name]
         v = params.velocity.setdefault(name, np.zeros(w.shape, w.dtype))
         v *= config.momentum
@@ -663,18 +680,18 @@ class TestBlockedSgdStep:
     @pytest.mark.parametrize("lam, scope", [(0.0, "all"), (0.02, "all"), (0.02, "softmax_only")])
     def test_block_boundaries_bit_identical_to_whole_tensor_rule(self, size, dtype, lam, scope):
         # f1_w is decayed under "all" only, out_w under both scopes, f1_b never;
-        # c1_kernels is frozen and f2_w has no gradient
+        # c1_kernels and f2_w have no gradient
         cfg = step_config(0.05, 0.9, lam=lam, l2_scope=scope, dtype=dtype)
         rng = np.random.default_rng(size)
         draw = lambda: rng.standard_normal((1, size)).astype(dtype)  # noqa: E731
         tensors = {n: draw() for n in ("f1_w", "out_w", "f1_b", "c1_kernels", "f2_w")}
         velocity = {n: draw() for n in ("f1_w", "f2_w")}
-        grads = {n: draw() for n in ("f1_w", "out_w", "f1_b", "c1_kernels")}
+        grads = {n: draw() for n in ("f1_w", "out_w", "f1_b")}
 
         def run(step):
             params = M.ModelParameters(
                 cfg, {k: v.copy() for k, v in tensors.items()},
-                {k: v.copy() for k, v in velocity.items()}, frozenset({"c1_kernels"}))
+                {k: v.copy() for k, v in velocity.items()})
             step(params, {k: g.copy() for k, g in grads.items()}, cfg)
             return params
 
@@ -813,6 +830,16 @@ class TestMorletBank:
             M.make_morlet_bank(np.array([0.5]), 6.0)
 
 
+def rewrite_config(path: Path, edit) -> None:
+    """Replace a checkpoint's config JSON with `edit(config dict)` and write
+    a valid CRC-32 trailer, as a later version or a hand edit would."""
+    data = path.read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", data, 6)
+    cfg = json.dumps(edit(json.loads(data[10:10 + cfg_len]))).encode()
+    body = data[:6] + struct.pack("<I", len(cfg)) + cfg + data[10 + cfg_len:-8]
+    path.write_bytes(body + struct.pack("<Q", zlib.crc32(body)))
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         params, cfg = reduced_params(seed=13)
@@ -893,9 +920,24 @@ class TestCheckpoint:
         path = tmp_path / "m.somn"
         M.save_checkpoint(params, path)
         data = bytearray(path.read_bytes())
-        data[4:6] = struct.pack("<H", 1)
+        data[4:6] = struct.pack("<H", 2)
         path.write_bytes(bytes(data))
-        with pytest.raises(M.CheckpointError, match="format version 1 != 2"):
+        with pytest.raises(M.CheckpointError, match="format version 2 != 3"):
+            M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda c: c | {"dropout": 0.5}, "dropout"),
+        (lambda c: c | {"eval_every": 0}, "eval_every"),
+        (lambda c: [c], "JSON object"),
+    ])
+    def test_intact_file_with_bad_config_refused(self, tmp_path, edit, named):
+        # an unknown field, a bad value or a non-object, under a valid checksum
+        params, _ = reduced_params()
+        path = tmp_path / "m.somn"
+        M.save_checkpoint(params, path)
+        rewrite_config(path, edit)
+        with pytest.raises(M.CheckpointError,
+                           match=f"{re.escape(str(path))}: bad model config.*{named}"):
             M.load_checkpoint(path)
 
     def test_checksum_trailer_and_no_temporary_file(self, tmp_path):
@@ -916,16 +958,18 @@ class TestCheckpoint:
         assert M.load_checkpoint(path).frozen == frozenset({"c1_kernels", "c1_bias"})
 
     def test_round_trip_keeps_file_size_and_layout(self, tmp_path):
-        # the v2 layout is v1's byte for byte: the CRC-32 fills the u64 trailer
-        params, _ = reduced_params()
+        # the v3 layout is v2's with the model config itself as the JSON header;
+        # the CRC-32 fills the u64 trailer
+        params, cfg = reduced_params()
         path = tmp_path / "m.somn"
         M.save_checkpoint(params, path)
         data = path.read_bytes()
         (cfg_len,) = struct.unpack_from("<I", data, 6)
+        assert json.loads(data[10:10 + cfg_len]) == cfg.to_json_dict()
         records = sum(2 + len(name) + 2 + 4 * a.ndim + a.nbytes
                       for name, a in params.tensors.items())
         assert len(data) == 10 + cfg_len + records + 8
-        assert data[:6] == b"SOMN" + struct.pack("<H", 2) and data[-4:] == bytes(4)
+        assert data[:6] == b"SOMN" + struct.pack("<H", 3) and data[-4:] == bytes(4)
 
     def test_save_and_load_copy_no_body(self, tmp_path):
         # f1_w is 3.2 MB; a save allocates well under it, a load about the tensors alone
@@ -948,7 +992,7 @@ class TestCheckpoint:
 
 
 def _small_checkpoint_bytes() -> bytes:
-    """A checkpoint of 1525 bytes, small enough to damage at every byte."""
+    """A checkpoint of 1361 bytes, small enough to damage at every byte."""
     cfg = M.reduced_config(input_len=40, c1_filters=2, c1_len=5, c2_filters=2, c2_len=3,
                            f1=3, f2=3)
     params = M.init_params(cfg, np.random.default_rng(3))

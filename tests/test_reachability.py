@@ -3,12 +3,16 @@
 A function, class or method of `src/somnoscore` must appear as a whole word
 somewhere in `src/`, `scripts/` or `benchmark/` (outside `benchmark/tests/`)
 other than on a line that defines that name. Names only tests reach go, unless
-listed below with the reason a test needs them.
+listed below with the reason a test needs them. Likewise every `ModelConfig`
+field must be read by the package, so no setting is stored that nothing obeys.
 """
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from somnoscore.model import ModelConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "somnoscore"
@@ -57,3 +61,23 @@ def test_every_name_is_reached_by_a_program():
 def test_unreached_detects_a_name_used_only_on_its_def_line():
     lines = ["def used(): pass", "used()", "def orphan(): pass", "class Orphan: pass"]
     assert unreached({"used", "orphan", "Orphan"}, lines) == {"orphan", "Orphan"}
+
+
+def unread_fields(names: list[str], lines: list[str]) -> set[str]:
+    """The names never read as `config.<f>`, `cfg.<f>` or `self.<f>`; an
+    assignment to one is not a read."""
+    return {name for name in names
+            if not any(re.search(rf"\b(config|cfg|self)\.{name}\b(?!\s*=[^=])", line)
+                       for line in lines)}
+
+
+def test_every_model_config_field_is_read():
+    lines = [line for path in sorted(PACKAGE.glob("*.py"))
+             for line in path.read_text().splitlines()]
+    assert unread_fields([f.name for f in fields(ModelConfig)], lines) == set()
+
+
+def test_unread_fields_detects_a_field_only_declared_or_assigned():
+    lines = ["    seed: int = 0", "self.seed = 3", "cfg.seeds", "x = config.dtype == 1",
+             "params.config.patience"]
+    assert unread_fields(["seed", "dtype", "patience"], lines) == {"seed"}
