@@ -4,11 +4,11 @@
 # This is the long-running experiment: 20 folds x a 145M-parameter network.
 # A batch-100 step takes about 7 s on 2 Xeon vCPUs (numpy 2.4, OpenBLAS), so
 # a fold that runs to the 20000-iteration cap takes about 39 hours; each fold
-# peaks at about 2.3 GB RSS. Its best.somn (579 MB) saves in about 1 s and
-# loads in about 0.5 s, with no transient copy. Desk-scale checks live in the
-# test suite; this recipe exists to reproduce the headline numbers (target:
-# mean F1 within 3 percentage points of 81) once the corpus is available
-# locally.
+# peaks at about 1.7 GB RSS, plus the corpus. Its best.somn (579 MB), written
+# at each improvement, saves in about 1 s and loads in about 0.5 s, with no
+# transient copy. Desk-scale checks live in the test suite; this recipe exists
+# to reproduce the headline numbers (target: mean F1 within 3 percentage points
+# of 81) once the corpus is available locally.
 #
 # Corpus layout expected under $SOMNO_DATA_DIR (or --data-dir):
 #   SC4ssNE0-PSG.edf + SC4ssNE*-Hypnogram.edf pairs, 20 subjects, 39 nights.
@@ -23,8 +23,9 @@ somnoscore ingest --data-dir "$DATA_DIR" --out "$OUT_DIR/ingest"
 # Resumes automatically: completed folds under $OUT_DIR are skipped.
 # Raw microvolt-scale input saturates the softmax under the default rate;
 # see README "Configuration" (learning rate ~1e-7..1e-6 for raw uV signals).
-# With memory for two folds (about 4.6 GB), split the folds over two processes
-# into the same directory instead, then evaluate once both are done:
+# With memory for two folds (about 3.4 GB plus two corpora), split the folds
+# over two processes into the same directory instead, then evaluate once both
+# are done:
 #   somnoscore crossval ...same flags... --folds 0,2,4,6,8,10,12,14,16,18 &
 #   somnoscore crossval ...same flags... --folds 1,3,5,7,9,11,13,15,17,19 &
 #   wait

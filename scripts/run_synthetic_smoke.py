@@ -9,6 +9,7 @@ final test confusion matrix for one fold.
 
 import argparse
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -37,11 +38,13 @@ def main() -> None:
         eval_every=100, patience=5)
 
     t0 = time.time()
-    outcome = training.run_crossvalidation(recordings, config, args.seed,
-                                           fold_indices=[args.fold])
-    if outcome.failures:
-        sys.exit(f"fold {args.fold} failed: {outcome.failures[args.fold]}")
-    result = outcome.fold_results[args.fold]
+    with tempfile.TemporaryDirectory() as out_dir:
+        outcome = training.run_crossvalidation(recordings, config, args.seed, out_dir,
+                                               fold_indices=[args.fold])
+        if outcome.failures:
+            sys.exit(f"fold {args.fold} failed: {outcome.failures[args.fold]}")
+        result = outcome.fold_results[args.fold]
+        best_params = result.best_params
     fold = result.split
     print(f"fold {fold.fold_index}: test={fold.test_subjects} "
           f"val={fold.validation_subjects}")
@@ -52,7 +55,7 @@ def main() -> None:
               f"val acc {rec.val_overall_accuracy:.3f}{marker}")
 
     val = windows_for_subjects(recordings, fold.validation_subjects)
-    counts = evaluation.confusion(training.predict_windows(result.best_params, val),
+    counts = evaluation.confusion(training.predict_windows(best_params, val),
                                   [w.label for w in val])
     balanced = float(np.diag(evaluation.row_normalize(counts)).mean())
     print(f"\nbalanced validation accuracy {balanced:.3f} "

@@ -146,8 +146,8 @@ def cmd_crossval(args) -> int:
     cfg = load_run_config(args)
     if "fold" in args:
         cfg.folds = [args.fold]
-    elif args.folds:
-        cfg.folds = [int(i) for i in args.folds.split(",")]
+    elif args.folds is not None:
+        cfg.folds = [int(i) for i in args.folds.split(",")] if args.folds else []
     recordings = _load_corpus(cfg)
     out_dir = Path(cfg.output_dir)
     outcome = training.run_crossvalidation(

@@ -68,9 +68,13 @@ class ModelConfig:
         self.p1 = tuple(self.p1)
         self.p2 = tuple(self.p2)
         for name in ("input_len", "c1_filters", "c1_len", "c2_filters", "c2_len", "f1", "f2",
-                     "batch_size", "max_iterations", "eval_every"):
-            if getattr(self, name) <= 0:
+                     "batch_size", "max_iterations", "eval_every", "learning_rate"):
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), not {self.momentum}")
+        if not self.l2_lambda >= 0:
+            raise ValueError(f"l2_lambda must be non-negative, not {self.l2_lambda}")
         if any(v <= 0 for v in (*self.p1, *self.p2)):
             raise ValueError("pool sizes and strides must be positive")
         if self.batch_size % N_STAGES != 0:

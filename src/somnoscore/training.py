@@ -71,13 +71,16 @@ class RecordingScore:
 
 @dataclass
 class FoldResult:
-    fold_index: int
     split: FoldSplit
-    best_params: ModelParameters
+    checkpoint_path: Path  # the best parameters; no tensor is held in memory
     test_matrix: np.ndarray
     per_recording: list[RecordingScore]
     history: TrainingHistory
-    checkpoint_path: Path | None = None
+
+    @property
+    def best_params(self) -> ModelParameters:
+        """The best parameters, loaded from `checkpoint_path` at each access."""
+        return model.load_checkpoint(self.checkpoint_path)
 
 
 def predict_windows(params: ModelParameters, windows) -> np.ndarray:
@@ -118,9 +121,11 @@ def train_fold(
     fold: FoldSplit,
     config: ModelConfig,
     rng: np.random.Generator,
+    checkpoint: Path,
 ) -> FoldResult:
     """Train on the fold's training subjects, select on validation mean F1,
-    then score the test subject's recordings with the best parameters."""
+    then score the test subject's recordings with the best parameters, which
+    are saved to `checkpoint` at each improvement and read back once."""
     have = {r.subject_id for r in recordings}
     for subject in (*fold.test_subjects, *fold.validation_subjects, *fold.training_subjects):
         if subject not in have:
@@ -132,7 +137,6 @@ def train_fold(
 
     params = model.init_params(config, rng)
     history = TrainingHistory()
-    best_tensors: dict[str, np.ndarray] = {}
     best_index = -1
     loss_window: list[float] = []
     t0 = time.monotonic()
@@ -161,14 +165,14 @@ def train_fold(
             history.records.append(record)
             loss_window.clear()
             if best_index < 0 or mean_f1 > history.records[best_index].val_mean_f1:
-                # Tensors only: checkpoints keep no velocity.
-                best_tensors = {k: v.copy() for k, v in params.tensors.items()}
+                model.save_checkpoint(params, checkpoint)  # tensors only, no velocity
                 best_index = len(history.records) - 1
             if len(history.records) - 1 - best_index >= config.patience:
                 break
 
     history.records[best_index].is_best = True
-    best_params = ModelParameters(config, best_tensors)
+    del params  # the live tensors and velocity
+    best_params = model.load_checkpoint(checkpoint)
 
     per_recording = []
     test_set = set(fold.test_subjects)
@@ -179,7 +183,7 @@ def train_fold(
                 rec.subject_id, rec.night, _score_windows(best_params, windows)))
     test_matrix = sum((s.matrix for s in per_recording),
                       np.zeros((N_STAGES, N_STAGES), dtype=np.int64))
-    return FoldResult(fold.fold_index, fold, best_params, test_matrix, per_recording, history)
+    return FoldResult(fold, checkpoint, test_matrix, per_recording, history)
 
 
 def corpus_fingerprint(recordings: list[Recording]) -> str:
@@ -198,10 +202,7 @@ def _fold_dir(out_dir: Path, fold_index: int) -> Path:
 
 
 def save_fold_result(result: FoldResult, out_dir: Path, seed: int) -> Path:
-    fold_dir = _fold_dir(out_dir, result.fold_index)
-    fold_dir.mkdir(parents=True, exist_ok=True)
-    ckpt = fold_dir / "best.somn"
-    model.save_checkpoint(result.best_params, ckpt)
+    fold_dir = _fold_dir(out_dir, result.split.fold_index)
     payload = result.split.to_json_dict() | {
         "seed": seed,
         "history": result.history.as_dicts(),
@@ -210,11 +211,10 @@ def save_fold_result(result: FoldResult, out_dir: Path, seed: int) -> Path:
             {"subject_id": s.subject_id, "night": s.night, "matrix": s.matrix.tolist()}
             for s in result.per_recording
         ],
-        "checkpoint": ckpt.name,
+        "checkpoint": result.checkpoint_path.name,
     }
     write_json(fold_dir / "result.json", payload)
     (fold_dir / FAILURE_FILE).unlink(missing_ok=True)  # left by an earlier attempt
-    result.checkpoint_path = ckpt
     return fold_dir
 
 
@@ -246,24 +246,27 @@ def run_crossvalidation(
     recordings: list[Recording],
     config: ModelConfig,
     seed: int,
-    out_dir: Path | None = None,
+    out_dir: Path,
     fold_indices: list[int] | None = None,
 ) -> CrossValidationOutcome:
     """Run the 20 leave-one-subject-out folds and sum their test matrices.
 
     Fold RNG streams derive from (seed, fold), so folds are independent of
-    execution order. With an output directory, the run record (`RUN_RECORD`)
-    is written before any fold trains, each finished fold is serialized
-    immediately and folds with existing results are skipped (crash-resume).
-    One fold's failure, in training or saving, does not abort the rest:
-    `failures` gets its message, fold_XX/failure.txt its traceback. A fold
-    index outside the folds or repeated, or an output directory whose record
-    differs from this run's (another seed, config, corpus or BLAS thread
-    setting) or that holds fold results without a record, raises ValueError
-    before anything is written.
+    execution order. The run record (`RUN_RECORD`) is written to `out_dir`
+    before any fold trains; each fold keeps its best parameters in
+    fold_XX/best.somn, its result is serialized as soon as it finishes, and
+    folds with existing results are skipped (crash-resume). One fold's
+    failure, in training or saving, does not abort the rest: `failures` gets
+    its message, fold_XX/failure.txt its traceback. An empty fold list, a
+    fold index outside the folds or repeated, or an output directory whose
+    record differs from this run's (another seed, config, corpus or BLAS
+    thread setting) or that holds fold results without a record, raises
+    ValueError before anything is written.
     """
     subjects = sorted({r.subject_id for r in recordings})
     folds = make_folds(subjects, seed)
+    if fold_indices == []:
+        raise ValueError("no fold selected")
     for n, i in enumerate(fold_indices or ()):
         if not 0 <= i < len(folds):
             raise ValueError(f"fold {i} out of range 0..{len(folds) - 1}")
@@ -276,56 +279,53 @@ def run_crossvalidation(
     failures: dict[int, str] = {}
     aggregate = np.zeros((N_STAGES, N_STAGES), dtype=np.int64)
 
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        record = {
-            "seed": seed,
-            "config": config.to_json_dict(),
-            "subjects": subjects,
-            "corpus_sha256": corpus_fingerprint(recordings),
-            "folds": [f.to_json_dict() for f in folds],
-            # full-size probabilities and gradients differ between BLAS thread counts
-            "threads": {name: os.environ.get(name)
-                        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-            | {"cpus": len(os.sched_getaffinity(0))},
-        }
-        path = out_dir / RUN_RECORD
-        # Looked for before the record: a process sharing the directory writes
-        # the record before any result, so a result seen here has its record.
-        has_results = any(out_dir.glob("fold_*/result.json"))
-        if not path.exists():
-            if has_results:
-                raise ValueError(f"{out_dir} holds fold results but no {RUN_RECORD}, so "
-                                 "their run is unknown; use a new output directory")
-            out_dir.mkdir(parents=True, exist_ok=True)
-            mine = path.with_name(f".{RUN_RECORD}.{os.getpid()}")
-            write_json(mine, record)
-            try:  # linked, not renamed: a record another process made since the check stays
-                with contextlib.suppress(FileExistsError):
-                    os.link(mine, path)
-            finally:
-                mine.unlink()
-        if json.loads(path.read_text()) != record:
-            raise ValueError(f"{path} records another run (seed, model config, corpus, "
-                             "folds or thread setting differ); use a new output directory")
+    out_dir = Path(out_dir)
+    record = {
+        "seed": seed,
+        "config": config.to_json_dict(),
+        "subjects": subjects,
+        "corpus_sha256": corpus_fingerprint(recordings),
+        "folds": [f.to_json_dict() for f in folds],
+        # full-size probabilities and gradients differ between BLAS thread counts
+        "threads": {name: os.environ.get(name)
+                    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        | {"cpus": len(os.sched_getaffinity(0))},
+    }
+    path = out_dir / RUN_RECORD
+    # Looked for before the record: a process sharing the directory writes
+    # the record before any result, so a result seen here has its record.
+    has_results = any(out_dir.glob("fold_*/result.json"))
+    if not path.exists():
+        if has_results:
+            raise ValueError(f"{out_dir} holds fold results but no {RUN_RECORD}, so "
+                             "their run is unknown; use a new output directory")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        mine = path.with_name(f".{RUN_RECORD}.{os.getpid()}")
+        write_json(mine, record)
+        try:  # linked, not renamed: a record another process made since the check stays
+            with contextlib.suppress(FileExistsError):
+                os.link(mine, path)
+        finally:
+            mine.unlink()
+    if json.loads(path.read_text()) != record:
+        raise ValueError(f"{path} records another run (seed, model config, corpus, "
+                         "folds or thread setting differ); use a new output directory")
 
     for fold in selected:
-        prior = load_fold_result_json(out_dir, fold.fold_index) if out_dir else None
+        prior = load_fold_result_json(out_dir, fold.fold_index)
         if prior is not None:
             skipped.append(fold.fold_index)
             aggregate += prior["test_matrix"]
             continue
+        fold_dir = _fold_dir(out_dir, fold.fold_index)
         try:
             rng = np.random.default_rng([seed, fold.fold_index])
-            result = train_fold(recordings, fold, config, rng)
-            if out_dir is not None:
-                save_fold_result(result, out_dir, seed)
+            fold_dir.mkdir(parents=True, exist_ok=True)
+            result = train_fold(recordings, fold, config, rng, fold_dir / "best.somn")
+            save_fold_result(result, out_dir, seed)
         except Exception as exc:  # isolate fold failures
-            if out_dir is not None:  # the traceback, unless the disk is what failed
-                with contextlib.suppress(OSError):
-                    fold_dir = _fold_dir(out_dir, fold.fold_index)
-                    fold_dir.mkdir(parents=True, exist_ok=True)
-                    write_atomic(fold_dir / FAILURE_FILE, traceback.format_exc().encode())
+            with contextlib.suppress(OSError):  # the traceback, unless the disk is what failed
+                write_atomic(fold_dir / FAILURE_FILE, traceback.format_exc().encode())
             failures[fold.fold_index] = f"{type(exc).__name__}: {exc}"
             continue
         results[fold.fold_index] = result

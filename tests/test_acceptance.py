@@ -152,7 +152,7 @@ def test_criterion_06_ingestion_round_trip(tmp_path):
            bit_exact and merged and movement_removed and invariants and csv_ok)
 
 
-def test_criterion_07_learning_smoke():
+def test_criterion_07_learning_smoke(tmp_path):
     recordings = S.synthetic_corpus(n_subjects=20, epochs_per_stage=4,
                                     samples_per_epoch=60, seed=1)
     cfg = M.reduced_config(batch_size=20, learning_rate=0.003, momentum=0.9,
@@ -160,7 +160,8 @@ def test_criterion_07_learning_smoke():
                            patience=5)
     folds = D.make_folds(sorted({r.subject_id for r in recordings}), seed=11)
     t0 = time.monotonic()
-    result = Tr.train_fold(recordings, folds[0], cfg, np.random.default_rng([11, 0]))
+    result = Tr.train_fold(recordings, folds[0], cfg, np.random.default_rng([11, 0]),
+                           tmp_path / "best.somn")
     elapsed = time.monotonic() - t0
     val = D.windows_for_subjects(recordings, folds[0].validation_subjects)
     counts = Tr._score_windows(result.best_params, val)

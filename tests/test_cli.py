@@ -157,6 +157,17 @@ class TestTrain:
         assert f"{flag[2:].replace('-', '_')} must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, value, field", [("--learning-rate", "-1", "learning_rate"),
+                                                    ("--momentum", "1", "momentum"),
+                                                    ("--l2", "-1", "l2_lambda")])
+    def test_impossible_optimizer_value_exits_data_and_writes_nothing(
+            self, tmp_path, run_config, capsys, flag, value, field):
+        rc = cli.main(["train", "--config", str(run_config), "--seed", "3", "--fold", "0",
+                       flag, value])
+        assert rc == cli.EXIT_DATA
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_model_field_in_config_file_exits_data(self, tmp_path, run_config,
                                                            capsys):
         run = json.loads(run_config.read_text())
@@ -205,6 +216,13 @@ class TestCrossval:
                        "--folds", "0,0"])
         assert rc == cli.EXIT_DATA
         assert "fold 0 repeated" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_fold_list_exits_data_and_writes_nothing(self, tmp_path, run_config,
+                                                           capsys):
+        rc = cli.main(["crossval", "--config", str(run_config), "--seed", "4", "--folds", ""])
+        assert rc == cli.EXIT_DATA
+        assert "no fold selected" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("change", [["--folds", "25"], ["--seed", "5"]])

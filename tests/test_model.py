@@ -71,6 +71,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             M.reduced_config(**{name: 0})
 
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", float("nan")),
+        ("momentum", -0.1), ("momentum", 1.0), ("momentum", float("nan")),
+        ("l2_lambda", -1e-4), ("l2_lambda", float("nan"))])
+    def test_optimizer_value_that_cannot_be_meant_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            M.reduced_config(**{name: value})
+
     def test_patience_zero_allowed(self):
         assert M.reduced_config(patience=0).patience == 0
 

@@ -1,5 +1,6 @@
 """Training loop behavior: stopping, determinism, isolation, serialization."""
 
+import gc
 import json
 import os
 from pathlib import Path
@@ -38,22 +39,23 @@ def folds(corpus):
 
 
 class TestTrainFold:
-    def test_history_and_result_shape(self, corpus, folds):
+    def test_history_and_result_shape(self, corpus, folds, tmp_path):
         result = Tr.train_fold(corpus, folds[0], tiny_config(),
-                               np.random.default_rng(0))
+                               np.random.default_rng(0), tmp_path / "best.somn")
         assert [r.iteration for r in result.history.records] == [3, 6]
         best = result.history.best()
         assert best.val_mean_f1 == max(r.val_mean_f1 for r in result.history.records)
         assert result.test_matrix.sum() == 5  # one recording, five epochs
 
-    def test_per_recording_matrices_sum_to_fold_matrix(self, folds):
+    def test_per_recording_matrices_sum_to_fold_matrix(self, folds, tmp_path):
         recs = []
         for subject_index in range(20):
             subject = f"SYN{subject_index:02d}"
             for night in (1, 2):
                 recs.append(synthetic_recording(
                     subject, night, list(SleepStage), samples_per_epoch=60, seed=3))
-        result = Tr.train_fold(recs, folds[0], tiny_config(), np.random.default_rng(0))
+        result = Tr.train_fold(recs, folds[0], tiny_config(), np.random.default_rng(0),
+                               tmp_path / "best.somn")
         assert len(result.per_recording) == 2
         total = sum(s.matrix for s in result.per_recording)
         np.testing.assert_array_equal(total, result.test_matrix)
@@ -61,16 +63,18 @@ class TestTrainFold:
         for score in result.per_recording:
             np.testing.assert_array_equal(score.matrix.sum(axis=1), np.ones(5))
 
-    def test_constant_metric_stops_at_second_evaluation(self, corpus, folds):
-        # zero learning rate pins the parameters, so the metric never improves
-        cfg = tiny_config(learning_rate=0.0, momentum=0.0, eval_every=1,
-                          patience=1, max_iterations=50)
-        result = Tr.train_fold(corpus, folds[0], cfg, np.random.default_rng(0))
+    def test_constant_metric_stops_at_second_evaluation(self, corpus, folds, tmp_path,
+                                                        monkeypatch):
+        # a constant validation F1 never improves on the first evaluation
+        monkeypatch.setattr(Tr, "validation_scores", lambda counts: (0.5, 0.0))
+        cfg = tiny_config(eval_every=1, patience=1, max_iterations=50)
+        result = Tr.train_fold(corpus, folds[0], cfg, np.random.default_rng(0),
+                               tmp_path / "best.somn")
         assert len(result.history.records) == 2
         assert result.history.records[0].is_best
 
     def test_plateau_stops_after_patience_and_flags_first_tied_best(
-            self, corpus, folds, monkeypatch):
+            self, corpus, folds, tmp_path, monkeypatch):
         # scripted validation F1: the best (0.5) comes second and is tied
         # twice; the third evaluation that does not beat it ends the fold
         def scripted(*f1s):
@@ -79,14 +83,15 @@ class TestTrainFold:
 
         scripted(0.2, 0.5, 0.5, 0.4, 0.5, 0.9)
         cfg = tiny_config(eval_every=2, patience=3, max_iterations=50)
-        result = Tr.train_fold(corpus, folds[0], cfg, np.random.default_rng(0))
+        result = Tr.train_fold(corpus, folds[0], cfg, np.random.default_rng(0),
+                               tmp_path / "result.somn")
         records = result.history.records
         assert [r.val_mean_f1 for r in records] == [0.2, 0.5, 0.5, 0.4, 0.5]
         assert [r.is_best for r in records] == [False, True, False, False, False]
         # the kept tensors are those at the first tied best, iteration 4
         scripted(0.2, 0.5)
         cut = Tr.train_fold(corpus, folds[0], tiny_config(eval_every=2, max_iterations=4),
-                            np.random.default_rng(0))
+                            np.random.default_rng(0), tmp_path / "cut.somn")
         for name, tensor in cut.best_params.tensors.items():
             assert tensor.tobytes() == result.best_params.tensors[name].tobytes()
 
@@ -103,38 +108,66 @@ class TestTrainFold:
             snapshots.append({k: v.tobytes() for k, v in params.tensors.items()})
         assert snapshots[0] == snapshots[1]
 
-    def test_same_seed_identical_history(self, corpus, folds):
+    def test_same_seed_identical_history(self, corpus, folds, tmp_path):
         cfg = tiny_config(max_iterations=9)
         runs = []
         for _ in range(2):
-            result = Tr.train_fold(corpus, folds[1], cfg, np.random.default_rng(77))
+            result = Tr.train_fold(corpus, folds[1], cfg, np.random.default_rng(77),
+                                   tmp_path / "best.somn")
             runs.append([(r.iteration, r.training_loss, r.val_mean_f1,
                           r.val_overall_accuracy, r.is_best)
                          for r in result.history.records])
         assert runs[0] == runs[1]
 
-    def test_returned_params_reproduce_best_metric(self, corpus, folds):
+    def test_returned_params_reproduce_best_metric(self, corpus, folds, tmp_path):
         result = Tr.train_fold(corpus, folds[2], tiny_config(max_iterations=9),
-                               np.random.default_rng(1))
+                               np.random.default_rng(1), tmp_path / "best.somn")
         val = windows_for_subjects(corpus, folds[2].validation_subjects)
         counts = Tr._score_windows(result.best_params, val)
         mean_f1, _ = Ev.validation_scores(counts)
         assert mean_f1 == pytest.approx(result.history.best().val_mean_f1, abs=1e-12)
 
-    def test_missing_subject_rejected(self, corpus, folds):
-        with pytest.raises(Tr.TrainingError, match="not among"):
-            Tr.train_fold(corpus[:10], folds[0], tiny_config(), np.random.default_rng(0))
+    def test_checkpoint_saved_at_each_improvement_holds_the_best(
+            self, corpus, folds, tmp_path, monkeypatch):
+        # scripted validation F1: it improves at evaluations 1, 2 and 4
+        f1 = iter([0.2, 0.5, 0.4, 0.6, 0.6])
+        monkeypatch.setattr(Tr, "validation_scores", lambda counts: (next(f1), 0.0))
+        real_save, saved = M.save_checkpoint, []
 
-    def test_empty_stage_pool_refused(self, folds):
+        def spy(params, path):
+            saved.append({k: v.tobytes() for k, v in params.tensors.items()})
+            real_save(params, path)
+
+        monkeypatch.setattr(M, "save_checkpoint", spy)
+        ckpt = tmp_path / "best.somn"
+        result = Tr.train_fold(corpus, folds[0], tiny_config(eval_every=2, max_iterations=10),
+                               np.random.default_rng(0), ckpt)
+        f1s = [r.val_mean_f1 for r in result.history.records]
+        improvements = sum(f > max(f1s[:i], default=-1.0) for i, f in enumerate(f1s))
+        assert len(saved) == improvements == 3
+        assert result.history.best().iteration == 8
+        assert saved[1] != saved[2]
+        assert result.checkpoint_path == ckpt
+        assert {k: v.tobytes() for k, v in M.load_checkpoint(ckpt).tensors.items()} == \
+            saved[-1]
+
+    def test_missing_subject_rejected(self, corpus, folds, tmp_path):
+        with pytest.raises(Tr.TrainingError, match="not among"):
+            Tr.train_fold(corpus[:10], folds[0], tiny_config(), np.random.default_rng(0),
+                          tmp_path / "best.somn")
+
+    def test_empty_stage_pool_refused(self, folds, tmp_path):
         # recordings missing stage W entirely
         recs = [synthetic_recording(f"SYN{i:02d}", 1,
                                     [SleepStage.N1, SleepStage.N2, SleepStage.N3,
                                      SleepStage.R],
                                     samples_per_epoch=60) for i in range(20)]
         with pytest.raises(ValueError, match="empty training pool"):
-            Tr.train_fold(recs, folds[0], tiny_config(), np.random.default_rng(0))
+            Tr.train_fold(recs, folds[0], tiny_config(), np.random.default_rng(0),
+                          tmp_path / "best.somn")
 
-    def test_non_finite_gradient_reports_iteration(self, corpus, folds, monkeypatch):
+    def test_non_finite_gradient_reports_iteration(self, corpus, folds, tmp_path,
+                                                   monkeypatch):
         real_backward = M.backward
 
         def poisoned(params, cache, labels):
@@ -144,7 +177,8 @@ class TestTrainFold:
 
         monkeypatch.setattr(M, "backward", poisoned)
         with pytest.raises(Tr.TrainingError, match="iteration 1"):
-            Tr.train_fold(corpus, folds[0], tiny_config(), np.random.default_rng(0))
+            Tr.train_fold(corpus, folds[0], tiny_config(), np.random.default_rng(0),
+                          tmp_path / "best.somn")
 
 
 class TestValidationScores:
@@ -200,25 +234,40 @@ class TestValidationScores:
 class TestCrossValidation:
     def test_aggregate_is_sum_of_folds(self, corpus, tmp_path):
         cfg = tiny_config(max_iterations=3)
-        outcome = Tr.run_crossvalidation(corpus, cfg, seed=5,
+        outcome = Tr.run_crossvalidation(corpus, cfg, seed=5, out_dir=tmp_path,
                                          fold_indices=[0, 1, 2])
         total = sum(r.test_matrix for r in outcome.fold_results.values())
         np.testing.assert_array_equal(outcome.aggregate, total)
         assert not outcome.failures and not outcome.skipped
 
-    def test_twenty_folds_for_twenty_subjects(self, corpus):
+    def test_twenty_folds_for_twenty_subjects(self, corpus, tmp_path):
         cfg = tiny_config(max_iterations=1, eval_every=1)
-        outcome = Tr.run_crossvalidation(corpus, cfg, seed=5)
+        outcome = Tr.run_crossvalidation(corpus, cfg, seed=5, out_dir=tmp_path)
         assert len(outcome.fold_results) == 20
         tested = {r.split.test_subjects[0] for r in outcome.fold_results.values()}
         assert tested == {r.subject_id for r in corpus}
         assert int(outcome.aggregate.sum()) == sum(r.n_epochs for r in corpus)
 
-    def test_same_seed_bit_exact_aggregate(self, corpus):
+    def test_same_seed_bit_exact_aggregate(self, corpus, tmp_path):
         cfg = tiny_config(max_iterations=3)
-        a = Tr.run_crossvalidation(corpus, cfg, seed=8, fold_indices=[0, 4])
-        b = Tr.run_crossvalidation(corpus, cfg, seed=8, fold_indices=[0, 4])
+        a = Tr.run_crossvalidation(corpus, cfg, seed=8, out_dir=tmp_path / "a",
+                                   fold_indices=[0, 4])
+        b = Tr.run_crossvalidation(corpus, cfg, seed=8, out_dir=tmp_path / "b",
+                                   fold_indices=[0, 4])
+        assert not b.skipped
         np.testing.assert_array_equal(a.aggregate, b.aggregate)
+
+    def test_outcome_holds_no_parameters(self, corpus, tmp_path):
+        # the runner's memory does not grow with the number of folds
+        def live_params():
+            gc.collect()
+            return [o for o in gc.get_objects() if isinstance(o, M.ModelParameters)]
+
+        before = live_params()
+        outcome = Tr.run_crossvalidation(corpus, tiny_config(max_iterations=3), seed=5,
+                                         out_dir=tmp_path, fold_indices=[0, 1, 2])
+        assert set(outcome.fold_results) == {0, 1, 2}
+        assert len(live_params()) == len(before)
 
     @pytest.mark.parametrize("index", [20, 25, -1])
     def test_fold_index_out_of_range_rejected_before_writing(self, corpus, tmp_path, index):
@@ -309,30 +358,33 @@ class TestCrossValidation:
         real = Tr.train_fold
         saved_at_start = {}
 
-        def spy(recordings, fold, config, rng):
+        def spy(recordings, fold, config, rng, checkpoint):
             saved_at_start[fold.fold_index] = len(list(tmp_path.glob("fold_*/result.json")))
-            return real(recordings, fold, config, rng)
+            return real(recordings, fold, config, rng, checkpoint)
 
         monkeypatch.setattr(Tr, "train_fold", spy)
         Tr.run_crossvalidation(corpus, cfg, seed=6, out_dir=tmp_path, fold_indices=[0, 1, 2])
         assert saved_at_start == {0: 0, 1: 1, 2: 2}
 
-    def test_one_fold_failure_does_not_abort_others(self, corpus, monkeypatch):
+    def test_one_fold_failure_does_not_abort_others(self, corpus, tmp_path, monkeypatch):
         cfg = tiny_config(max_iterations=3)
         real = Tr.train_fold
 
-        def flaky(recordings, fold, config, rng):
+        def flaky(recordings, fold, config, rng, checkpoint):
             if fold.fold_index == 1:
                 raise RuntimeError("synthetic fault")
-            return real(recordings, fold, config, rng)
+            return real(recordings, fold, config, rng, checkpoint)
 
         monkeypatch.setattr(Tr, "train_fold", flaky)
-        outcome = Tr.run_crossvalidation(corpus, cfg, seed=5, fold_indices=[0, 1, 2])
+        outcome = Tr.run_crossvalidation(corpus, cfg, seed=5, out_dir=tmp_path,
+                                         fold_indices=[0, 1, 2])
         assert set(outcome.fold_results) == {0, 2}
         assert list(outcome.failures) == [1] and "synthetic fault" in outcome.failures[1]
 
     def test_fold_serialization_round_trip(self, corpus, folds, tmp_path):
-        result = Tr.train_fold(corpus, folds[0], tiny_config(), np.random.default_rng(0))
+        (tmp_path / "fold_00").mkdir()
+        result = Tr.train_fold(corpus, folds[0], tiny_config(), np.random.default_rng(0),
+                               tmp_path / "fold_00" / "best.somn")
         Tr.save_fold_result(result, tmp_path, seed=5)
         payload = Tr.load_fold_result_json(tmp_path, 0)
         np.testing.assert_array_equal(payload["test_matrix"], result.test_matrix)
@@ -343,10 +395,8 @@ class TestCrossValidation:
             np.testing.assert_array_equal(loaded_score.matrix, score.matrix)
         assert payload["seed"] == 5
         assert Tr.load_fold_result_json(tmp_path, 1) is None
+        assert payload["checkpoint"] == "best.somn"
         assert (tmp_path / "fold_00" / "best.somn").exists()
-        loaded = M.load_checkpoint(tmp_path / "fold_00" / "best.somn")
-        for name, arr in result.best_params.tensors.items():
-            assert loaded.tensors[name].tobytes() == arr.tobytes()
 
     def test_run_manifest_written(self, corpus, tmp_path):
         cfg = tiny_config(max_iterations=1, eval_every=1)
@@ -404,7 +454,7 @@ class TestCrashResume:
         real_save = Tr.save_fold_result
 
         def disk_full_on_fold_1(result, out_dir, seed):
-            if result.fold_index == 1:
+            if result.split.fold_index == 1:
                 raise OSError(28, "No space left on device")
             return real_save(result, out_dir, seed)
 
@@ -417,7 +467,7 @@ class TestCrashResume:
             [True, False, True]
 
     def test_failure_keeps_its_traceback(self, corpus, tmp_path, monkeypatch):
-        def broken(recordings, fold, config, rng):
+        def broken(recordings, fold, config, rng, checkpoint):
             raise RuntimeError("synthetic fault")
 
         monkeypatch.setattr(Tr, "train_fold", broken)
