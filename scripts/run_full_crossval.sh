@@ -2,8 +2,8 @@
 # Full 20-subject cross-validation on the real sleep-cassette corpus.
 #
 # This is the long-running experiment: 20 folds x a 145M-parameter network.
-# A batch-100 step takes about 7 s on 2 Xeon vCPUs (numpy 2.4, OpenBLAS), so
-# a fold that runs to the 20000-iteration cap takes about 39 hours; each fold
+# A batch-100 step takes about 5 s on 2 Xeon vCPUs (numpy 2.4, OpenBLAS), so
+# a fold that runs to the 20000-iteration cap takes about 28 hours; each fold
 # peaks at about 1.7 GB RSS, plus the corpus. Its best.somn (579 MB), written
 # at each improvement, saves in about 1 s and loads in about 0.5 s, with no
 # transient copy. Desk-scale checks live in the test suite; this recipe exists

@@ -221,9 +221,9 @@ class ForwardCache:
     are a quarter of its float32 output.
     """
     x: np.ndarray
-    p1_off: np.ndarray      # pool1's argmax offsets into conv1's output
+    p1_off: np.ndarray      # where pool1's maxima lie in their windows of conv1's output
     s1: np.ndarray          # ReLU'd pool1 output, stacked: conv2's input
-    p2_off: np.ndarray      # pool2's argmax offsets into conv2's output
+    p2_off: np.ndarray      # where pool2's maxima lie in their windows of conv2's output
     flat: np.ndarray        # ReLU'd pool2 output, flattened: dense1's input
     h1: np.ndarray
     h2: np.ndarray

@@ -10,6 +10,8 @@ sums on from earlier windows, so a caller may take a batch a few windows at a
 time and get the same bits. Convolutions use the im2col layout of
 Chellapilla, Puri & Simard (2006): one matrix product per window; the 2D
 convolution's input gradient is one more, written into its spent im2col copy.
+Max-pooling is a running maximum over each window's strided columns, a block
+of rows at a time, and records where each maximum is without an argmax.
 
 Conventions, fixed so that learned-filter analysis stays meaningful:
   - convolutions are cross-correlations (kernels are templates, never flipped)
@@ -77,7 +79,8 @@ def pool_offset_dtype(size: int) -> type:
 def _flat_index(index: np.ndarray, first_row: int, stride: int, length: int) -> np.ndarray:
     """Turn `index` (rows, n), intp offsets within windows one every `stride`
     along contiguous rows of `length` from row `first_row` on, in place into
-    the flat index of the samples they pick."""
+    the flat index of the samples they pick. Only the backward scatter needs
+    it: the forward pass keeps its maxima as it finds them."""
     index += np.arange(0, index.shape[1] * stride, stride)
     index += np.arange(first_row * length, (first_row + len(index)) * length, length)[:, None]
     return index
@@ -97,22 +100,28 @@ def maxpool1d(x: np.ndarray, size: int, stride: int) -> tuple[np.ndarray, np.nda
         raise ValueError(f"pool size {size} exceeds length {l}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    rows = x.reshape(-1, l)
-    win = _windows(rows, size, stride)                  # (R, n, size)
+    win = _windows(x.reshape(-1, l), size, stride)      # (R, n, size)
     n = win.shape[1]
     y = np.empty(win.shape[:2], x.dtype)
     offsets = np.empty(win.shape[:2], pool_offset_dtype(size))
-    # argmax first copies the overlapping windows into a contiguous array;
-    # taking about _POOL_CHUNK window elements at a time keeps that copy in cache
+    # a running max over the window's strided columns, about _POOL_CHUNK
+    # window elements at a time so that a block's rows stay in cache
     step = max(1, _POOL_CHUNK // (n * size))
-    first = np.empty((min(step, len(rows)), n), np.intp)
-    for start in range(0, len(rows), step):  # first max on ties
-        block = win[start:start + step]
-        index = block.argmax(axis=2, out=first[:len(block)])
-        offsets[start:start + step] = index
-        # every index is in range by construction: "clip" spares take a buffered copy
-        np.take(rows.reshape(-1), _flat_index(index, start, stride, l),
-                out=y[start:start + step], mode="clip")
+    for start in range(0, len(win), step):
+        block, top, at = win[start:start + step], y[start:start + step], offsets[start:start + step]
+        top[...], at[...] = block[..., 0], 0
+        rise, scaled = np.empty(top.shape, bool), np.empty_like(at)
+        for j in range(1, size):
+            column = block[..., j]
+            np.greater(column, top, out=rise)  # strictly: a tie keeps the first index
+            # a NaN wins; on a tie (-0.0 and 0.0) maximum returns its second
+            # operand, so the earlier value stays
+            np.maximum(column, top, out=top)
+            # j only grows, so a window's last rise is its largest; no masked write
+            np.maximum(at, np.multiply(rise, j, out=scaled, dtype=scaled.dtype), out=at)
+        nan = np.isnan(top)  # no value exceeds a NaN: point those at their first NaN
+        if nan.any():
+            at[nan] = np.isnan(block[nan]).argmax(axis=1)
     shape = (*x.shape[:-1], n)
     return y.reshape(shape), offsets.reshape(shape)
 

@@ -133,23 +133,30 @@ class TestMaxPool:
     @pytest.mark.parametrize("chunk", [1, 2 * 721 * 10 + 1, T._POOL_CHUNK],
                              ids=["row-per-chunk", "two-rows-per-chunk", "default"])
     def test_chunked_argmax_equals_unchunked_across_chunk_edges(self, chunk, monkeypatch):
-        # pool2's extents: 114 rows of 721 windows of 10, so every chunk size
-        # leaves a partial last chunk. ReLU zeroes about half of each row and
-        # all of row 5's samples 100-199, so many windows tie at 0 and must
-        # keep their first index.
+        # pool2's extents: 111 rows of 721 windows of 10, so the two-row and
+        # the default 36-row chunks leave a partial last chunk. ReLU zeroes
+        # about half of each row and all of row 5's samples 100-199, so many
+        # windows tie at 0 and must keep their first index. Row 110, in the
+        # last chunk, holds NaNs after a large value: their windows point at
+        # their first NaN.
         monkeypatch.setattr(T, "_POOL_CHUNK", chunk)
-        x = np.maximum(rand((3, 38, 1450), 7), 0).astype(np.float32)
+        x = np.maximum(rand((3, 37, 1450), 7), 0).astype(np.float32)
         x[0, 5, 100:200] = 0
+        x[2, 36, 500] = 1e30
+        x[2, 36, [503, 507, 900]] = np.nan
         y, off = T.maxpool1d(x, 10, 2)
         rows = x.reshape(-1, 1450)
         want = T._windows(rows, 10, 2).argmax(axis=2)
+        assert np.isnan(y[2, 36, 250]) and off[2, 36, 250] == 3  # window 250: samples 500-509
         np.testing.assert_array_equal(off.reshape(-1, 721), want)
         np.testing.assert_array_equal(
             y.reshape(-1, 721), np.take_along_axis(rows, want + np.arange(0, 721 * 2, 2), axis=1))
 
     def test_window_copy_is_chunk_sized(self):
-        # unchunked, argmax copies every window: 5x the input at size 10,
-        # stride 2; chunked, the copy is at most _POOL_CHUNK elements
+        # an argmax over every window at once would copy them all: 5x the
+        # input at size 10, stride 2. A block's temporaries, its rise mask,
+        # scaled offsets and NaN mask, are a byte each per output of at most
+        # _POOL_CHUNK // size outputs
         x = np.maximum(np.random.default_rng(8).standard_normal((4, 400, 1450),
                                                                 dtype=np.float32), 0)
         tracemalloc.start()
@@ -192,21 +199,30 @@ class TestMaxPool:
         assert peak < 1.2 * gx.nbytes
 
     @given(p=st.integers(1, 300), extra=st.integers(0, 100), s=st.integers(1, 10),
-           seed=st.integers(0, 10_000), nans=st.booleans())
+           seed=st.integers(0, 10_000), nans=st.booleans(),
+           dtype=st.sampled_from([np.float32, np.float64]))
     @settings(max_examples=50, deadline=None)
-    def test_offsets_are_argmax_of_explicit_windows(self, p, extra, s, seed, nans):
-        # three values make many ties, which go to the first index; NaNs in
-        # one row are the maximum of every window they fall in, as under argmax
+    def test_offsets_are_argmax_of_explicit_windows(self, p, extra, s, seed, nans, dtype):
+        # few values make many ties, which go to the first index, among them
+        # +inf and the equal -0.0 and 0.0, whose first one is the value;
+        # NaNs in one row are the maximum of every window they fall in, as
+        # under argmax
         rng = np.random.default_rng(seed)
-        x = rng.integers(0, 3, (3, p + extra)).astype(np.float64)
+        x = rng.choice(np.array([-np.inf, -0.0, 0.0, 1.0, np.inf], dtype), (3, p + extra))
+        x[0, :p] = -np.inf                  # an all -inf window: offset 0
+        x[2, :p] = 1.0
+        x[2, p // 2:p] = np.inf             # +inf ties: the first +inf
         if nans:
             x[1, rng.integers(0, x.shape[1], 1 + x.shape[1] // 8)] = np.nan
+            x[1, :p] = 1.0
+            x[1, 0], x[1, p - 1] = np.inf, np.nan  # a NaN after a +inf
         y, off = T.maxpool1d(x, p, s)
         windows = np.stack([x[:, i:i + p] for i in range(0, extra + 1, s)], axis=1)
         want = windows.argmax(axis=2)
-        assert off.dtype == (np.uint8 if p <= 256 else np.intp)
+        assert off.dtype == (np.uint8 if p <= 256 else np.intp) and y.dtype == dtype
+        assert off[0, 0] == 0 and off[2, 0] == p // 2 and (not nans or off[1, 0] == p - 1)
         np.testing.assert_array_equal(off, want)
-        np.testing.assert_array_equal(y, np.take_along_axis(windows, want[..., None], 2)[..., 0])
+        assert y.tobytes() == np.take_along_axis(windows, want[..., None], 2)[..., 0].tobytes()
         # the scatter goes to the same samples and leaves the offsets as they were
         g = rng.standard_normal(off.shape)
         want_gx = np.zeros(x.shape)
