@@ -102,6 +102,11 @@ class SignalSpec:
     samples_per_record: int
     sampling_rate: float
 
+    def physical(self, counts: np.ndarray) -> np.ndarray:
+        """Physical values of digital `counts` under this signal's linear map."""
+        scale = (self.physical_max - self.physical_min) / (self.digital_max - self.digital_min)
+        return (counts.astype(np.float64) - self.digital_min) * scale + self.physical_min
+
 
 @dataclass(frozen=True)
 class AnnotationEvent:
@@ -121,8 +126,12 @@ def signal_index(specs: list[SignalSpec], label: str) -> int:
 @dataclass
 class ParsedEdf:
     specs: list[SignalSpec]
-    physical: list[np.ndarray]
-    digital: list[np.ndarray]
+    records: np.ndarray  # (records, samples per record) int16 view of the file's bytes
+
+    def digital(self, i: int) -> np.ndarray:
+        """Signal i's counts over the whole file."""
+        start = sum(spec.samples_per_record for spec in self.specs[:i])
+        return self.records[:, start:start + self.specs[i].samples_per_record].reshape(-1)
 
     def annotation_bytes(self) -> bytes:
         """Raw byte stream of the EDF+ annotations signal (empty if absent)."""
@@ -130,7 +139,7 @@ class ParsedEdf:
             idx = signal_index(self.specs, ANNOTATIONS_LABEL)
         except IngestError:
             return b""
-        return self.digital[idx].astype("<i2").tobytes()
+        return self.digital(idx).tobytes()
 
 
 @dataclass(eq=False)  # identity equality; field equality is meaningless on arrays
@@ -165,15 +174,15 @@ class Recording:
         return self.samples[epoch_index * n:(epoch_index + 1) * n]
 
 
-def _ascii_field(raw: bytes, offset: int) -> str:
+def _ascii_field(raw: bytes, offset: int, what: str) -> str:
     try:
         return raw.decode("ascii").strip()
     except UnicodeDecodeError:
-        raise EdfFormatError("non-ASCII header field", offset) from None
+        raise EdfFormatError(f"non-ASCII {what} field", offset) from None
 
 
 def _int_field(raw: bytes, offset: int, what: str) -> int:
-    text = _ascii_field(raw, offset)
+    text = _ascii_field(raw, offset, what)
     try:
         return int(text)
     except ValueError:
@@ -181,7 +190,7 @@ def _int_field(raw: bytes, offset: int, what: str) -> int:
 
 
 def _float_field(raw: bytes, offset: int, what: str) -> float:
-    text = _ascii_field(raw, offset)
+    text = _ascii_field(raw, offset, what)
     try:
         return float(text)
     except ValueError:
@@ -189,11 +198,11 @@ def _float_field(raw: bytes, offset: int, what: str) -> float:
 
 
 def parse_edf(data: bytes) -> ParsedEdf:
-    """Parse an EDF byte string into per-signal specs and samples; every
-    header field is checked, but only the specs are kept.
+    """Parse an EDF byte string into per-signal specs and its data records;
+    every header field is checked, but only the specs are kept.
 
-    Samples are converted from 16-bit digital counts to physical units via
-    the per-signal linear map; the raw digital values are kept alongside.
+    Samples stay as the file's 16-bit digital counts, viewed in place;
+    `SignalSpec.physical` maps them to physical units.
     """
     if len(data) < 256:
         raise EdfFormatError(f"truncated header: {len(data)} < 256 bytes", len(data))
@@ -205,12 +214,12 @@ def parse_edf(data: bytes) -> ParsedEdf:
         return buf.read(n), off
 
     for width in (8, 80, 80, 8, 8):  # version, patient, recording, start date and time
-        _ascii_field(*take(width))
-    header_bytes = _int_field(*take(8), what="header size")
-    _ascii_field(*take(44))  # reserved
-    n_records = _int_field(*take(8), what="record count")
-    record_duration = _float_field(*take(8), what="record duration")
-    n_signals = _int_field(*take(4), what="signal count")
+        _ascii_field(*take(width), "header")
+    header_bytes = _int_field(*take(8), "header size")
+    _ascii_field(*take(44), "reserved")
+    n_records = _int_field(*take(8), "record count")
+    record_duration = _float_field(*take(8), "record duration")
+    n_signals = _int_field(*take(4), "signal count")
 
     if n_signals <= 0:
         raise EdfFormatError(f"signal count {n_signals} must be positive", 252)
@@ -222,9 +231,10 @@ def parse_edf(data: bytes) -> ParsedEdf:
         raise EdfFormatError(
             f"truncated signal headers: {len(data)} < {expected_header}", len(data))
 
+    starts: dict[str, int] = {}  # column name -> byte offset of signal 0's field
     def column(width: int, conv, what: str) -> list:
-        return [conv(*take(width), what=what) if conv is not _ascii_field
-                else _ascii_field(*take(width)) for _ in range(n_signals)]
+        starts[what] = buf.tell()
+        return [conv(*take(width), what) for _ in range(n_signals)]
 
     labels = column(16, _ascii_field, "label")
     column(80, _ascii_field, "transducer")
@@ -241,7 +251,7 @@ def parse_edf(data: bytes) -> ParsedEdf:
         if samples_per_record[i] <= 0:
             raise EdfFormatError(
                 f"signal {labels[i]!r}: samples per record {samples_per_record[i]} "
-                f"must be positive", 256 + 16 * n_signals)
+                f"must be positive", starts["samples per record"] + 8 * i)
 
     record_samples = sum(samples_per_record)
     payload = len(data) - expected_header
@@ -260,26 +270,17 @@ def parse_edf(data: bytes) -> ParsedEdf:
         if dig_max[i] <= dig_min[i]:
             raise EdfFormatError(
                 f"signal {labels[i]!r}: digital range [{dig_min[i]}, {dig_max[i]}] is empty",
-                256 + 16 * n_signals)
+                starts["digital minimum"] + 8 * i)
         if phys_max[i] == phys_min[i] and labels[i] != ANNOTATIONS_LABEL:
             raise EdfFormatError(
-                f"signal {labels[i]!r}: physical min equals max", 256 + 16 * n_signals)
+                f"signal {labels[i]!r}: physical min equals max",
+                starts["physical minimum"] + 8 * i)
         rate = samples_per_record[i] / record_duration if record_duration > 0 else math.nan
         specs.append(SignalSpec(labels[i], phys_min[i], phys_max[i],
                                 dig_min[i], dig_max[i], samples_per_record[i], rate))
 
-    raw = np.frombuffer(data, dtype="<i2", offset=expected_header)
-    raw = raw.reshape(n_records, record_samples)
-    digital, physical = [], []
-    col = 0
-    for i, spec in enumerate(specs):
-        d = raw[:, col:col + spec.samples_per_record].reshape(-1).copy()
-        col += spec.samples_per_record
-        digital.append(d)
-        scale = (spec.physical_max - spec.physical_min) / (spec.digital_max - spec.digital_min)
-        physical.append((d.astype(np.float64) - spec.digital_min) * scale + spec.physical_min)
-
-    return ParsedEdf(specs, physical, digital)
+    records = np.frombuffer(data, dtype="<i2", offset=expected_header)
+    return ParsedEdf(specs, records.reshape(n_records, record_samples))
 
 
 def parse_tal(data: bytes) -> list[AnnotationEvent]:
@@ -362,8 +363,7 @@ def is_lights_out_label(raw: str) -> bool:
 
 
 def assemble_recording(
-    physical_signals: list[np.ndarray],
-    specs: list[SignalSpec],
+    parsed: ParsedEdf,
     annotations: list[AnnotationEvent],
     channel_name: str = DEFAULT_CHANNEL,
     subject_id: str = "",
@@ -374,21 +374,21 @@ def assemble_recording(
 
     Stage events label every whole epoch whose start they cover. The retained
     span runs from lights-out through the last non-W epoch; unscorable epochs
-    inside the span are dropped (count kept on the result) and the samples are
-    re-sliced to match.
+    inside the span are dropped (count kept on the result), and only the kept
+    epochs' counts are scaled to physical units.
     """
-    idx = signal_index(specs, channel_name)
-    spec = specs[idx]
+    idx = signal_index(parsed.specs, channel_name)
+    spec = parsed.specs[idx]
     if not math.isclose(spec.sampling_rate, SCORING_RATE_HZ):
         raise IngestError(
             f"channel {channel_name!r} sampled at {spec.sampling_rate} Hz; "
             f"this pipeline requires {SCORING_RATE_HZ} Hz")
 
-    samples = np.asarray(physical_signals[idx], dtype=np.float64)
-    n_epochs = len(samples) // SAMPLES_PER_EPOCH
+    counts = parsed.digital(idx)
+    n_epochs = len(counts) // SAMPLES_PER_EPOCH
     if n_epochs == 0:
         raise IngestError("signal shorter than one epoch")
-    samples = samples[:n_epochs * SAMPLES_PER_EPOCH]
+    epochs = counts[:n_epochs * SAMPLES_PER_EPOCH].reshape(n_epochs, SAMPLES_PER_EPOCH)
 
     labels: list[SleepStage | None] = [None] * n_epochs
     lights_out = lights_out_epoch
@@ -425,14 +425,11 @@ def assemble_recording(
     if not kept:
         raise IngestError("zero scored epochs within the in-bed span")
 
-    kept_samples = np.concatenate(
-        [samples[e * SAMPLES_PER_EPOCH:(e + 1) * SAMPLES_PER_EPOCH] for e in kept])
-    kept_labels = [labels[e] for e in kept]
     return Recording(
         subject_id=subject_id,
         night=night,
-        samples=kept_samples,
-        epoch_labels=kept_labels,
+        samples=spec.physical(epochs[kept]).reshape(-1),
+        epoch_labels=[labels[e] for e in kept],
         lights_out_epoch=0,
         samples_per_epoch=SAMPLES_PER_EPOCH,
         removed_epochs=removed,
@@ -505,7 +502,7 @@ def load_recording(
         ann_edf = parse_edf(pair.annotation_path.read_bytes())
         events = parse_annotations(ann_edf.annotation_bytes())
     return assemble_recording(
-        parsed.physical, parsed.specs, events,
+        parsed, events,
         channel_name=channel_name,
         subject_id=pair.subject_id,
         night=pair.night,

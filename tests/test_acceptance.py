@@ -126,7 +126,7 @@ def test_criterion_06_ingestion_round_trip(tmp_path):
            "digital": digital}
     S.write_edf(tmp_path / "rt.edf", [sig], n_records=2, record_duration=30)
     parsed = E.parse_edf((tmp_path / "rt.edf").read_bytes())
-    bit_exact = np.array_equal(parsed.digital[0], digital)
+    bit_exact = np.array_equal(parsed.digital(0), digital)
 
     stages = [SleepStage.W, SleepStage.N1, SleepStage.N2, None,
               SleepStage.N3, SleepStage.R]

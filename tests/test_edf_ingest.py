@@ -31,8 +31,9 @@ class TestParseEdf:
     def test_scaling_endpoints(self, tmp_path):
         parsed = write_and_parse(
             tmp_path, [eeg_signal_dict([2047, -2048] * 50)], n_records=1)
-        assert parsed.physical[0][0] == pytest.approx(200.0)
-        assert parsed.physical[0][1] == pytest.approx(-200.0)
+        physical = parsed.specs[0].physical(parsed.digital(0))
+        assert physical[0] == pytest.approx(200.0)
+        assert physical[1] == pytest.approx(-200.0)
 
     def test_round_trip_two_signals(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -43,14 +44,14 @@ class TestParseEdf:
             eeg_signal_dict(d2, label="EEG Pz-Oz", phys=(-100, 100),
                             dig=(-500, 500), spr=200),
         ], n_records=3)
-        np.testing.assert_array_equal(parsed.digital[0], d1)
-        np.testing.assert_array_equal(parsed.digital[1], d2)
+        np.testing.assert_array_equal(parsed.digital(0), d1)
+        np.testing.assert_array_equal(parsed.digital(1), d2)
         # physical values within one scaling quantum of the exact map
         for i, (d, spec) in enumerate(zip((d1, d2), parsed.specs)):
             quantum = (spec.physical_max - spec.physical_min) / (
                 spec.digital_max - spec.digital_min)
             exact = (d - spec.digital_min) * quantum + spec.physical_min
-            assert np.abs(parsed.physical[i] - exact).max() <= quantum
+            assert np.abs(spec.physical(parsed.digital(i)) - exact).max() <= quantum
 
     def test_signal_order_preserved(self, tmp_path):
         parsed = write_and_parse(tmp_path, [
@@ -80,10 +81,21 @@ class TestParseEdf:
         with pytest.raises(E.EdfFormatError, match="non-ASCII"):
             E.parse_edf(bytes(data))
 
+    # Signal header columns of a two-signal file, each field's offset being
+    # 256 + 2 * (widths of the columns before it) + its width * signal index.
     def test_zero_digital_range(self, tmp_path):
-        sig = eeg_signal_dict(np.zeros(100), dig=(5, 5))
-        with pytest.raises(E.EdfFormatError, match="digital range"):
-            write_and_parse(tmp_path, [sig], n_records=1)
+        sigs = [eeg_signal_dict(np.zeros(100), label="A"),
+                eeg_signal_dict(np.zeros(100), label="B", dig=(5, 5))]
+        with pytest.raises(E.EdfFormatError, match="digital range") as exc:
+            write_and_parse(tmp_path, sigs, n_records=1)
+        assert exc.value.offset == 256 + 2 * (16 + 80 + 8 + 8 + 8) + 8 == 504
+
+    def test_equal_physical_range(self, tmp_path):
+        sigs = [eeg_signal_dict(np.zeros(100), label="A"),
+                eeg_signal_dict(np.zeros(100), label="B", phys=(7, 7))]
+        with pytest.raises(E.EdfFormatError, match="physical min equals max") as exc:
+            write_and_parse(tmp_path, sigs, n_records=1)
+        assert exc.value.offset == 256 + 2 * (16 + 80 + 8) + 8 == 472
 
     def test_record_count_mismatch(self, tmp_path):
         path = tmp_path / "t.edf"
@@ -96,14 +108,16 @@ class TestParseEdf:
 
     def test_nonpositive_samples_per_record(self, tmp_path):
         path = tmp_path / "t.edf"
-        S.write_edf(path, [eeg_signal_dict(np.zeros(100))],
+        S.write_edf(path, [eeg_signal_dict(np.zeros(100), label="A"),
+                           eeg_signal_dict(np.zeros(100), label="B")],
                     n_records=1, record_duration=1)
         data = bytearray(path.read_bytes())
-        # samples-per-record column sits after label/transducer/dim/phys/dig/prefilter
-        col = 256 + (16 + 80 + 8 + 8 + 8 + 8 + 8 + 80)
-        data[col:col + 8] = b"0       "
-        with pytest.raises(E.EdfFormatError, match="samples per record"):
+        # signal B's field of the column after label/transducer/dim/phys/dig/prefilter
+        field = 256 + 2 * (16 + 80 + 8 + 8 + 8 + 8 + 8 + 80) + 8
+        data[field:field + 8] = b"0       "
+        with pytest.raises(E.EdfFormatError, match="samples per record") as exc:
             E.parse_edf(bytes(data))
+        assert exc.value.offset == field == 696
 
     def test_sampling_rate_derived(self, tmp_path):
         parsed = write_and_parse(
@@ -120,7 +134,7 @@ class TestParseEdf:
         mid = (dig_min + dig_max) // 2
         spec = E.SignalSpec("x", phys_lo, phys_lo + phys_width, dig_min, dig_max, 1, 1.0)
         scale = (spec.physical_max - spec.physical_min) / (dig_max - dig_min)
-        phys_mid = (mid - dig_min) * scale + spec.physical_min
+        phys_mid = spec.physical(np.array([mid], dtype=np.int16))[0]
         exact_mid = (spec.physical_min + spec.physical_max) / 2
         assert abs(phys_mid - exact_mid) <= scale  # within one quantum
 
@@ -190,68 +204,71 @@ def events_for(stages, lights_out=0):
     return S.stage_events(stages, lights_out)
 
 
-def flat_signal(n_epochs):
-    return [np.zeros(n_epochs * E.SAMPLES_PER_EPOCH)]
-
-
 def spec_100hz(label=E.DEFAULT_CHANNEL):
-    return [E.SignalSpec(label, -200.0, 200.0, -2048, 2047, 3000, 100.0)]
+    return E.SignalSpec(label, -200.0, 200.0, -2048, 2047, 3000, 100.0)
+
+
+def one_signal(n_epochs, spec=None, counts=None):
+    """A parsed one-signal file of 30 s records; all counts zero unless given."""
+    spec = spec or spec_100hz()
+    if counts is None:
+        counts = np.zeros(n_epochs * E.SAMPLES_PER_EPOCH, dtype=np.int16)
+    return E.ParsedEdf([spec], counts.reshape(n_epochs, -1))
 
 
 class TestAssembleRecording:
     def test_trim_rule_hand_case(self):
         stages = [SleepStage.W, SleepStage.W, SleepStage.N1, SleepStage.N2]
-        rec = E.assemble_recording(flat_signal(4), spec_100hz(),
-                                   events_for(stages, lights_out=1), subject_id="s")
+        rec = E.assemble_recording(one_signal(4), events_for(stages, lights_out=1),
+                                   subject_id="s")
         assert [s for s in rec.epoch_labels] == [SleepStage.W, SleepStage.N1, SleepStage.N2]
         assert rec.lights_out_epoch == 0
         assert len(rec.samples) == 3 * E.SAMPLES_PER_EPOCH
 
     def test_movement_removed_and_counted(self):
         stages = ([SleepStage.N2] * 50) + [None] + ([SleepStage.N2] * 49)
-        rec = E.assemble_recording(flat_signal(100), spec_100hz(),
-                                   events_for(stages), subject_id="s")
+        rec = E.assemble_recording(one_signal(100), events_for(stages), subject_id="s")
         assert rec.n_epochs == 99
         assert rec.removed_epochs == 1
 
     def test_all_wake_recording(self):
         with pytest.raises(E.IngestError, match="no sleep onset"):
-            E.assemble_recording(flat_signal(4), spec_100hz(),
-                                 events_for([SleepStage.W] * 4))
+            E.assemble_recording(one_signal(4), events_for([SleepStage.W] * 4))
 
     def test_channel_not_found(self):
         with pytest.raises(E.IngestError, match="not found"):
-            E.assemble_recording(flat_signal(2), spec_100hz("EEG Pz-Oz"),
+            E.assemble_recording(one_signal(2, spec_100hz("EEG Pz-Oz")),
                                  events_for([SleepStage.N2] * 2))
 
     def test_wrong_sampling_rate(self):
-        spec = [E.SignalSpec(E.DEFAULT_CHANNEL, -200, 200, -2048, 2047, 256, 256.0)]
+        spec = E.SignalSpec(E.DEFAULT_CHANNEL, -200, 200, -2048, 2047, 256, 256.0)
         with pytest.raises(E.IngestError, match="Hz"):
-            E.assemble_recording(flat_signal(2), spec, events_for([SleepStage.N2] * 2))
+            E.assemble_recording(one_signal(2, spec), events_for([SleepStage.N2] * 2))
 
     def test_no_lights_out_marker(self):
         events = [e for e in events_for([SleepStage.N2] * 3)
                   if not E.is_lights_out_label(e.label)]
         with pytest.raises(E.IngestError, match="lights-out"):
-            E.assemble_recording(flat_signal(3), spec_100hz(), events)
+            E.assemble_recording(one_signal(3), events)
 
     def test_lights_out_override(self):
         events = [e for e in events_for([SleepStage.W, SleepStage.N1, SleepStage.N2])
                   if not E.is_lights_out_label(e.label)]
-        rec = E.assemble_recording(flat_signal(3), spec_100hz(), events,
-                                   lights_out_epoch=1)
+        rec = E.assemble_recording(one_signal(3), events, lights_out_epoch=1)
         assert rec.epoch_labels == [SleepStage.N1, SleepStage.N2]
 
     def test_samples_match_retained_epochs(self):
         n = 6
-        sig = [np.arange(n * E.SAMPLES_PER_EPOCH, dtype=float)]
+        counts = np.arange(n * E.SAMPLES_PER_EPOCH, dtype=np.int16)
+        # digital and physical ranges equal: the map is the identity
+        identity = E.SignalSpec(E.DEFAULT_CHANNEL, -32768.0, 32767.0, -32768, 32767,
+                                3000, 100.0)
         stages = [SleepStage.W, SleepStage.N1, None, SleepStage.N2,
                   SleepStage.R, SleepStage.W]
-        rec = E.assemble_recording(sig, spec_100hz(), events_for(stages))
+        rec = E.assemble_recording(one_signal(n, identity, counts), events_for(stages))
         # epochs kept: 0,1,3,4 (movement at 2 dropped, trailing W dropped)
         assert rec.n_epochs == 4
-        np.testing.assert_array_equal(
-            rec.epoch_signal(2), sig[0][3 * 3000:4 * 3000])
+        np.testing.assert_array_equal(rec.epoch_signal(2), counts[3 * 3000:4 * 3000])
 
     def test_recording_invariants_from_synthetic_pairs(self, tmp_path):
         stages = [SleepStage.W, SleepStage.N1, SleepStage.N2, None,
@@ -263,6 +280,37 @@ class TestAssembleRecording:
         assert all(lbl in list(SleepStage) for lbl in rec.epoch_labels)
         assert rec.subject_id == "SC401" and rec.night == 1
         assert rec.removed_epochs == 1
+
+    def test_sleep_cassette_shaped_pair(self, tmp_path):
+        # The scoring channel is not the first signal, a 1 Hz signal sits
+        # between the 100 Hz channels, and every signal has its own scaling.
+        n = 8
+        rng = np.random.default_rng(3)
+        layout = [("EOG horizontal", 3000, (-450.5, 450.5), (-2048, 2047)),
+                  (E.DEFAULT_CHANNEL, 3000, (-187.5, 192.25), (-2048, 2047)),
+                  ("Resp oro-nasal", 30, (-1000, 1000), (-32768, 32767)),
+                  ("EEG Pz-Oz", 3000, (-96.25, 101.5), (-2000, 2001))]
+        signals = [eeg_signal_dict(rng.integers(dig[0], dig[1] + 1, n * spr), label=label,
+                                   phys=phys, dig=dig, spr=spr)
+                   for label, spr, phys, dig in layout]
+        S.write_edf(tmp_path / "SC4012E0-PSG.edf", signals, n_records=n, record_duration=30)
+        stages = [SleepStage.W, SleepStage.W, SleepStage.N1, SleepStage.N2,
+                  None, SleepStage.N3, SleepStage.R, SleepStage.W]
+        S.write_hypnogram_edf(tmp_path / "SC4012EC-Hypnogram.edf",
+                              S.stage_events(stages, lights_out_epoch=1))
+        pair = E.discover_pairs(tmp_path)[0]
+        kept = [1, 2, 3, 5, 6]  # lights-out at 1, Movement at 4, trailing W
+        for sig in (signals[1], signals[3]):
+            rec = E.load_recording(pair, channel_name=sig["label"])
+            assert rec.epoch_labels == [stages[e] for e in kept]
+            assert rec.removed_epochs == 1
+            epochs = sig["digital"].reshape(n, E.SAMPLES_PER_EPOCH)[kept]
+            scale = (sig["physical_max"] - sig["physical_min"]) / (
+                sig["digital_max"] - sig["digital_min"])
+            expected = (epochs.astype(np.float64) - sig["digital_min"]) * scale \
+                + sig["physical_min"]
+            assert rec.samples.dtype == np.float64
+            assert rec.samples.tobytes() == expected.reshape(-1).tobytes()
 
     def test_csv_annotated_pair(self, tmp_path):
         stages = [SleepStage.N1, SleepStage.N2, SleepStage.N3]
