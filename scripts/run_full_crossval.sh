@@ -4,9 +4,10 @@
 # This is the long-running experiment: 20 folds x a 145M-parameter network.
 # A batch-100 step takes about 5 s on 2 Xeon vCPUs (numpy 2.4, OpenBLAS), so
 # a fold that runs to the 20000-iteration cap takes about 28 hours; each fold
-# peaks at about 1.7 GB RSS, plus the corpus. Its best.somn (579 MB), written
-# at each improvement, saves in about 1 s and loads in about 0.5 s, with no
-# transient copy. Desk-scale checks live in the test suite; this recipe exists
+# peaks at about 1.7 GB RSS, plus the corpus (about 0.24 GB of EDF counts for
+# the 39 nights, measured; see README "Cost at full size"). Its best.somn
+# (579 MB), written at each improvement, saves in about 1 s and loads in about
+# 0.5 s, with no transient copy. Desk-scale checks live in the test suite; this recipe exists
 # to reproduce the headline numbers (target: mean F1 within 3 percentage points
 # of 81) once the corpus is available locally.
 #
@@ -23,7 +24,7 @@ somnoscore ingest --data-dir "$DATA_DIR" --out "$OUT_DIR/ingest"
 # Resumes automatically: completed folds under $OUT_DIR are skipped.
 # Raw microvolt-scale input saturates the softmax under the default rate;
 # see README "Configuration" (learning rate ~1e-7..1e-6 for raw uV signals).
-# With memory for two folds (about 3.4 GB plus two corpora), split the folds
+# With memory for two folds (about 3.8 GB with their two corpora), split the folds
 # over two processes into the same directory instead, then evaluate once both
 # are done:
 #   somnoscore crossval ...same flags... --folds 0,2,4,6,8,10,12,14,16,18 &

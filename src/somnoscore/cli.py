@@ -201,7 +201,8 @@ def cmd_evaluate(args) -> int:
 
     regressions = None
     if cfg.data_dir:
-        recordings = {(r.subject_id, r.night): r for r in _load_corpus(cfg)}
+        scored = _load_corpus(cfg, {s.subject_id for s in per_recording})
+        recordings = {(r.subject_id, r.night): r for r in scored}
         eff, trans, f1s, overalls = [], [], [], []
         for item in per_recording:
             rec = recordings.get((item.subject_id, item.night))

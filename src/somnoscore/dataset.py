@@ -2,8 +2,8 @@
 
 A training example is the signal of five consecutive epochs (the scored epoch
 plus two on each side) with the middle epoch's label. Windows are index views
-into their recording, materialized on demand, so memory stays proportional to
-the signal rather than to window count.
+into their recording's EDF counts, scaled on demand, so memory stays
+proportional to the counts rather than to window count.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class LabeledWindow:
     """Lazy view of one training example: five epochs around `epoch_index`.
 
     Missing context at recording boundaries replicates the nearest existing
-    epoch, so the window length is always WINDOW_EPOCHS x samples_per_epoch.
+    epoch, so the window length is always WINDOW_EPOCHS x samples per epoch.
     """
 
     recording: Recording
@@ -35,24 +35,19 @@ class LabeledWindow:
         return (self.recording.subject_id, self.recording.night, self.epoch_index)
 
     def signal(self) -> np.ndarray:
+        """The window's physical values: its five rows of counts, scaled in one call."""
         rec = self.recording
-        last = rec.n_epochs - 1
-        parts = [
-            rec.epoch_signal(min(max(self.epoch_index + d, 0), last))
-            for d in range(-CONTEXT_EPOCHS, CONTEXT_EPOCHS + 1)
-        ]
-        return np.concatenate(parts)
+        rows = range(self.epoch_index - CONTEXT_EPOCHS, self.epoch_index + CONTEXT_EPOCHS + 1)
+        # "clip" replicates the nearest epoch past either end
+        counts = rec.epochs.take(rows, axis=0, mode="clip")
+        return rec.spec.physical(counts.reshape(-1))
 
 
 def build_windows(recording: Recording) -> list[LabeledWindow]:
-    """One window per labeled epoch, in epoch order."""
-    if not any(lbl is not None for lbl in recording.epoch_labels):
+    """One window per epoch, in epoch order."""
+    if not recording.epoch_labels:
         raise ValueError("recording has no labeled epochs")
-    return [
-        LabeledWindow(recording, e, lbl)
-        for e, lbl in enumerate(recording.epoch_labels)
-        if lbl is not None
-    ]
+    return [LabeledWindow(recording, e, lbl) for e, lbl in enumerate(recording.epoch_labels)]
 
 
 def windows_for_subjects(

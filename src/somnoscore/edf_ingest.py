@@ -1,4 +1,4 @@
-"""EDF/EDF+ ingestion into typed, physically scaled recordings.
+"""EDF/EDF+ ingestion into typed recordings of EDF counts and their scaling.
 
 Parses the 1992 EDF container (256-byte ASCII header, 256 bytes per signal,
 16-bit little-endian samples), EDF+ time-stamped annotation lists, and a
@@ -102,10 +102,19 @@ class SignalSpec:
     samples_per_record: int
     sampling_rate: float
 
+    @property
+    def scale(self) -> float:
+        """Physical units per digital count."""
+        return (self.physical_max - self.physical_min) / (self.digital_max - self.digital_min)
+
     def physical(self, counts: np.ndarray) -> np.ndarray:
         """Physical values of digital `counts` under this signal's linear map."""
-        scale = (self.physical_max - self.physical_min) / (self.digital_max - self.digital_min)
-        return (counts.astype(np.float64) - self.digital_min) * scale + self.physical_min
+        return (counts.astype(np.float64) - self.digital_min) * self.scale + self.physical_min
+
+    def counts(self, physical: np.ndarray) -> np.ndarray:
+        """The inverse of `physical`: the nearest int16 counts, clipped to the digital range."""
+        return np.clip(np.round((physical - self.physical_min) / self.scale + self.digital_min),
+                       self.digital_min, self.digital_max).astype("<i2")
 
 
 @dataclass(frozen=True)
@@ -144,34 +153,28 @@ class ParsedEdf:
 
 @dataclass(eq=False)  # identity equality; field equality is meaningless on arrays
 class Recording:
-    """One subject-night: scaled samples plus one stage label per epoch.
+    """One subject-night: the scoring channel's epochs as EDF counts, one row
+    per epoch, the `spec` that scales them, and one stage label per epoch.
 
-    After assembly the sample array length is always samples_per_epoch times
-    the number of labels, and every retained epoch carries a concrete stage.
+    After assembly every retained epoch carries a concrete stage.
     """
 
     subject_id: str
     night: int
-    samples: np.ndarray
+    epochs: np.ndarray  # (n_epochs, samples per epoch) int16 counts
+    spec: SignalSpec
     epoch_labels: list[SleepStage]
     lights_out_epoch: int = 0
-    samples_per_epoch: int = SAMPLES_PER_EPOCH
     removed_epochs: int = 0
 
     def __post_init__(self):
-        if len(self.samples) != self.samples_per_epoch * len(self.epoch_labels):
+        if len(self.epochs) != len(self.epoch_labels):
             raise IngestError(
-                f"sample count {len(self.samples)} is not "
-                f"{self.samples_per_epoch} x {len(self.epoch_labels)} epochs"
-            )
+                f"{len(self.epochs)} epochs of samples for {len(self.epoch_labels)} labels")
 
     @property
     def n_epochs(self) -> int:
         return len(self.epoch_labels)
-
-    def epoch_signal(self, epoch_index: int) -> np.ndarray:
-        n = self.samples_per_epoch
-        return self.samples[epoch_index * n:(epoch_index + 1) * n]
 
 
 def _ascii_field(raw: bytes, offset: int, what: str) -> str:
@@ -374,8 +377,8 @@ def assemble_recording(
 
     Stage events label every whole epoch whose start they cover. The retained
     span runs from lights-out through the last non-W epoch; unscorable epochs
-    inside the span are dropped (count kept on the result), and only the kept
-    epochs' counts are scaled to physical units.
+    inside the span are dropped (count kept on the result), and the kept
+    epochs' counts are copied out of the file with the channel's spec.
     """
     idx = signal_index(parsed.specs, channel_name)
     spec = parsed.specs[idx]
@@ -425,15 +428,8 @@ def assemble_recording(
     if not kept:
         raise IngestError("zero scored epochs within the in-bed span")
 
-    return Recording(
-        subject_id=subject_id,
-        night=night,
-        samples=spec.physical(epochs[kept]).reshape(-1),
-        epoch_labels=[labels[e] for e in kept],
-        lights_out_epoch=0,
-        samples_per_epoch=SAMPLES_PER_EPOCH,
-        removed_epochs=removed,
-    )
+    return Recording(subject_id, night, epochs[kept], spec, [labels[e] for e in kept],
+                     removed_epochs=removed)
 
 
 @dataclass(frozen=True)
@@ -469,18 +465,19 @@ def discover_pairs(data_dir: Path) -> list[RecordingPair]:
     pairs = []
     for psg in psgs:
         stem = psg.name[:-len("-PSG.edf")]
-        ann = None
         exact = data_dir / f"{stem}-Hypnogram.edf"
         csv_file = data_dir / f"{stem}-labels.csv"
+        prefixed = [h for h in hyps if h.name[:7] == psg.name[:7]]
         if exact.exists():
             ann = exact
         elif csv_file.exists():
             ann = csv_file
+        elif len(prefixed) == 1:
+            ann = prefixed[0]
+        elif prefixed:
+            raise IngestError(f"ambiguous annotation files for {psg.name}: "
+                              f"{', '.join(h.name for h in prefixed)}")
         else:
-            prefixed = [h for h in hyps if h.name[:7] == psg.name[:7]]
-            if len(prefixed) == 1:
-                ann = prefixed[0]
-        if ann is None:
             raise IngestError(f"no annotation file found for {psg.name}")
         subject, night = _subject_night(stem)
         pairs.append(RecordingPair(psg, ann, subject, night))

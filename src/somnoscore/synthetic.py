@@ -20,6 +20,7 @@ from .edf_ingest import (
     SCORING_RATE_HZ,
     AnnotationEvent,
     Recording,
+    SignalSpec,
     SleepStage,
 )
 
@@ -57,16 +58,13 @@ def synthetic_recording(
     amplitude: float = 20.0,
     noise: float = 1.0,
 ) -> Recording:
+    """Band-separated epochs as int16 counts over +-(amplitude + 8 noise)."""
     rng = np.random.default_rng([seed, zlib.crc32(subject_id.encode()), night])
     parts = [band_signal(s, samples_per_epoch, rng, amplitude, noise) for s in stages]
-    return Recording(
-        subject_id=subject_id,
-        night=night,
-        samples=np.concatenate(parts),
-        epoch_labels=list(stages),
-        lights_out_epoch=0,
-        samples_per_epoch=samples_per_epoch,
-    )
+    bound = amplitude + 8.0 * noise
+    spec = SignalSpec(DEFAULT_CHANNEL, -bound, bound, -32768, 32767, samples_per_epoch,
+                      SCORING_RATE_HZ)
+    return Recording(subject_id, night, spec.counts(np.stack(parts)), spec, list(stages))
 
 
 def synthetic_corpus(
@@ -214,11 +212,9 @@ def write_synthetic_pair(
         parts.append(band_signal(fill, SAMPLES_PER_EPOCH, rng, amplitude=150.0, noise=5.0))
     physical = np.concatenate(parts)
 
-    phys_min, phys_max = -200.0, 200.0
-    dig_min, dig_max = -2048, 2047
-    scale = (phys_max - phys_min) / (dig_max - dig_min)
-    digital = np.clip(np.round((physical - phys_min) / scale + dig_min),
-                      dig_min, dig_max).astype("<i2")
+    spec = SignalSpec(DEFAULT_CHANNEL, -200.0, 200.0, -2048, 2047, SAMPLES_PER_EPOCH,
+                      SCORING_RATE_HZ)
+    digital = spec.counts(physical)
 
     channels = [DEFAULT_CHANNEL] + (extra_channels or [])
     n_records = len(stages)                    # one 30 s record per epoch
@@ -226,8 +222,8 @@ def write_synthetic_pair(
     for ch in channels:
         signals.append({
             "label": ch,
-            "physical_min": int(phys_min), "physical_max": int(phys_max),
-            "digital_min": dig_min, "digital_max": dig_max,
+            "physical_min": int(spec.physical_min), "physical_max": int(spec.physical_max),
+            "digital_min": spec.digital_min, "digital_max": spec.digital_max,
             "samples_per_record": SAMPLES_PER_EPOCH,
             "digital": digital,
         })

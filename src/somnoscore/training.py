@@ -23,7 +23,8 @@ import numpy as np
 
 from . import model
 from . import tensor_ops as T
-from .dataset import FoldSplit, balanced_batch, class_pools, make_folds, windows_for_subjects
+from .dataset import (WINDOW_EPOCHS, FoldSplit, balanced_batch, class_pools, make_folds,
+                      windows_for_subjects)
 from .edf_ingest import N_STAGES, Recording
 from .evaluation import confusion, validation_scores
 from .fileio import write_atomic, write_json
@@ -192,7 +193,7 @@ def corpus_fingerprint(recordings: list[Recording]) -> str:
     for rec in sorted(recordings, key=lambda r: (r.subject_id, r.night)):
         h.update(rec.subject_id.encode())
         h.update(str(rec.night).encode())
-        h.update(np.ascontiguousarray(rec.samples).tobytes())
+        h.update(rec.spec.physical(rec.epochs).tobytes())  # scaled: run records keep their hash
         h.update(bytes(int(s) for s in rec.epoch_labels))
     return h.hexdigest()
 
@@ -258,7 +259,8 @@ def run_crossvalidation(
     folds with existing results are skipped (crash-resume). One fold's
     failure, in training or saving, does not abort the rest: `failures` gets
     its message, fold_XX/failure.txt its traceback. An empty fold list, a
-    fold index outside the folds or repeated, or an output directory whose
+    fold index outside the folds or repeated, a config whose `input_len` is
+    not the corpus's window length, or an output directory whose
     record differs from this run's (another seed, config, corpus or BLAS
     thread setting) or that holds fold results without a record, raises
     ValueError before anything is written.
@@ -273,6 +275,10 @@ def run_crossvalidation(
         if i in fold_indices[:n]:
             raise ValueError(f"fold {i} repeated")
     selected = folds if fold_indices is None else [folds[i] for i in fold_indices]
+    lengths = {WINDOW_EPOCHS * r.epochs.shape[1] for r in recordings}
+    if lengths != {config.input_len}:
+        raise ValueError(f"input_len {config.input_len} is not the corpus's window length "
+                         f"({WINDOW_EPOCHS} epochs: {sorted(lengths)} samples)")
 
     results: dict[int, FoldResult] = {}
     skipped: list[int] = []

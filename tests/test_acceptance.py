@@ -140,7 +140,7 @@ def test_criterion_06_ingestion_round_trip(tmp_path):
     merged = rec.epoch_labels == [SleepStage.W, SleepStage.N1, SleepStage.N2,
                                   SleepStage.N3, SleepStage.R]
     movement_removed = rec.removed_epochs == 1
-    invariants = len(rec.samples) == rec.samples_per_epoch * rec.n_epochs
+    invariants = rec.epochs.shape == (rec.n_epochs, E.SAMPLES_PER_EPOCH)
 
     S.write_synthetic_pair(tmp_path / "csv", "subj", stages[:3],
                            annotation_format="csv")

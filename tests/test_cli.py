@@ -225,6 +225,17 @@ class TestCrossval:
         assert "no fold selected" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_window_length_the_corpus_cannot_fill_exits_data_and_writes_nothing(
+            self, tmp_path, run_config, capsys):
+        run = json.loads(run_config.read_text())
+        run["model"] = model.reduced_config(batch_size=5, max_iterations=2,
+                                            eval_every=1).to_json_dict()
+        run_config.write_text(json.dumps(run))
+        rc = cli.main(["crossval", "--config", str(run_config), "--seed", "4", "--folds", "0"])
+        assert rc == cli.EXIT_DATA
+        assert "input_len 300 is not the corpus's window length" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("change", [["--folds", "25"], ["--seed", "5"]])
     def test_refused_rerun_leaves_directory_unchanged(self, tmp_path, run_config, capsys,
                                                       change):
@@ -376,6 +387,25 @@ class TestEvaluate:
         rows = (out / "summary.csv").read_text().splitlines()[1:]
         values = [r.split(",")[1] for r in rows]
         assert all(len(v.split(".")[-1]) == 1 for v in values)
+
+    def test_reads_only_the_scored_recordings(self, tmp_path, corpus_dir, monkeypatch):
+        loaded = []
+
+        def counting_load(pair, *args):
+            loaded.append(pair.subject_id)
+            return load_recording(pair, *args)
+
+        monkeypatch.setattr(cli, "load_recording", counting_load)
+        results = tmp_path / "results"
+        results.mkdir()
+        (results / "run_manifest.json").write_text(json.dumps(
+            {"seed": 0, "folds": [{"fold_index": 0}, {"fold_index": 1}]}))
+        a = GOLDEN_COUNTS // 2
+        write_fold_fixture(results, 0, a, [("S07A", a)])
+        write_fold_fixture(results, 1, GOLDEN_COUNTS - a, [("S03A", GOLDEN_COUNTS - a)])
+        assert cli.main(["evaluate", str(results), "--out", str(tmp_path / "report"),
+                         "--data-dir", str(corpus_dir), "--bootstrap-samples", "20"]) == 0
+        assert loaded == ["S03A", "S07A"]
 
     def test_regressions_emitted_with_corpus(self, tmp_path):
         # stage sequences varied so sleep efficiency/transitional fraction vary

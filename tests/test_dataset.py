@@ -9,20 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from somnoscore import dataset as D
-from somnoscore.edf_ingest import Recording, SleepStage
+from somnoscore.edf_ingest import Recording, SignalSpec, SleepStage
 from somnoscore.synthetic import synthetic_recording
 
 SPE = 100  # small epochs keep these tests light
+SPEC = SignalSpec("EEG Fpz-Cz", -187.5, 192.25, -2048, 2047, SPE, 100.0)
 
 
 def make_recording(stages, subject="s0", night=1, seed=0):
     rng = np.random.default_rng(seed)
-    return Recording(
-        subject_id=subject, night=night,
-        samples=rng.standard_normal(SPE * len(stages)),
-        epoch_labels=list(stages),
-        samples_per_epoch=SPE,
-    )
+    counts = rng.integers(-2048, 2048, size=(len(stages), SPE), dtype=np.int16)
+    return Recording(subject, night, counts, SPEC, list(stages))
+
+
+def epoch_signal(rec, k):
+    """Epoch k's physical values, scaled on their own."""
+    return rec.spec.physical(rec.epochs[k])
 
 
 TEN = [SleepStage.W, SleepStage.N1, SleepStage.N2, SleepStage.N3, SleepStage.R] * 2
@@ -37,25 +39,31 @@ class TestBuildWindows:
     def test_boundary_replication_first_epoch(self):
         rec = make_recording(TEN)
         sig = D.build_windows(rec)[0].signal()
-        e0 = rec.epoch_signal(0)
+        e0 = epoch_signal(rec, 0)
         np.testing.assert_array_equal(sig[:SPE], e0)
         np.testing.assert_array_equal(sig[SPE:2 * SPE], e0)
         np.testing.assert_array_equal(sig[2 * SPE:3 * SPE], e0)
-        np.testing.assert_array_equal(sig[3 * SPE:4 * SPE], rec.epoch_signal(1))
-        np.testing.assert_array_equal(sig[4 * SPE:], rec.epoch_signal(2))
+        np.testing.assert_array_equal(sig[3 * SPE:4 * SPE], epoch_signal(rec, 1))
+        np.testing.assert_array_equal(sig[4 * SPE:], epoch_signal(rec, 2))
+
+    def test_boundary_replication_last_epoch(self):
+        rec = make_recording(TEN)
+        sig = D.build_windows(rec)[-1].signal()
+        expected = np.concatenate([epoch_signal(rec, k) for k in (7, 8, 9, 9, 9)])
+        assert sig.tobytes() == expected.tobytes()
 
     def test_interior_window_is_verbatim_concatenation(self):
         rec = make_recording(TEN)
         k = 5
         sig = D.build_windows(rec)[k].signal()
-        expected = np.concatenate([rec.epoch_signal(k + d) for d in (-2, -1, 0, 1, 2)])
+        expected = np.concatenate([epoch_signal(rec, k + d) for d in (-2, -1, 0, 1, 2)])
         np.testing.assert_array_equal(sig, expected)
 
     def test_middle_segment_bit_identical(self):
         rec = make_recording(TEN)
         for k, w in enumerate(D.build_windows(rec)):
             mid = w.signal()[2 * SPE:3 * SPE]
-            assert mid.tobytes() == rec.epoch_signal(k).tobytes()
+            assert mid.tobytes() == epoch_signal(rec, k).tobytes()
 
     def test_label_matches_source_epoch(self):
         rec = make_recording(TEN)

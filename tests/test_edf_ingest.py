@@ -1,4 +1,6 @@
-"""EDF parsing, annotation decoding, label mapping and recording assembly."""
+"""EDF parsing, annotation decoding, label mapping, recording assembly and synthetic counts."""
+
+import zlib
 
 import numpy as np
 import pytest
@@ -223,7 +225,7 @@ class TestAssembleRecording:
                                    subject_id="s")
         assert [s for s in rec.epoch_labels] == [SleepStage.W, SleepStage.N1, SleepStage.N2]
         assert rec.lights_out_epoch == 0
-        assert len(rec.samples) == 3 * E.SAMPLES_PER_EPOCH
+        assert rec.epochs.shape == (3, E.SAMPLES_PER_EPOCH)
 
     def test_movement_removed_and_counted(self):
         stages = ([SleepStage.N2] * 50) + [None] + ([SleepStage.N2] * 49)
@@ -268,7 +270,10 @@ class TestAssembleRecording:
         rec = E.assemble_recording(one_signal(n, identity, counts), events_for(stages))
         # epochs kept: 0,1,3,4 (movement at 2 dropped, trailing W dropped)
         assert rec.n_epochs == 4
-        np.testing.assert_array_equal(rec.epoch_signal(2), counts[3 * 3000:4 * 3000])
+        assert rec.spec is identity
+        np.testing.assert_array_equal(rec.epochs[2], counts[3 * 3000:4 * 3000])
+        np.testing.assert_array_equal(rec.spec.physical(rec.epochs[2]),
+                                      counts[3 * 3000:4 * 3000])
 
     def test_recording_invariants_from_synthetic_pairs(self, tmp_path):
         stages = [SleepStage.W, SleepStage.N1, SleepStage.N2, None,
@@ -276,7 +281,7 @@ class TestAssembleRecording:
         S.write_synthetic_pair(tmp_path, "SC4011E0", stages, lights_out_epoch=0)
         pair = E.discover_pairs(tmp_path)[0]
         rec = E.load_recording(pair)
-        assert len(rec.samples) == rec.samples_per_epoch * rec.n_epochs
+        assert rec.epochs.shape == (rec.n_epochs, E.SAMPLES_PER_EPOCH)
         assert all(lbl in list(SleepStage) for lbl in rec.epoch_labels)
         assert rec.subject_id == "SC401" and rec.night == 1
         assert rec.removed_epochs == 1
@@ -309,8 +314,11 @@ class TestAssembleRecording:
                 sig["digital_max"] - sig["digital_min"])
             expected = (epochs.astype(np.float64) - sig["digital_min"]) * scale \
                 + sig["physical_min"]
-            assert rec.samples.dtype == np.float64
-            assert rec.samples.tobytes() == expected.reshape(-1).tobytes()
+            assert rec.epochs.dtype == np.int16
+            np.testing.assert_array_equal(rec.epochs, epochs)
+            physical = rec.spec.physical(rec.epochs)
+            assert physical.dtype == np.float64
+            assert physical.tobytes() == expected.tobytes()
 
     def test_csv_annotated_pair(self, tmp_path):
         stages = [SleepStage.N1, SleepStage.N2, SleepStage.N3]
@@ -339,3 +347,33 @@ class TestDiscoverPairs:
         (tmp_path / "SC4001E0-Hypnogram.edf").rename(tmp_path / "SC4001EC-Hypnogram.edf")
         pair = E.discover_pairs(tmp_path)[0]
         assert pair.annotation_path.name == "SC4001EC-Hypnogram.edf"
+
+    def test_ambiguous_prefix_names_every_candidate(self, tmp_path):
+        S.write_synthetic_pair(tmp_path, "SC4001E0", [SleepStage.N2, SleepStage.N2])
+        hypnogram = (tmp_path / "SC4001E0-Hypnogram.edf").read_bytes()
+        (tmp_path / "SC4001E0-Hypnogram.edf").unlink()
+        for stem in ("SC4001EC", "SC4001EH"):
+            (tmp_path / f"{stem}-Hypnogram.edf").write_bytes(hypnogram)
+        with pytest.raises(E.IngestError) as exc:
+            E.discover_pairs(tmp_path)
+        assert str(exc.value) == ("ambiguous annotation files for SC4001E0-PSG.edf: "
+                                  "SC4001EC-Hypnogram.edf, SC4001EH-Hypnogram.edf")
+
+
+class TestSyntheticRecording:
+    @pytest.mark.parametrize("amplitude, noise", [(20.0, 1.0), (1.0, 0.05)])
+    def test_counts_hold_the_draw_within_half_a_quantum(self, amplitude, noise):
+        stages = list(SleepStage) * 4
+        rec = S.synthetic_recording("SYN03", 2, stages, samples_per_epoch=60, seed=7,
+                                    amplitude=amplitude, noise=noise)
+        # the same draw as synthetic_recording's, before quantization
+        rng = np.random.default_rng([7, zlib.crc32(b"SYN03"), 2])
+        draw = np.stack([S.band_signal(s, 60, rng, amplitude, noise) for s in stages])
+        assert rec.epochs.dtype == np.int16 and rec.epochs.shape == draw.shape
+        spec = rec.spec
+        assert spec.physical_max == -spec.physical_min == amplitude + 8 * noise
+        assert (spec.digital_min, spec.digital_max) == (-32768, 32767)
+        # no sample clipped: every count lies strictly inside the digital range
+        assert spec.digital_min < rec.epochs.min() and rec.epochs.max() < spec.digital_max
+        error = np.abs(spec.physical(rec.epochs) - draw)
+        assert error.max() <= 0.5 * spec.scale * (1 + 1e-9)

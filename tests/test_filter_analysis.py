@@ -11,7 +11,7 @@ from somnoscore import filter_analysis as FA
 from somnoscore import model as M
 from somnoscore import tensor_ops as T
 from somnoscore.dataset import WINDOW_EPOCHS, build_windows
-from somnoscore.edf_ingest import STAGES, Recording, SleepStage
+from somnoscore.edf_ingest import STAGES, Recording, SignalSpec, SleepStage
 from somnoscore.synthetic import STAGE_BAND_HZ, synthetic_recording
 
 pytestmark = pytest.mark.filterwarnings("ignore:Morlet filter")
@@ -82,8 +82,9 @@ class TestActivationPower:
         params = M.init_params(M.reduced_config(input_len=input_len),
                                np.random.default_rng(0))
         spe = input_len // WINDOW_EPOCHS
-        rec = Recording("S", 1, np.repeat(np.arange(1.0, 8.0), spe),
-                        [SleepStage.N2] * 7, samples_per_epoch=spe)
+        identity = SignalSpec("S", -32768.0, 32767.0, -32768, 32767, spe, 100.0)
+        counts = np.repeat(np.arange(1, 8, dtype=np.int16)[:, None], spe, axis=1)
+        rec = Recording("S", 1, counts, identity, [SleepStage.N2] * 7)
         for w in build_windows(rec)[2:5]:  # windows with no replicated epoch
             x = w.signal()
             assert x.shape == (input_len,)

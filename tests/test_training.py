@@ -14,8 +14,8 @@ from somnoscore import evaluation as Ev
 from somnoscore import model as M
 from somnoscore import training as Tr
 from somnoscore.dataset import make_folds, windows_for_subjects
-from somnoscore.edf_ingest import SleepStage
-from somnoscore.synthetic import synthetic_corpus, synthetic_recording
+from somnoscore.edf_ingest import SleepStage, discover_pairs, load_recording
+from somnoscore.synthetic import synthetic_corpus, synthetic_recording, write_synthetic_pair
 
 pytestmark = pytest.mark.filterwarnings("ignore:Morlet filter")
 
@@ -406,6 +406,27 @@ class TestCrossValidation:
         assert manifest["seed"] == 6
         assert len(manifest["folds"]) == 20
         assert manifest["corpus_sha256"] == Tr.corpus_fingerprint(corpus)
+
+    def test_corpus_fingerprint_of_a_fixed_edf_corpus_is_pinned(self, tmp_path):
+        # The digest covers the fixture bytes (written through
+        # `SignalSpec.counts`), the kept epochs' counts and their scaling; if it
+        # moves, every existing run record names another corpus.
+        stages = [SleepStage.W, SleepStage.N1, SleepStage.N2, None, SleepStage.N3,
+                  SleepStage.R, SleepStage.W]
+        for i, stem in enumerate(["SC4001E0", "SC4002E0", "SC4011E0"]):
+            write_synthetic_pair(tmp_path, stem, stages, lights_out_epoch=i % 2, seed=i,
+                                 extra_channels=["EEG Pz-Oz"] if i else None)
+        recordings = [load_recording(p) for p in discover_pairs(tmp_path)]
+        assert [r.n_epochs for r in recordings] == [5, 4, 5]
+        assert Tr.corpus_fingerprint(recordings) == (
+            "a3e4097fc3c6aed88a7e9c7fc8210a93865b999bd3b7c16ac62ecc83a4659853")
+
+    def test_window_length_the_corpus_cannot_fill_is_refused(self, corpus, tmp_path):
+        cfg = tiny_config(input_len=15000)  # the corpus has 60-sample epochs
+        with pytest.raises(ValueError, match=r"input_len 15000 is not the corpus's window "
+                                             r"length \(5 epochs: \[300\] samples\)"):
+            Tr.run_crossvalidation(corpus, cfg, seed=6, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class _TornWrite:
