@@ -285,13 +285,13 @@ def forward(params: ModelParameters, x: np.ndarray) -> tuple[np.ndarray, Forward
 
 
 def backward(params: ModelParameters, cache: ForwardCache,
-             labels) -> dict[str, np.ndarray | T.OuterGrad]:
-    """Gradients of the mean cross-entropy over the forward pass's windows.
+             grad_logits: np.ndarray) -> dict[str, np.ndarray | T.OuterGrad]:
+    """Gradients over the forward pass's windows, from the loss's gradient
+    with respect to the logits as `T.cross_entropy` returns it.
 
-    `labels` is one stage for a single window, or one stage per window of a
-    batch. Frozen tensors receive no gradient entry. The dense weight
-    gradients are `T.OuterGrad` factors; `np.asarray` forms one whole. The L2
-    decay term is not included; batch_update adds it once.
+    Frozen tensors receive no gradient entry. The dense weight gradients are
+    `T.OuterGrad` factors; `np.asarray` forms one whole. The L2 decay is
+    `sgd_step`'s.
     """
     cfg = params.config
     t = params.tensors
@@ -299,7 +299,7 @@ def backward(params: ModelParameters, cache: ForwardCache,
 
     # g, the gradient of each layer's output in turn, is held once; a conv's
     # ReLU is masked at pooled resolution, before its pool scatters g back.
-    g = T.cross_entropy(cache.probs, labels)[1].astype(cfg.np_dtype)
+    g = grad_logits.astype(cfg.np_dtype)
     g, grads["out_w"], grads["out_b"] = T.dense_backward(cache.h2, t["out_w"], g)
     g, grads["f2_w"], grads["f2_b"] = T.dense_backward(
         cache.h1, t["f2_w"], T.relu_backward(cache.h2, g))
@@ -340,29 +340,35 @@ def _tiles(rows: int, cols: int):
 
 
 def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray | T.OuterGrad],
-             config: ModelConfig) -> None:
+             config: ModelConfig) -> float:
     """Momentum SGD with L2 decay, in place: v <- mu*v - lr*(g + lam*w); w <- w + v.
 
     lr, mu and lam come from `config`; lam is 0 outside `params.l2_weight_names()`.
-    Array gradients are consumed as scratch. A velocity starts at zero on its
-    first update. Tensors absent from `gradients`, the frozen ones among them
-    (`backward` gives them none), are left untouched.
+    Returns the L2 term (lam/2)*sum(w^2) of the decayed weights it updates,
+    as they were before the step; `backward` gives every one of them a
+    gradient. Array gradients are consumed as scratch. A velocity starts at
+    zero on its first update. Tensors absent from `gradients`, the frozen ones
+    among them (`backward` gives them none), are left untouched.
 
     Each tensor is updated in one sweep of tiles of its (rows, cols) view (a
     vector is one row), `_TILE_ROWS` high and about `_UPDATE_BLOCK` elements
-    in all, so a tile of w, v and g stays in cache across the five in-place
-    ops. A tile of an array gradient is a slice of it, and the result is
+    in all, so a tile of w, v and g stays in cache across the in-place ops. A
+    tile of an array gradient is a slice of it, and the result is
     bit-identical to whole-tensor ops. A `T.OuterGrad` is formed one tile at a
     time, so its whole product is never built; the result is whole-tensor ops
-    on those tiles. Each gradient tile is checked before it is used: a NaN or
+    on those tiles. Before a decayed tile is updated, each of its rows' sum of
+    squares is taken in the weights' dtype (`np.vecdot`), and these row sums
+    are accumulated in float64, so no float32 sum runs over more than one row
+    of one tile. Each gradient tile is checked before it is used: a NaN or
     infinity raises FloatingPointError naming the tensor, leaving the earlier
     tensors and the earlier tiles of this one updated. `training.train_fold`
     turns the error into a failed fold.
     """
     lr, mu, lam = config.learning_rate, config.momentum, config.l2_lambda
+    decayed = params.l2_weight_names() if lam else ()
+    sum_sq = 0.0
     for name, g in gradients.items():
         what = f"the gradient of tensor {name!r}"
-        decay = lam and name in params.l2_weight_names()
         w = params.tensors[name]
         if name not in params.velocity:
             params.velocity[name] = np.zeros(w.shape, w.dtype)
@@ -378,9 +384,11 @@ def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray | T.OuterG
             T.assert_finite(what, gt)
             vt *= mu
             vt -= np.multiply(gt, lr, out=gt)
-            if decay:
+            if name in decayed:
+                sum_sq += float(np.vecdot(wt, wt).sum(dtype=np.float64))
                 vt -= np.multiply(wt, lr * lam, out=gt)
             wt += vt
+    return 0.5 * lam * sum_sq
 
 
 def predict(params: ModelParameters, signal: np.ndarray) -> SleepStage:

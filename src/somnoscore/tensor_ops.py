@@ -295,15 +295,6 @@ def cross_entropy(probs: np.ndarray, labels) -> tuple[float, np.ndarray]:
     return loss, (probs - np.eye(probs.shape[-1])[labels]) / labels.size
 
 
-def l2_penalty(weights: list[np.ndarray], lam: float) -> float:
-    """Quadratic weight penalty (lam/2) * sum w^2; `model.sgd_step` applies its
-    gradient lam*w.
-
-    Callers pass weight tensors only; biases are exempt from decay.
-    """
-    return 0.5 * lam * float(sum(np.vdot(w, w).real for w in weights))
-
-
 def finite_diff_check(
     f,
     point: np.ndarray,

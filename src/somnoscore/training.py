@@ -102,19 +102,16 @@ def batch_update(
     batch,
     config: ModelConfig,
 ) -> float:
-    """One SGD step on a batch: the mean data gradient, with `config`'s
-    momentum and L2 decay applied by `model.sgd_step`.
+    """One momentum-SGD step on a batch, with `config`'s L2 decay.
 
-    Returns the batch objective (mean cross-entropy + L2 penalty).
+    Returns the batch objective: the mean cross-entropy plus the L2 term
+    `model.sgd_step` returns.
     """
     labels = [w.label for w in batch]
     probs, cache = model.forward(params, np.stack([w.signal() for w in batch]))
-    loss = T.cross_entropy(probs, labels)[0]
-    grads = model.backward(params, cache, labels)
-    loss += T.l2_penalty([params.tensors[n] for n in params.l2_weight_names()],
-                         config.l2_lambda)
-    model.sgd_step(params, grads, config)
-    return loss
+    loss, grad_logits = T.cross_entropy(probs, labels)
+    grads = model.backward(params, cache, grad_logits)
+    return loss + model.sgd_step(params, grads, config)
 
 
 def train_fold(

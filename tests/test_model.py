@@ -234,7 +234,7 @@ def finite_diff_model_grads(params, x, label, eps=1e-5):
     masked; the fraction masked is returned for sanity checks.
     """
     probs, cache = M.forward(params, x)
-    grads = M.backward(params, cache, label)
+    grads = M.backward(params, cache, T.cross_entropy(probs, label)[1])
     for name in params.l2_weight_names():
         grads[name] = grads[name] + params.config.l2_lambda * params.tensors[name]
     worst, total, masked = 0.0, 0, 0
@@ -271,7 +271,7 @@ def pass_digest(params, *passes) -> str:
     for x, labels in passes:
         probs, cache = M.forward(params, x)
         h.update(probs.tobytes())
-        grads = M.backward(params, cache, labels)
+        grads = M.backward(params, cache, T.cross_entropy(probs, labels)[1])
         for name in sorted(grads):
             g = np.asarray(grads.pop(name))  # one formed gradient at a time at full size
             h.update(f"{name}{g.dtype}{g.shape}".encode())
@@ -348,7 +348,7 @@ class TestConv2Chunks:
 
     def pass_arrays(self, params, x, labels):
         probs, cache = M.forward(params, x)
-        return probs, dense_arrays(M.backward(params, cache, labels))
+        return probs, dense_arrays(M.backward(params, cache, T.cross_entropy(probs, labels)[1]))
 
     @pytest.mark.filterwarnings("ignore:Morlet filter")
     @pytest.mark.parametrize("overrides", [
@@ -395,7 +395,7 @@ class TestConv2Chunks:
         assert [length for name, length in calls if name == "maxpool1d"] == (
             [cfg.c1_out] + [cfg.c2_out] * 3)
         calls.clear()
-        M.backward(params, cache, [0, 1, 2, 3, 4, 0, 1])
+        M.backward(params, cache, T.cross_entropy(cache.probs, [0, 1, 2, 3, 4, 0, 1])[1])
         assert calls == [("maxpool1d_backward", cfg.c2_out), ("maxpool1d_backward", cfg.c1_out)]
 
     def test_step_peaks_below_the_batch_im2col_copy(self):
@@ -409,7 +409,7 @@ class TestConv2Chunks:
         tracemalloc.start()
         try:
             _, cache = M.forward(params, x)
-            M.backward(params, cache, [0, 1, 2, 3, 4, 0, 1, 2])
+            M.backward(params, cache, T.cross_entropy(cache.probs, [0, 1, 2, 3, 4, 0, 1, 2])[1])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -445,10 +445,13 @@ class TestBackward:
         x = np.stack([w.signal() for w in batch])
         labels = [w.label for w in batch]
         assert len(set(labels)) == 5
-        _, cache = M.forward(params, x)
-        batched = dense_arrays(M.backward(params, cache, labels))
-        singles = [dense_arrays(M.backward(params, M.forward(params, row)[1], label))
-                   for row, label in zip(x, labels)]
+        probs, cache = M.forward(params, x)
+        batched = dense_arrays(M.backward(params, cache, T.cross_entropy(probs, labels)[1]))
+        singles = []
+        for row, label in zip(x, labels):
+            row_probs, row_cache = M.forward(params, row)
+            singles.append(dense_arrays(
+                M.backward(params, row_cache, T.cross_entropy(row_probs, label)[1])))
         assert set(batched) == set(singles[0])
         for name, g in batched.items():
             mean = sum(s[name] for s in singles) / len(singles)
@@ -483,10 +486,12 @@ class TestBackward:
     def test_duplicated_window_means_to_same_gradient(self):
         params, cfg = reduced_params(l2_lambda=0.0)
         x = np.random.default_rng(3).standard_normal(cfg.input_len)
-        _, cache = M.forward(params, x)
-        single = dense_arrays(M.backward(params, cache, 1))
+        probs, cache = M.forward(params, x)
+        grad_logits = T.cross_entropy(probs, 1)[1]
+        single = dense_arrays(M.backward(params, cache, grad_logits))
         # mean over a batch of the same example equals the single-example gradient
-        doubled = {k: (v + v) / 2 for k, v in dense_arrays(M.backward(params, cache, 1)).items()}
+        doubled = {k: (v + v) / 2
+                   for k, v in dense_arrays(M.backward(params, cache, grad_logits)).items()}
         for name in single:
             np.testing.assert_allclose(single[name], doubled[name], rtol=0, atol=0)
 
@@ -506,7 +511,7 @@ class TestBackward:
             return out
 
         monkeypatch.setattr(T, "conv2d_fullheight_backward", spy)
-        M.backward(params, cache, [0, 2, 4])
+        M.backward(params, cache, T.cross_entropy(cache.probs, [0, 2, 4])[1])
         assert len(returned) == 1 and (returned[0] is not None) == computed
 
     @pytest.mark.filterwarnings("ignore:Morlet filter")
@@ -516,11 +521,12 @@ class TestBackward:
                                      morlet_max_hz=20.0)
         x = np.random.default_rng(5).standard_normal((3, cfg.input_len))
         _, cache = M.forward(params, x)
-        skipped = dense_arrays(M.backward(params, cache, [1, 3, 3]))
+        grad_logits = T.cross_entropy(cache.probs, [1, 3, 3])[1]
+        skipped = dense_arrays(M.backward(params, cache, grad_logits))
         real = T.conv2d_fullheight_backward
         monkeypatch.setattr(T, "conv2d_fullheight_backward",
                             lambda x, k, g, input_grad=True, sums=None: real(x, k, g, sums=sums))
-        computed = dense_arrays(M.backward(params, cache, [1, 3, 3]))
+        computed = dense_arrays(M.backward(params, cache, grad_logits))
         assert set(skipped) == set(computed)
         for name in skipped:
             assert np.array_equal(skipped[name], computed[name])
@@ -531,7 +537,7 @@ class TestBackward:
                                      morlet_min_hz=2.0, morlet_max_hz=20.0)
         x = np.random.default_rng(4).standard_normal(cfg.input_len)
         _, cache = M.forward(params, x)
-        grads = M.backward(params, cache, 0)
+        grads = M.backward(params, cache, T.cross_entropy(cache.probs, 0)[1])
         assert "c1_kernels" not in grads and "c1_bias" not in grads
 
 
@@ -650,8 +656,8 @@ class TestSgdStep:
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.standard_normal(cfg.input_len)
-            _, cache = M.forward(params, x)
-            grads = M.backward(params, cache, int(rng.integers(5)))
+            probs, cache = M.forward(params, x)
+            grads = M.backward(params, cache, T.cross_entropy(probs, int(rng.integers(5)))[1])
             M.sgd_step(params, grads, replace(cfg, learning_rate=0.05, momentum=0.9))
         np.testing.assert_array_equal(params.tensors["c1_kernels"], frozen)
         assert "c1_kernels" not in params.velocity and "c1_bias" not in params.velocity
@@ -682,36 +688,49 @@ def whole_tensor_step(params, gradients, config):
         w += v
 
 
+# l2 case -> (config overrides, the tensors of the block test whose decay
+# the step's L2 term covers)
+L2_CASES = {
+    "all": ({}, ("f1_w", "out_w", "c1_kernels")),
+    "softmax_only": ({"l2_scope": "softmax_only"}, ("out_w",)),
+    "fixed_morlet": ({"first_layer_mode": "fixed_morlet"}, ("f1_w", "out_w")),
+}
+
+
 class TestBlockedSgdStep:
     @pytest.mark.parametrize("size", [1, B - 1, B, B + 1, 2 * B + 3])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("lam, scope", [(0.0, "all"), (0.02, "all"), (0.02, "softmax_only")])
+    @pytest.mark.parametrize("lam, scope", [(0.0, "all"), (0.02, "all"), (0.02, "softmax_only"),
+                                            (0.02, "fixed_morlet")])
     def test_block_boundaries_bit_identical_to_whole_tensor_rule(self, size, dtype, lam, scope):
-        # f1_w is decayed under "all" only, out_w under both scopes, f1_b never;
-        # c1_kernels and f2_w have no gradient
-        cfg = step_config(0.05, 0.9, lam=lam, l2_scope=scope, dtype=dtype)
+        # f1_w is decayed outside "softmax_only", out_w in every case, f1_b
+        # never, c1_kernels only while it trains, though every case gives it
+        # a gradient; f2_w has none
+        overrides, decayed = L2_CASES[scope]
+        cfg = step_config(0.05, 0.9, lam=lam, dtype=dtype, **overrides)
         rng = np.random.default_rng(size)
         draw = lambda: rng.standard_normal((1, size)).astype(dtype)  # noqa: E731
         tensors = {n: draw() for n in ("f1_w", "out_w", "f1_b", "c1_kernels", "f2_w")}
         velocity = {n: draw() for n in ("f1_w", "f2_w")}
-        grads = {n: draw() for n in ("f1_w", "out_w", "f1_b")}
+        grads = {n: draw() for n in ("f1_w", "out_w", "f1_b", "c1_kernels")}
 
         def run(step):
             params = M.ModelParameters(
                 cfg, {k: v.copy() for k, v in tensors.items()},
                 {k: v.copy() for k, v in velocity.items()})
-            step(params, {k: g.copy() for k, g in grads.items()}, cfg)
-            return params
+            return params, step(params, {k: g.copy() for k, g in grads.items()}, cfg)
 
-        got, want = run(M.sgd_step), run(whole_tensor_step)
-        assert set(got.velocity) == set(want.velocity) == {"f1_w", "out_w", "f1_b", "f2_w"}
+        (got, term), (want, _) = run(M.sgd_step), run(whole_tensor_step)
+        assert set(got.velocity) == set(want.velocity) == {*grads, "f2_w"}
         for name in tensors:
             assert np.array_equal(got.tensors[name], want.tensors[name])
         for name in got.velocity:
             assert np.array_equal(got.velocity[name], want.velocity[name])
-        for name in ("c1_kernels", "f2_w"):
-            assert np.array_equal(got.tensors[name], tensors[name])
+        assert np.array_equal(got.tensors["f2_w"], tensors["f2_w"])
         assert np.array_equal(got.velocity["f2_w"], velocity["f2_w"])
+        sum_sq = sum(float(np.sum(tensors[n].astype(np.float64) ** 2)) for n in decayed)
+        rel = 1e-6 if dtype == "float32" else 1e-12  # a float32 tile's sum is rounded to it
+        assert term == pytest.approx(0.5 * lam * sum_sq, rel=rel)  # exactly 0.0 at lam 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_in_last_block_raises_naming_the_tensor(self, bad):

@@ -460,24 +460,33 @@ class TestSoftmaxXent:
 
 def decay_moves(lam, lr=0.1, scope="all"):
     """Each decayed weight before one `model.sgd_step` with zero data gradient
-    and momentum 0, and how far the step moved it."""
+    and momentum 0, how far the step moved it, and the L2 term it returned."""
     cfg = M.reduced_config(input_len=100, c2_filters=2, f1=4, f2=4,  # <= 128 per tensor
                            l2_lambda=lam, l2_scope=scope, learning_rate=lr, momentum=0.0)
     params = M.init_params(cfg, np.random.default_rng(3))
     before = {n: params.tensors[n].copy() for n in params.l2_weight_names()}
-    M.sgd_step(params, {k: np.zeros_like(v) for k, v in params.tensors.items()}, cfg)
-    return params, before, {n: params.tensors[n] - w for n, w in before.items()}
+    term = M.sgd_step(params, {k: np.zeros_like(v) for k, v in params.tensors.items()}, cfg)
+    return params, before, {n: params.tensors[n] - w for n, w in before.items()}, term
+
+
+def l2_term(name, w, lam):
+    """`model.sgd_step`'s L2 term for a copy of `w` as the weight `name`,
+    the only tensor, under a zero gradient."""
+    cfg = M.reduced_config(l2_lambda=lam)
+    params = M.ModelParameters(cfg, {name: w.copy()})
+    return M.sgd_step(params, {name: np.zeros_like(w)}, cfg)
 
 
 class TestL2Penalty:
     def test_zero_lambda(self):
-        assert T.l2_penalty([rand(4)], 0.0) == 0.0
-        _, _, moves = decay_moves(0.0)
+        assert l2_term("f1_w", rand(4), 0.0) == 0.0
+        _, _, moves, term = decay_moves(0.0)
+        assert term == 0.0
         assert not any(m.any() for m in moves.values())
 
     def test_single_weight(self):
-        assert T.l2_penalty([np.array([2.0])], 0.5) == 1.0
-        params, _, moves = decay_moves(0.5, lr=1.0, scope="softmax_only")
+        assert l2_term("out_w", np.array([2.0]), 0.5) == 1.0
+        params, _, moves, _ = decay_moves(0.5, lr=1.0, scope="softmax_only")
         assert list(moves) == ["out_w"]
         params.tensors["out_w"][:] = 2.0
         M.sgd_step(params, {"out_w": np.zeros_like(params.tensors["out_w"])},
@@ -485,12 +494,22 @@ class TestL2Penalty:
         np.testing.assert_array_equal(params.tensors["out_w"], 1.0)
 
     def test_gradient_vs_finite_difference(self):
-        # the step moves each decayed weight by -lr * d(l2_penalty)/dw
-        _, before, moves = decay_moves(0.3)
+        # the step moves each decayed weight by -lr * d(term)/dw
+        _, before, moves, term = decay_moves(0.3)
         assert len(moves) == 5
+        assert term == pytest.approx(0.15 * sum(np.vdot(w, w) for w in before.values()),
+                                     rel=1e-12)
         for name, w in before.items():
-            err = T.finite_diff_check(lambda v: T.l2_penalty([v], 0.3), w, -moves[name] / 0.1)
+            err = T.finite_diff_check(lambda v: l2_term(name, v, 0.3), w, -moves[name] / 0.1)
             assert err < 1e-6, name
+
+    def test_float32_term_of_a_large_weight_matches_float64(self):
+        # 4M float32 squares summed at once in float32 (np.vdot) are off by
+        # about 8e-6; summed per row of an update tile, then in float64, they
+        # hold to 1e-7
+        w = np.random.default_rng(0).standard_normal((1024, 4096), dtype=np.float32)
+        want = 0.5 * 1e-4 * float(np.sum(w.astype(np.float64) ** 2))
+        assert l2_term("f1_w", w, 1e-4) == pytest.approx(want, rel=1e-7)
 
 
 class TestFiniteDiffCheck:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from somnoscore import evaluation as Ev
 from somnoscore import model as M
+from somnoscore import tensor_ops as T
 from somnoscore import training as Tr
 from somnoscore.dataset import make_folds, windows_for_subjects
 from somnoscore.edf_ingest import SleepStage, discover_pairs, load_recording
@@ -108,6 +109,34 @@ class TestTrainFold:
             snapshots.append({k: v.tobytes() for k, v in params.tensors.items()})
         assert snapshots[0] == snapshots[1]
 
+    def test_step_objective_is_one_cross_entropy_plus_the_updates_l2_term(
+            self, corpus, folds, monkeypatch):
+        from somnoscore.dataset import balanced_batch, class_pools
+
+        cfg = tiny_config(l2_lambda=0.05)
+        pools = class_pools(windows_for_subjects(corpus, folds[0].training_subjects))
+        params = M.init_params(cfg, np.random.default_rng(21))
+        batch = balanced_batch(pools, cfg.batch_size, np.random.default_rng(22))
+        sum_sq = sum(float(np.sum(params.tensors[n].astype(np.float64) ** 2))
+                     for n in params.l2_weight_names())
+        real_xent, real_step, losses, terms = T.cross_entropy, M.sgd_step, [], []
+
+        def xent(*args):
+            out = real_xent(*args)
+            losses.append(out[0])
+            return out
+
+        def step(*args):
+            terms.append(real_step(*args))
+            return terms[-1]
+
+        monkeypatch.setattr(T, "cross_entropy", xent)
+        monkeypatch.setattr(M, "sgd_step", step)
+        loss = Tr.batch_update(params, batch, cfg)
+        assert len(losses) == 1 and len(terms) == 1
+        assert loss == losses[0] + terms[0]
+        assert terms[0] == pytest.approx(0.5 * 0.05 * sum_sq, rel=1e-12)
+
     def test_same_seed_identical_history(self, corpus, folds, tmp_path):
         cfg = tiny_config(max_iterations=9)
         runs = []
@@ -170,8 +199,8 @@ class TestTrainFold:
                                                    monkeypatch):
         real_backward = M.backward
 
-        def poisoned(params, cache, labels):
-            grads = real_backward(params, cache, labels)
+        def poisoned(params, cache, grad_logits):
+            grads = real_backward(params, cache, grad_logits)
             grads["out_b"] = np.full_like(grads["out_b"], np.nan)
             return grads
 
