@@ -269,8 +269,7 @@ def cmd_analyze_filters(args) -> int:
         raise IngestError(f"no recordings for subjects {sorted(wanted)}")
     windows = [w for rec in recordings for w in build_windows(rec)]
     spectra = filter_analysis.bank_spectra(params.tensors["c1_kernels"])
-    profile = filter_analysis.build_profile(params, windows,
-                                            tap=args.tap, mode=args.power_mode)
+    profile = filter_analysis.build_profile(params, windows)
     out_dir = Path(cfg.output_dir)
     filter_analysis.export_profile(profile, spectra, out_dir, fold_index=args.fold)
     _write_manifest(out_dir, "analyze-filters", cfg, {"checkpoint": str(args.checkpoint)})
@@ -342,9 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--subjects", help="comma-separated subject ids to restrict to")
     p.add_argument("--fold", type=int)
-    p.add_argument("--tap", choices=["post_relu", "pre_relu"], default="post_relu")
-    p.add_argument("--power-mode", dest="power_mode", choices=["mean", "sum"],
-                   default="mean")
     p.set_defaults(func=cmd_analyze_filters)
 
     return parser

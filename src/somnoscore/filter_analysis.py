@@ -1,9 +1,10 @@
 """Spectral and per-stage analysis of the learned first-layer filters.
 
 Answers two questions about the first convolutional layer: what frequency
-content has each filter learned (one-sided DFT power), and which sleep stages
-drive each filter (mean activation power over the exactly-covered middle
-epoch of test windows, grouped by the true label).
+content has each filter learned (one-sided DFT power; a K-tap kernel has
+K // 2 + 1 bins, 100/K Hz apart), and which sleep stages drive each filter
+(the mean square of the rectified first-layer output over the
+exactly-covered middle epoch of test windows, averaged per true label).
 
 Because some stages produce globally higher activations, raw per-stage power
 is normalized to unit length twice: first each stage column across filters,
@@ -26,17 +27,14 @@ from .edf_ingest import N_STAGES, SCORING_RATE_HZ, STAGES, SleepStage
 from .model import ModelParameters
 
 
-def filter_power_spectrum(kernel: np.ndarray) -> np.ndarray:
-    """One-sided DFT power of a filter; bin k sits at k*SCORING_RATE_HZ/len(kernel) Hz."""
-    return np.abs(np.fft.rfft(np.asarray(kernel, dtype=np.float64))) ** 2
-
-
 def spectrum_frequencies(length: int) -> np.ndarray:
     return np.fft.rfftfreq(length, d=1.0 / SCORING_RATE_HZ)
 
 
 def bank_spectra(kernels: np.ndarray) -> np.ndarray:
-    return np.stack([filter_power_spectrum(k) for k in kernels])
+    """One-sided DFT power of each kernel, (..., K) -> (..., K // 2 + 1);
+    bin k sits at k*SCORING_RATE_HZ/K Hz."""
+    return np.abs(np.fft.rfft(np.asarray(kernels, dtype=np.float64), axis=-1)) ** 2
 
 
 def middle_epoch_output_range(input_len: int, kernel_len: int) -> tuple[int, int]:
@@ -50,41 +48,20 @@ def middle_epoch_output_range(input_len: int, kernel_len: int) -> tuple[int, int
     return first, last
 
 
-def c1_activation_power(
-    params: ModelParameters,
-    signal: np.ndarray,
-    tap: str = "post_relu",
-    mode: str = "mean",
-) -> np.ndarray:
-    """Per-filter power of the first-layer feature signal over the middle epoch,
-    (F,) for one window (input_len,) and (N, F) for a batch (N, input_len).
-
-    `tap` selects rectified ("post_relu") or linear ("pre_relu") outputs;
-    `mode` selects mean or sum of squares over the restricted region.
-    """
-    if tap not in ("post_relu", "pre_relu"):
-        raise ValueError(f"unknown activation tap {tap!r}")
-    if mode not in ("mean", "sum"):
-        raise ValueError(f"unknown power mode {mode!r}")
+def c1_activation_power(params: ModelParameters, signal: np.ndarray) -> np.ndarray:
+    """Mean square of the rectified first-layer output over the middle epoch,
+    (F,) for one window (input_len,) and (N, F) for a batch (N, input_len)."""
     cfg = params.config
     x = np.asarray(signal, dtype=cfg.np_dtype)
     if x.ndim not in (1, 2) or x.shape[-1] != cfg.input_len:
         raise ValueError(f"signal shape {x.shape}: want window length {cfg.input_len}, 1 or 2 axes")
     first, last = middle_epoch_output_range(cfg.input_len, cfg.c1_len)
-    feats = T.conv1d_valid(x[..., first:last + cfg.c1_len],  # the samples the region reads
-                           params.tensors["c1_kernels"], params.tensors["c1_bias"])
-    if tap == "post_relu":
-        feats = T.relu(feats)
-    sq = feats.astype(np.float64) ** 2
-    return sq.mean(axis=-1) if mode == "mean" else sq.sum(axis=-1)
+    feats = T.relu(T.conv1d_valid(x[..., first:last + cfg.c1_len],  # the samples the region reads
+                                  params.tensors["c1_kernels"], params.tensors["c1_bias"]))
+    return (feats.astype(np.float64) ** 2).mean(axis=-1)
 
 
-def class_activation_matrix(
-    params: ModelParameters,
-    windows,
-    tap: str = "post_relu",
-    mode: str = "mean",
-) -> np.ndarray:
+def class_activation_matrix(params: ModelParameters, windows) -> np.ndarray:
     """M[filter, stage]: mean activation power across test windows of each
     true (not predicted) stage, computed `config.batch_size` windows at a time."""
     labels = np.array([int(w.label) for w in windows], dtype=np.intp)
@@ -96,7 +73,7 @@ def class_activation_matrix(
     sums = np.zeros((N_STAGES, params.config.c1_filters))
     for i in range(0, len(windows), n):
         x = np.stack([w.signal() for w in windows[i:i + n]])
-        np.add.at(sums, labels[i:i + n], c1_activation_power(params, x, tap, mode))
+        np.add.at(sums, labels[i:i + n], c1_activation_power(params, x))
     return sums.T / counts
 
 
@@ -107,6 +84,7 @@ class ActivationProfile:
     order: np.ndarray               # display permutation of filter indices
     zero_columns: list[int]
     zero_rows: list[int]
+    kernel_len: int                 # taps per filter; labels the spectrum bins
 
 
 def normalize_profile(raw: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
@@ -130,20 +108,14 @@ def order_filters(normalized: np.ndarray) -> np.ndarray:
     """Group filters by their argmax stage (stage order N1..W), keeping
     ascending filter index within each group; argmax ties take the lowest
     stage index."""
-    argmax = normalized.argmax(axis=1)
-    return np.array(sorted(range(len(normalized)), key=lambda f: (argmax[f], f)))
+    return np.argsort(normalized.argmax(axis=1), kind="stable")
 
 
-def build_profile(
-    params: ModelParameters,
-    windows,
-    tap: str = "post_relu",
-    mode: str = "mean",
-) -> ActivationProfile:
-    raw = class_activation_matrix(params, windows, tap, mode)
+def build_profile(params: ModelParameters, windows) -> ActivationProfile:
+    raw = class_activation_matrix(params, windows)
     normalized, zero_cols, zero_rows = normalize_profile(raw)
     return ActivationProfile(raw, normalized, order_filters(normalized),
-                             zero_cols, zero_rows)
+                             zero_cols, zero_rows, params.config.c1_len)
 
 
 # --- export -------------------------------------------------------------------
@@ -155,6 +127,10 @@ def export_profile(
     fold_index: int | None = None,
 ) -> None:
     """CSV tables, a JSON bundle and SVG heatmaps for one fold's filters."""
+    bins = profile.kernel_len // 2 + 1
+    if spectra.shape[1] != bins:
+        raise ValueError(f"spectra have {spectra.shape[1]} bins; "
+                         f"a {profile.kernel_len}-tap filter has {bins}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     n_filters = profile.raw.shape[0]
@@ -165,7 +141,7 @@ def export_profile(
             lines.append(f"{f},{stage.name},{float(profile.normalized[f, int(stage)])!r}")
     (out_dir / "activation.csv").write_text("\n".join(lines) + "\n")
 
-    freqs = spectrum_frequencies((spectra.shape[1] - 1) * 2)
+    freqs = spectrum_frequencies(profile.kernel_len)
     lines = ["filter,freq_hz,power"]
     for f in range(spectra.shape[0]):
         for k, freq in enumerate(freqs):

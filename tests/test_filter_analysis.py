@@ -27,17 +27,17 @@ def small_bank_params(n_filters=5, seed=0):
 class TestSpectrum:
     def test_pure_cosine_peaks_at_its_bin(self):
         t = np.arange(200) / 100.0
-        power = FA.filter_power_spectrum(np.cos(2 * np.pi * 10.0 * t))
+        power = FA.bank_spectra(np.cos(2 * np.pi * 10.0 * t))
         assert power.shape == (101,)
         assert np.argmax(power) == 20  # 10 Hz at 0.5 Hz per bin
 
     def test_zero_kernel(self):
-        assert not FA.filter_power_spectrum(np.zeros(200)).any()
+        assert not FA.bank_spectra(np.zeros(200)).any()
 
     def test_impulse_is_flat(self):
         kernel = np.zeros(200)
         kernel[0] = 1.0
-        power = FA.filter_power_spectrum(kernel)
+        power = FA.bank_spectra(kernel)
         np.testing.assert_allclose(power, power[0], atol=1e-12)
 
     def test_one_sided_loses_nothing(self):
@@ -45,9 +45,15 @@ class TestSpectrum:
         rng = np.random.default_rng(3)
         kernel = rng.standard_normal(200)
         full = np.abs(np.fft.fft(kernel)) ** 2
-        one_sided = FA.filter_power_spectrum(kernel)
+        one_sided = FA.bank_spectra(kernel)
         np.testing.assert_allclose(one_sided, full[:101], atol=1e-9)
         np.testing.assert_allclose(full[101:], full[1:100][::-1], atol=1e-9)
+        # a bank is its kernels' spectra, row by row, to the bit
+        bank = rng.standard_normal((3, 200))
+        spectra = FA.bank_spectra(bank)
+        assert spectra.shape == (3, 101)
+        for row, k in zip(spectra, bank):
+            np.testing.assert_array_equal(row, FA.bank_spectra(k))
 
     def test_bin_frequencies(self):
         freqs = FA.spectrum_frequencies(200)
@@ -109,39 +115,19 @@ class TestActivationPower:
         assert p10[0] > p30[0]      # 10 Hz filter prefers the 10 Hz window
         assert p30[1] > p10[1]
 
-    def test_pre_relu_tap_differs_when_biases_negative(self):
-        params, _ = small_bank_params()
-        params.tensors["c1_bias"][:] = -1000.0  # rectified output all zero
-        sig = window_with_middle(10.0)
-        assert not FA.c1_activation_power(params, sig, tap="post_relu").any()
-        assert FA.c1_activation_power(params, sig, tap="pre_relu").all()
-
-    def test_sum_mode_scales_with_region(self):
-        params, _ = small_bank_params()
-        sig = window_with_middle(10.0)
-        mean_p = FA.c1_activation_power(params, sig, mode="mean")
-        sum_p = FA.c1_activation_power(params, sig, mode="sum")
-        np.testing.assert_allclose(sum_p, mean_p * 2801, rtol=1e-12)
-
     def test_batch_rows_equal_single_windows(self):
         # each row of a batch call equals the single-window call and the
-        # middle-epoch slice of conv1 run over the whole window
+        # rectified middle-epoch slice of conv1 run over the whole window
         params, cfg = small_bank_params()
         x = np.stack([window_with_middle(f, seed=i) for i, f in enumerate((3.0, 10.0, 20.0))])
         first, last = FA.middle_epoch_output_range(cfg.input_len, cfg.c1_len)
-        for tap in ("post_relu", "pre_relu"):
-            for mode in ("mean", "sum"):
-                batch = FA.c1_activation_power(params, x, tap, mode)
-                assert batch.shape == (3, 5)
-                for row, sig in zip(batch, x):
-                    np.testing.assert_array_equal(
-                        row, FA.c1_activation_power(params, sig, tap, mode))
-                    feats = T.conv1d_valid(sig, params.tensors["c1_kernels"],
-                                           params.tensors["c1_bias"])[:, first:last + 1]
-                    if tap == "post_relu":
-                        feats = T.relu(feats)
-                    want = (feats ** 2).mean(axis=1) if mode == "mean" else (feats ** 2).sum(axis=1)
-                    np.testing.assert_allclose(row, want, rtol=1e-12)
+        batch = FA.c1_activation_power(params, x)
+        assert batch.shape == (3, 5)
+        for row, sig in zip(batch, x):
+            np.testing.assert_array_equal(row, FA.c1_activation_power(params, sig))
+            feats = T.relu(T.conv1d_valid(sig, params.tensors["c1_kernels"],
+                                          params.tensors["c1_bias"])[:, first:last + 1])
+            np.testing.assert_allclose(row, (feats ** 2).mean(axis=1), rtol=1e-12)
 
     def test_wrong_signal_shape_rejected(self):
         params, _ = small_bank_params()
@@ -247,11 +233,13 @@ class TestOrderFilters:
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 30))
     @settings(max_examples=40, deadline=None)
     def test_valid_permutation_with_sorted_argmax(self, seed, n):
-        m = np.random.default_rng(seed).uniform(size=(n, 5))
+        # integer values make argmax ties within a row and shared argmax
+        # stages across rows common
+        m = np.random.default_rng(seed).integers(0, 3, size=(n, 5)).astype(float)
         order = FA.order_filters(m)
         assert sorted(order) == list(range(n))
-        argmax = m.argmax(axis=1)[order]
-        assert all(argmax[i] <= argmax[i + 1] for i in range(n - 1))
+        argmax = m.argmax(axis=1)
+        assert list(order) == sorted(range(n), key=lambda f: (argmax[f], f))
 
 
 class TestExport:
@@ -287,6 +275,24 @@ class TestExport:
         out, _, _ = exported
         svg = (out / "activation.svg").read_text()
         assert svg.count('class="stage-cell"') == 100
+
+    def test_odd_kernel_length_labels_its_own_bins(self, tmp_path, band_windows):
+        # a 201-tap kernel's bins are 100/201 Hz apart and stop short of 50 Hz
+        cfg = M.ModelConfig(input_len=15000, c1_filters=2, c1_len=201, c2_filters=4,
+                            f1=8, f2=8, batch_size=10, dtype="float64")
+        params = M.init_params(cfg, np.random.default_rng(0))
+        spectra = FA.bank_spectra(params.tensors["c1_kernels"])
+        assert spectra.shape == (2, 101)
+        FA.export_profile(FA.build_profile(params, band_windows), spectra, tmp_path)
+        rows = [r.split(",") for r in (tmp_path / "spectra.csv").read_text().splitlines()[1:]]
+        assert rows[20][:2] == ["0", f"{20 * 100 / 201:g}"]
+        assert rows[100][:2] == ["0", f"{100 * 100 / 201:g}"]
+
+    def test_spectra_of_another_kernel_length_rejected(self, tmp_path, exported):
+        _, profile, spectra = exported
+        with pytest.raises(ValueError, match="200-tap filter has 101"):
+            FA.export_profile(profile, spectra[:, :100], tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
 
     def test_json_bundle_schema(self, exported):
         out, profile, spectra = exported
