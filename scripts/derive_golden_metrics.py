@@ -34,7 +34,7 @@ def main() -> None:
     print("f1                      :", f1, f"mean {f1.mean():.6f} worst {f1.min():.6f}")
     print("accuracy                :", acc, f"mean {acc.mean():.6f} worst {acc.min():.6f}")
     print(f"overall (raw trace)     : {np.trace(COUNTS) / COUNTS.sum():.6f}")
-    print(f"overall (balanced)      : {sens.mean():.6f}")
+    print(f"sensitivity mean        : {sens.mean():.6f}")
 
     # OLS fixture: x = 1..5, y = [2,1,4,3,5]
     x = np.array([1.0, 2, 3, 4, 5])

@@ -32,7 +32,7 @@ from .edf_ingest import (
 )
 from .evaluation import METRIC_NAMES
 from .fileio import write_csv, write_json
-from .model import ModelConfig
+from .model import ModelConfig, check_json_fields
 from .training import TrainingError
 
 DATA_DIR_ENV = "SOMNO_DATA_DIR"
@@ -51,7 +51,6 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     bootstrap_samples: int = 1000
     bootstrap_seed: int = 0
-    overall: str = "raw"
     folds: list[int] | None = None          # None = all
     lights_out_epoch: int | None = None
 
@@ -62,6 +61,9 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunConfig":
+        """Build from a possibly partial dict, as `ModelConfig.from_json_dict`
+        does: a field this class does not declare is a ValueError naming it."""
+        check_json_fields(cls, d, "run config")
         d = dict(d)
         if "model" in d:
             d["model"] = ModelConfig.from_json_dict(d["model"])
@@ -78,7 +80,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         cfg = RunConfig()
 
     for name in ("data_dir", "channel", "output_dir", "bootstrap_samples",
-                 "bootstrap_seed", "overall", "lights_out_epoch"):
+                 "bootstrap_seed", "lights_out_epoch"):
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
@@ -142,11 +144,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    """`crossval`, and `train` as the one fold its `--fold` names."""
     cfg = load_run_config(args)
-    if "fold" in args:
-        cfg.folds = [args.fold]
-    elif args.folds is not None:
+    if args.folds is not None:
         cfg.folds = [int(i) for i in args.folds.split(",")] if args.folds else []
     recordings = _load_corpus(cfg)
     out_dir = Path(cfg.output_dir)
@@ -154,7 +153,7 @@ def cmd_crossval(args) -> int:
         recordings, cfg.model, args.seed, out_dir=out_dir, fold_indices=cfg.folds)
     # Written after the runner, which refuses bad folds or another run's
     # directory before it writes anything, so a refused command changes no file.
-    _write_manifest(out_dir, args.command, cfg, {"seed": args.seed})
+    _write_manifest(out_dir, "crossval", cfg, {"seed": args.seed})
     write_csv(out_dir / "aggregate_confusion.csv", outcome.aggregate.tolist())
     if outcome.skipped:
         print(f"skipped completed folds: {outcome.skipped}")
@@ -175,7 +174,7 @@ def cmd_evaluate(args) -> int:
     results_dir = Path(args.results_dir)
     record = results_dir / training.RUN_RECORD
     if not record.exists():
-        raise IngestError(f"no run record {record}: not a train/crossval output directory")
+        raise IngestError(f"no run record {record}: not a crossval output directory")
     found, missing = {}, []
     for i in range(len(json.loads(record.read_text())["folds"])):
         payload = training.load_fold_result_json(results_dir, i)
@@ -192,12 +191,12 @@ def cmd_evaluate(args) -> int:
     aggregate = sum(p["test_matrix"] for p in found.values())
     per_recording = [s for p in found.values() for s in p["per_recording"]]
 
-    metrics = evaluation.class_metrics(aggregate, overall=cfg.overall)
+    metrics = evaluation.class_metrics(aggregate)
     boot = None
     if len(per_recording) > 1:  # one recording leaves nothing to resample
         boot = evaluation.bootstrap_ci(
             [s.matrix for s in per_recording], n_samples=cfg.bootstrap_samples,
-            seed=cfg.bootstrap_seed, overall=cfg.overall)
+            seed=cfg.bootstrap_seed)
 
     regressions = None
     if cfg.data_dir:
@@ -298,26 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_ingest)
 
-    def train_flags(p):
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--learning-rate", dest="learning_rate", type=float)
-        p.add_argument("--momentum", type=float)
-        p.add_argument("--l2", dest="l2_lambda", type=float)
-        p.add_argument("--max-iterations", dest="max_iterations", type=int)
-        p.add_argument("--eval-every", dest="eval_every", type=int)
-        p.add_argument("--patience", type=int)
-        p.add_argument("--first-layer-mode", dest="first_layer_mode",
-                       choices=["trainable", "fixed_morlet"])
-
-    p = sub.add_parser("train", help="train a single cross-validation fold")
-    common(p, needs_seed=True)
-    train_flags(p)
-    p.add_argument("--fold", type=int, required=True)
-    p.set_defaults(func=cmd_crossval)
-
     p = sub.add_parser("crossval", help="run all folds (resumes after a crash)")
     common(p, needs_seed=True)
-    train_flags(p)
+    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p.add_argument("--learning-rate", dest="learning_rate", type=float)
+    p.add_argument("--momentum", type=float)
+    p.add_argument("--l2", dest="l2_lambda", type=float)
+    p.add_argument("--max-iterations", dest="max_iterations", type=int)
+    p.add_argument("--eval-every", dest="eval_every", type=int)
+    p.add_argument("--patience", type=int)
+    p.add_argument("--first-layer-mode", dest="first_layer_mode",
+                   choices=["trainable", "fixed_morlet"])
     p.add_argument("--folds", help="comma-separated fold indices (default: all)")
     p.set_defaults(func=cmd_crossval)
 
@@ -326,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("results_dir")
     p.add_argument("--bootstrap-samples", dest="bootstrap_samples", type=int)
     p.add_argument("--bootstrap-seed", dest="bootstrap_seed", type=int)
-    p.add_argument("--overall", choices=["raw", "balanced"])
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="score one recording with a checkpoint")

@@ -16,8 +16,8 @@ negative class at unit weight, matching the per-class precision/accuracy
 values this pipeline is validated against; the naive column-sum reading gives
 a very different N1 precision and fails that validation.
 
-Overall accuracy defaults to raw trace/total; a class-balanced variant (mean
-sensitivity) is available since both readings are defensible.
+Overall accuracy is the raw trace/total; its class-balanced reading, the
+mean sensitivity, is reported as `sensitivity_mean`.
 """
 
 from __future__ import annotations
@@ -141,24 +141,17 @@ def _one_vs_all(counts: np.ndarray, stages: np.ndarray | slice) -> ClassMetrics:
     return ClassMetrics(sens, prec, f1, acc, _raw_overall(counts))
 
 
-def class_metrics(counts: np.ndarray, overall: str = "raw") -> ClassMetrics:
+def class_metrics(counts: np.ndarray) -> ClassMetrics:
     """One-vs-all metric suite on the class-balanced matrix (all five stages).
 
     `counts` is one (5, 5) matrix or a stack (..., 5, 5), scored matrix by
     matrix. Raises MetricError if a stage has no epochs in any of them.
-    `overall` selects the overall-accuracy reading: "raw" = trace/total of
-    the raw counts, "balanced" = mean per-stage sensitivity.
     """
     counts = np.asarray(counts)
     empty = empty_stage_rows(counts)
     if empty:
         raise MetricError(f"no epochs for stage(s): {', '.join(s.name for s in empty)}")
-    if overall not in ("raw", "balanced"):
-        raise MetricError(f"unknown overall-accuracy mode {overall!r}")
-    metrics = _one_vs_all(counts, slice(None))
-    if overall == "balanced":
-        metrics.overall_accuracy = metrics.mean("sensitivity")
-    return metrics
+    return _one_vs_all(counts, slice(None))
 
 
 def validation_scores(counts: np.ndarray) -> tuple[float, float]:
@@ -206,7 +199,6 @@ def bootstrap_ci(
     per_recording: list[np.ndarray] | np.ndarray,
     n_samples: int = 1000,
     seed: int = 0,
-    overall: str = "raw",
 ) -> BootstrapResult:
     """Bootstrap confidence intervals across per-recording confusion matrices.
 
@@ -214,7 +206,7 @@ def bootstrap_ci(
     matrices; one :func:`class_metrics` call scores all samples. Reported per
     metric: the mean across samples and the order-statistic bounds (never
     interpolated). Samples with an empty stage row are excluded from every
-    metric but raw overall accuracy and the exclusion counted. Sample streams
+    metric but overall accuracy and the exclusion counted. Sample streams
     derive deterministically from (seed, sample index), so results do not
     depend on evaluation order.
     """
@@ -230,11 +222,11 @@ def bootstrap_ci(
     defined = (totals.sum(axis=-1) > 0).all(axis=-1)
     if not defined.any():
         raise MetricError("every bootstrap sample has an empty stage row")
-    values = class_metrics(totals[defined], overall=overall).as_dict()
+    values = class_metrics(totals[defined]).as_dict()
     excluded = {name: int(n_samples - defined.sum()) for name in METRIC_NAMES}
-    if overall == "raw":  # the one metric an empty stage row leaves defined
-        values["overall_accuracy"] = _raw_overall(totals)
-        excluded["overall_accuracy"] = 0
+    # overall accuracy is the one metric an empty stage row leaves defined
+    values["overall_accuracy"] = _raw_overall(totals)
+    excluded["overall_accuracy"] = 0
     intervals = {name: MetricInterval(float(np.mean(values[name])),
                                       *_order_stat_bounds(values[name]))
                  for name in METRIC_NAMES}

@@ -30,7 +30,7 @@ from .fileio import write_atomic
 from . import tensor_ops as T
 
 CHECKPOINT_MAGIC = b"SOMN"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 TRAINABLE_MODE = "trainable"
 FIXED_MORLET_MODE = "fixed_morlet"
@@ -51,7 +51,6 @@ class ModelConfig:
     f1: int = 500
     f2: int = 500
     l2_lambda: float = 1e-4
-    l2_scope: str = "all"                   # "all" | "softmax_only"
     learning_rate: float = 0.003
     momentum: float = 0.9
     batch_size: int = 100
@@ -60,9 +59,6 @@ class ModelConfig:
     patience: int = 10
     first_layer_mode: str = TRAINABLE_MODE  # "trainable" | "fixed_morlet"
     dtype: str = "float32"
-    morlet_min_hz: float = 0.5
-    morlet_max_hz: float = 25.0
-    morlet_cycles: float = 6.0
 
     def __post_init__(self):
         self.p1 = tuple(self.p1)
@@ -82,8 +78,6 @@ class ModelConfig:
                 f"batch size {self.batch_size} not divisible by {N_STAGES} stages")
         if self.first_layer_mode not in (TRAINABLE_MODE, FIXED_MORLET_MODE):
             raise ValueError(f"unknown first_layer_mode {self.first_layer_mode!r}")
-        if self.l2_scope not in ("all", "softmax_only"):
-            raise ValueError(f"unknown l2_scope {self.l2_scope!r}")
         if np.dtype(self.dtype) not in _DTYPE_CODES:
             raise ValueError(f"unsupported dtype {self.dtype!r}")
 
@@ -136,12 +130,19 @@ class ModelConfig:
     def from_json_dict(cls, d: dict) -> "ModelConfig":
         """Build from a possibly partial dict; omitted fields keep defaults and
         a field this class does not declare is a ValueError naming it."""
-        if not isinstance(d, dict):
-            raise ValueError(f"model config must be a JSON object, not {type(d).__name__}")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown model config field(s) {unknown}")
+        check_json_fields(cls, d, "model config")
         return cls(**d)
+
+
+def check_json_fields(cls, d, what: str) -> None:
+    """Raise ValueError unless `d`, the JSON form of the dataclass `cls`
+    (`what`), is an object all of whose keys are `cls`'s fields; the error
+    names every other key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} field(s) {unknown}")
 
 
 def reduced_config(**overrides) -> ModelConfig:
@@ -160,7 +161,6 @@ def reduced_config(**overrides) -> ModelConfig:
 
 
 WEIGHT_NAMES = ("c1_kernels", "c2_kernels", "f1_w", "f2_w", "out_w")
-SOFTMAX_WEIGHT_NAMES = ("out_w",)
 
 
 @dataclass
@@ -176,8 +176,7 @@ class ModelParameters:
         return frozenset({"c1_kernels", "c1_bias"} if fixed else ())
 
     def l2_weight_names(self) -> tuple[str, ...]:
-        names = SOFTMAX_WEIGHT_NAMES if self.config.l2_scope == "softmax_only" else WEIGHT_NAMES
-        return tuple(n for n in names if n not in self.frozen)
+        return tuple(n for n in WEIGHT_NAMES if n not in self.frozen)
 
     def copy(self) -> "ModelParameters":
         return ModelParameters(
@@ -200,16 +199,14 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParameter
     tensors = {}
     for name, shape in config.tensor_shapes().items():
         if name in WEIGHT_NAMES:
-            gain = 1.0 if name in SOFTMAX_WEIGHT_NAMES else 2.0
+            gain = 1.0 if name == "out_w" else 2.0
             std = dtype.type(np.sqrt(gain / np.prod(shape[1:])))
             tensors[name] = rng.standard_normal(shape, dtype=dtype) * std
         else:
             tensors[name] = np.zeros(shape, dtype=dtype)
     if config.first_layer_mode == FIXED_MORLET_MODE:
-        freqs = default_morlet_frequencies(
-            config.c1_filters, config.morlet_min_hz, config.morlet_max_hz)
-        tensors["c1_kernels"] = make_morlet_bank(
-            freqs, config.morlet_cycles, length=config.c1_len).astype(dtype)
+        tensors["c1_kernels"] = make_morlet_bank(default_morlet_frequencies(config.c1_filters),
+                                                 MORLET_CYCLES, length=config.c1_len).astype(dtype)
     return ModelParameters(config, tensors)
 
 
@@ -401,8 +398,12 @@ def predict_from_probs(probs: np.ndarray) -> SleepStage:
     return SleepStage(int(np.argmax(probs)))
 
 
-def default_morlet_frequencies(n: int, min_hz: float = 0.5, max_hz: float = 25.0) -> np.ndarray:
-    return np.geomspace(min_hz, max_hz, n)
+# The fixed-Morlet bank: log-spaced center frequencies and cycles per filter
+MORLET_MIN_HZ, MORLET_MAX_HZ, MORLET_CYCLES = 0.5, 25.0, 6.0
+
+
+def default_morlet_frequencies(n: int) -> np.ndarray:
+    return np.geomspace(MORLET_MIN_HZ, MORLET_MAX_HZ, n)
 
 
 def make_morlet_bank(
@@ -438,8 +439,9 @@ def make_morlet_bank(
 # magic "SOMN" | u16 version | u32 config-JSON length | config JSON (the
 # ModelConfig's fields) | per-tensor records (u16 name len, name, u8 dtype
 # code, u8 ndim, u32 dims, raw little-endian values) | u64 holding the CRC-32
-# (zlib) of everything before it. Version 2, the same layout whose JSON wraps
-# the config, and version 1, with a CRC-64, are refused.
+# (zlib) of everything before it. Version 3, the same layout whose config
+# has `l2_scope` and the Morlet fields, version 2, whose JSON wraps the
+# config, and version 1, with a CRC-64, are refused.
 
 
 class CheckpointError(Exception):

@@ -24,7 +24,6 @@ TINY_FULL_LENGTH_MODEL = {
     "c1_filters": 2, "c2_filters": 2, "f1": 4, "f2": 4,
     "batch_size": 5, "learning_rate": 0.01, "max_iterations": 2,
     "eval_every": 1, "patience": 5, "dtype": "float64",
-    "morlet_min_hz": 5.0, "morlet_max_hz": 25.0,
 }
 
 
@@ -98,8 +97,8 @@ def file_bytes(out):
 
 class TestTrain:
     def test_single_fold(self, tmp_path, run_config):
-        rc = cli.main(["train", "--config", str(run_config), "--seed", "3",
-                       "--fold", "2"])
+        rc = cli.main(["crossval", "--config", str(run_config), "--seed", "3",
+                       "--folds", "2"])
         assert rc == 0
         out = tmp_path / "out"
         payload = json.loads((out / "fold_02" / "result.json").read_text())
@@ -110,7 +109,7 @@ class TestTrain:
         assert not (out / "folds.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest) == {"command", "config", "seed"}
-        assert manifest["command"] == "train" and manifest["seed"] == 3
+        assert manifest["command"] == "crossval" and manifest["seed"] == 3
         assert manifest["config"]["model"]["c1_filters"] == 2
         assert manifest["config"]["output_dir"] == str(out)
         record = json.loads((out / "run_manifest.json").read_text())
@@ -120,7 +119,7 @@ class TestTrain:
         assert record["folds"][2]["val"] == payload["val"]
 
     def test_rerun_skips_completed_fold(self, tmp_path, run_config, capsys):
-        argv = ["train", "--config", str(run_config), "--seed", "3", "--fold", "2"]
+        argv = ["crossval", "--config", str(run_config), "--seed", "3", "--folds", "2"]
         assert cli.main(argv) == 0
         assert "fold 2: best val mean F1" in capsys.readouterr().out
         fold_dir = tmp_path / "out" / "fold_02"
@@ -132,12 +131,12 @@ class TestTrain:
         assert file_bytes(fold_dir) == before
 
     def test_fold_results_without_run_record_refused(self, tmp_path, run_config, capsys):
-        assert cli.main(["train", "--config", str(run_config), "--seed", "3",
-                         "--fold", "2"]) == 0
+        assert cli.main(["crossval", "--config", str(run_config), "--seed", "3",
+                         "--folds", "2"]) == 0
         out = tmp_path / "out"
         (out / "run_manifest.json").unlink()
         before = file_bytes(out)
-        rc = cli.main(["train", "--config", str(run_config), "--seed", "9", "--fold", "2",
+        rc = cli.main(["crossval", "--config", str(run_config), "--seed", "9", "--folds", "2",
                        "--learning-rate", "0.5"])
         assert rc == cli.EXIT_DATA
         assert "fold results but no run_manifest.json" in capsys.readouterr().err
@@ -145,13 +144,13 @@ class TestTrain:
 
     def test_seed_is_mandatory(self, run_config):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["train", "--config", str(run_config), "--fold", "0"])
+            cli.main(["crossval", "--config", str(run_config), "--folds", "0"])
         assert exc.value.code == cli.EXIT_USAGE
 
     @pytest.mark.parametrize("flag", ["--batch-size", "--max-iterations", "--eval-every"])
     def test_zero_schedule_flag_exits_data_and_writes_nothing(self, tmp_path, run_config,
                                                               capsys, flag):
-        rc = cli.main(["train", "--config", str(run_config), "--seed", "3", "--fold", "0",
+        rc = cli.main(["crossval", "--config", str(run_config), "--seed", "3", "--folds", "0",
                        flag, "0"])
         assert rc == cli.EXIT_DATA
         assert f"{flag[2:].replace('-', '_')} must be positive" in capsys.readouterr().err
@@ -162,7 +161,7 @@ class TestTrain:
                                                     ("--l2", "-1", "l2_lambda")])
     def test_impossible_optimizer_value_exits_data_and_writes_nothing(
             self, tmp_path, run_config, capsys, flag, value, field):
-        rc = cli.main(["train", "--config", str(run_config), "--seed", "3", "--fold", "0",
+        rc = cli.main(["crossval", "--config", str(run_config), "--seed", "3", "--folds", "0",
                        flag, value])
         assert rc == cli.EXIT_DATA
         assert f"{field} must be" in capsys.readouterr().err
@@ -173,15 +172,29 @@ class TestTrain:
         run = json.loads(run_config.read_text())
         run["model"]["seed"] = 3
         run_config.write_text(json.dumps(run))
-        rc = cli.main(["train", "--config", str(run_config), "--seed", "3", "--fold", "0"])
+        rc = cli.main(["crossval", "--config", str(run_config), "--seed", "3", "--folds", "0"])
         assert rc == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "'seed'" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        # an old file's `overall` and a misspelling, both named in one error
+        (lambda run: run | {"overall": "raw", "bootstrap_sampels": 9},
+         "unknown run config field(s) ['bootstrap_sampels', 'overall']"),
+        (lambda run: [run], "run config must be a JSON object, not list"),
+    ], ids=["unknown_fields", "not_an_object"])
+    def test_bad_run_config_file_exits_data_and_writes_nothing(self, tmp_path, run_config,
+                                                               capsys, edit, message):
+        run_config.write_text(json.dumps(edit(json.loads(run_config.read_text()))))
+        rc = cli.main(["crossval", "--config", str(run_config), "--seed", "3", "--folds", "0"])
+        assert rc == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_flag_overrides_config(self, tmp_path, run_config):
-        rc = cli.main(["train", "--config", str(run_config), "--seed", "3",
-                       "--fold", "0", "--max-iterations", "1"])
+        rc = cli.main(["crossval", "--config", str(run_config), "--seed", "3",
+                       "--folds", "0", "--max-iterations", "1"])
         assert rc == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["config"]["model"]["max_iterations"] == 1
@@ -361,8 +374,8 @@ class TestEvaluate:
         assert not (tmp_path / "r").exists()
 
     def test_single_fold_train_output_evaluates(self, tmp_path, run_config, capsys):
-        assert cli.main(["train", "--config", str(run_config), "--seed", "3",
-                         "--fold", "2"]) == 0
+        assert cli.main(["crossval", "--config", str(run_config), "--seed", "3",
+                         "--folds", "2"]) == 0
         out = tmp_path / "report"
         assert cli.main(["evaluate", str(tmp_path / "out"), "--out", str(out),
                          "--bootstrap-samples", "20"]) == 0
@@ -448,8 +461,8 @@ def trained_checkpoint(tmp_path_factory, corpus_dir):
         "output_dir": str(out),
         "model": TINY_FULL_LENGTH_MODEL,
     }))
-    assert cli.main(["train", "--config", str(cfg_path), "--seed", "1",
-                     "--fold", "0"]) == 0
+    assert cli.main(["crossval", "--config", str(cfg_path), "--seed", "1",
+                     "--folds", "0"]) == 0
     return out / "fold_00" / "best.somn"
 
 
@@ -496,7 +509,7 @@ class TestPredict:
         np.testing.assert_array_equal(counts_cli, counts_lib)
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda path: set_version(path, 2), "format version 2 != 3"),
+        (lambda path: set_version(path, 3), "format version 3 != 4"),
         (lambda path: rewrite_config(path, lambda c: c | {"dropout": 0.5}), "'dropout'"),
     ], ids=["previous_version", "unknown_config_field"])
     def test_refused_checkpoint_is_data_error(self, tmp_path, corpus_dir, trained_checkpoint,
@@ -547,8 +560,7 @@ class TestAnalyzeFilters:
                        "--out", str(out)])
         assert rc == 0
         bundle = json.loads((out / "profile.json").read_text())
-        bank = model.make_morlet_bank(
-            model.default_morlet_frequencies(2, 5.0, 25.0), cfg.morlet_cycles)
+        bank = model.make_morlet_bank(model.default_morlet_frequencies(2), model.MORLET_CYCLES)
         expected = filter_analysis.bank_spectra(bank.astype(cfg.np_dtype))
         np.testing.assert_array_equal(np.asarray(bundle["spectra"]), expected)
 

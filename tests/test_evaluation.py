@@ -119,27 +119,22 @@ class TestClassMetrics:
             np.testing.assert_allclose(metric, 1.0, atol=1e-12)
         assert m.overall_accuracy == 1.0
 
-    def test_balanced_overall_mode(self):
-        m = Ev.class_metrics(GOLDEN_COUNTS, overall="balanced")
-        assert m.overall_accuracy == pytest.approx(0.737035, abs=1e-6)
-
     def test_empty_row_rejected(self):
         counts = np.eye(5, dtype=int)
         counts[1] = 0
         with pytest.raises(Ev.MetricError, match="N2"):
             Ev.class_metrics(counts)
 
-    @pytest.mark.parametrize("overall", ["raw", "balanced"])
-    def test_stack_equals_each_matrix_bit_for_bit(self, overall):
+    def test_stack_equals_each_matrix_bit_for_bit(self):
         rng = np.random.default_rng(8)
         # zero columns (never-predicted stages) exercise the 0/0 branches too
         stack = rng.integers(0, 60, size=(3, 4, 5, 5)) * (rng.random((3, 4, 5, 5)) < 0.6)
         stack[..., np.arange(5), np.arange(5)] += 1
         stack[0, 0] = GOLDEN_COUNTS
-        batched = Ev.class_metrics(stack, overall)
+        batched = Ev.class_metrics(stack)
         summary = batched.as_dict()
         for index in np.ndindex(3, 4):
-            single = Ev.class_metrics(stack[index], overall)
+            single = Ev.class_metrics(stack[index])
             for metric in ("sensitivity", "precision", "f1", "accuracy"):
                 assert np.array_equal(getattr(batched, metric)[index], getattr(single, metric))
             for name, value in single.as_dict().items():
@@ -151,8 +146,6 @@ class TestClassMetrics:
         stack[1, 3] = 0
         with pytest.raises(Ev.MetricError, match=r"stage\(s\): R$"):
             Ev.class_metrics(stack)
-        with pytest.raises(Ev.MetricError, match=r"stage\(s\): R$"):
-            Ev.class_metrics(stack, overall="balanced")
 
     def test_f1_is_harmonic_mean(self):
         m = Ev.class_metrics(GOLDEN_COUNTS)
@@ -231,15 +224,8 @@ class TestBootstrap:
         b = np.diag([5, 5, 0, 5, 5])
         result = Ev.bootstrap_ci([a, b, b, b], n_samples=400, seed=7)
         assert result.excluded["f1_mean"] > 0
-        assert result.excluded["overall_accuracy"] == 0  # raw overall always defined
+        assert result.excluded["overall_accuracy"] == 0  # overall always defined
         assert result.intervals["f1_mean"].lower <= result.intervals["f1_mean"].upper
-
-    def test_balanced_overall_excluded_with_the_other_metrics(self):
-        a = np.diag([5, 5, 1, 5, 5])
-        b = np.diag([5, 5, 0, 5, 5])
-        result = Ev.bootstrap_ci([a, b, b, b], n_samples=400, seed=7, overall="balanced")
-        assert result.excluded["overall_accuracy"] == result.excluded["f1_mean"] > 0
-        assert set(result.excluded.values()) == {result.excluded["f1_mean"]}
 
     def test_single_recording_rejected(self):
         with pytest.raises(Ev.MetricError):

@@ -431,15 +431,13 @@ class TestBackward:
         assert worst < 1e-4
         assert masked_frac < 0.01
 
-    @pytest.mark.parametrize("overrides", [
-        dict(l2_scope="all"), dict(l2_scope="softmax_only"),
-        dict(first_layer_mode="fixed_morlet", morlet_min_hz=2.0, morlet_max_hz=20.0),
-    ], ids=["l2-all", "l2-softmax-only", "fixed-morlet"])
+    @pytest.mark.parametrize("mode", ["trainable", "fixed_morlet"],
+                             ids=["trainable", "fixed-morlet"])
     @pytest.mark.filterwarnings("ignore:Morlet filter")
-    def test_batch_gradient_is_mean_of_single_window_gradients(self, overrides):
+    def test_batch_gradient_is_mean_of_single_window_gradients(self, mode):
         # float64 at reduced_config, to 1e-10 of each tensor's largest entry;
         # the SGD step then adds the configured decay once.
-        params, cfg = reduced_params(seed=9, l2_lambda=1e-2, **overrides)
+        params, cfg = reduced_params(seed=9, l2_lambda=1e-2, first_layer_mode=mode)
         batch = build_windows(synthetic_recording("s", 1, list(SleepStage) * 2,
                                                   samples_per_epoch=60, seed=4))
         x = np.stack([w.signal() for w in batch])
@@ -467,22 +465,6 @@ class TestBackward:
             np.testing.assert_allclose(stepped.tensors[name] - params.tensors[name], want,
                                        rtol=1e-10, atol=1e-12)
 
-    def test_softmax_only_l2_scope(self):
-        # One plain-descent step with and without decay: only out_w differs,
-        # by lr * lambda * w.
-        params, cfg = reduced_params(l2_lambda=0.5, l2_scope="softmax_only")
-        assert params.l2_weight_names() == ("out_w",)
-        cfg = replace(cfg, batch_size=5, learning_rate=1.0, momentum=0.0)
-        batch = build_windows(synthetic_recording("s", 1, list(SleepStage),
-                                                  samples_per_epoch=60, seed=6))
-        with_l2, without = params.copy(), params.copy()
-        Tr.batch_update(with_l2, batch, cfg)
-        Tr.batch_update(without, batch, replace(cfg, l2_lambda=0.0))
-        np.testing.assert_allclose(
-            without.tensors["out_w"] - with_l2.tensors["out_w"],
-            0.5 * params.tensors["out_w"], rtol=1e-9, atol=1e-12)
-        np.testing.assert_array_equal(with_l2.tensors["f1_w"], without.tensors["f1_w"])
-
     def test_duplicated_window_means_to_same_gradient(self):
         params, cfg = reduced_params(l2_lambda=0.0)
         x = np.random.default_rng(3).standard_normal(cfg.input_len)
@@ -499,8 +481,7 @@ class TestBackward:
     @pytest.mark.parametrize("mode, computed", [("trainable", True), ("fixed_morlet", False)])
     def test_conv2_input_gradient_computed_only_when_conv1_trains(self, mode, computed,
                                                                    monkeypatch):
-        params, cfg = reduced_params(first_layer_mode=mode, morlet_min_hz=2.0,
-                                     morlet_max_hz=20.0)
+        params, cfg = reduced_params(first_layer_mode=mode)
         x = np.random.default_rng(4).standard_normal((3, cfg.input_len))
         _, cache = M.forward(params, x)
         real, returned = T.conv2d_fullheight_backward, []
@@ -517,8 +498,7 @@ class TestBackward:
     @pytest.mark.filterwarnings("ignore:Morlet filter")
     def test_fixed_morlet_gradients_bit_identical_without_conv2_input_gradient(
             self, monkeypatch):
-        params, cfg = reduced_params(first_layer_mode="fixed_morlet", morlet_min_hz=2.0,
-                                     morlet_max_hz=20.0)
+        params, cfg = reduced_params(first_layer_mode="fixed_morlet")
         x = np.random.default_rng(5).standard_normal((3, cfg.input_len))
         _, cache = M.forward(params, x)
         grad_logits = T.cross_entropy(cache.probs, [1, 3, 3])[1]
@@ -533,8 +513,7 @@ class TestBackward:
 
     @pytest.mark.filterwarnings("ignore:Morlet filter")
     def test_fixed_morlet_freezes_first_layer_gradient(self):
-        params, cfg = reduced_params(first_layer_mode="fixed_morlet",
-                                     morlet_min_hz=2.0, morlet_max_hz=20.0)
+        params, cfg = reduced_params(first_layer_mode="fixed_morlet")
         x = np.random.default_rng(4).standard_normal(cfg.input_len)
         _, cache = M.forward(params, x)
         grads = M.backward(params, cache, T.cross_entropy(cache.probs, 0)[1])
@@ -615,11 +594,10 @@ class TestSgdStep:
         for name in biases:
             np.testing.assert_array_equal(params.tensors[name], 1.0)
 
-    @pytest.mark.parametrize("scope", ["all", "softmax_only"])
-    def test_one_step_equals_decayed_momentum_rule(self, scope):
+    def test_one_step_equals_decayed_momentum_rule(self):
         # float64: v = mu*v - lr*(g + lam*w); w += v, to 1e-12 relative
-        params, _ = reduced_params(l2_scope=scope)
-        cfg = step_config(0.05, 0.9, lam=0.02, l2_scope=scope)
+        params, _ = reduced_params()
+        cfg = step_config(0.05, 0.9, lam=0.02)
         rng = np.random.default_rng(11)
         params.velocity = {k: rng.standard_normal(v.shape) for k, v in params.tensors.items()}
         grads = {k: rng.standard_normal(v.shape) for k, v in params.tensors.items()}
@@ -650,8 +628,7 @@ class TestSgdStep:
 
     @pytest.mark.filterwarnings("ignore:Morlet filter")
     def test_fixed_morlet_kernels_never_move(self):
-        params, cfg = reduced_params(first_layer_mode="fixed_morlet",
-                                     morlet_min_hz=2.0, morlet_max_hz=20.0)
+        params, cfg = reduced_params(first_layer_mode="fixed_morlet")
         frozen = params.tensors["c1_kernels"].copy()
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -692,7 +669,6 @@ def whole_tensor_step(params, gradients, config):
 # the step's L2 term covers)
 L2_CASES = {
     "all": ({}, ("f1_w", "out_w", "c1_kernels")),
-    "softmax_only": ({"l2_scope": "softmax_only"}, ("out_w",)),
     "fixed_morlet": ({"first_layer_mode": "fixed_morlet"}, ("f1_w", "out_w")),
 }
 
@@ -700,13 +676,11 @@ L2_CASES = {
 class TestBlockedSgdStep:
     @pytest.mark.parametrize("size", [1, B - 1, B, B + 1, 2 * B + 3])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("lam, scope", [(0.0, "all"), (0.02, "all"), (0.02, "softmax_only"),
-                                            (0.02, "fixed_morlet")])
-    def test_block_boundaries_bit_identical_to_whole_tensor_rule(self, size, dtype, lam, scope):
-        # f1_w is decayed outside "softmax_only", out_w in every case, f1_b
-        # never, c1_kernels only while it trains, though every case gives it
-        # a gradient; f2_w has none
-        overrides, decayed = L2_CASES[scope]
+    @pytest.mark.parametrize("lam, case", [(0.0, "all"), (0.02, "all"), (0.02, "fixed_morlet")])
+    def test_block_boundaries_bit_identical_to_whole_tensor_rule(self, size, dtype, lam, case):
+        # f1_w and out_w are decayed, f1_b never, c1_kernels only while it
+        # trains, though every case gives it a gradient; f2_w has none
+        overrides, decayed = L2_CASES[case]
         cfg = step_config(0.05, 0.9, lam=lam, dtype=dtype, **overrides)
         rng = np.random.default_rng(size)
         draw = lambda: rng.standard_normal((1, size)).astype(dtype)  # noqa: E731
@@ -941,15 +915,17 @@ class TestCheckpoint:
         with pytest.raises(M.CheckpointError, match="version"):
             M.load_checkpoint(path)
 
-    def test_version_checked_before_checksum(self, tmp_path):
+    @pytest.mark.parametrize("version", [M.CHECKPOINT_VERSION - 2, M.CHECKPOINT_VERSION - 1])
+    def test_version_checked_before_checksum(self, tmp_path, version):
         # A file of another format version fails by version, whatever its trailer.
         params, _ = reduced_params()
         path = tmp_path / "m.somn"
         M.save_checkpoint(params, path)
         data = bytearray(path.read_bytes())
-        data[4:6] = struct.pack("<H", 2)
+        data[4:6] = struct.pack("<H", version)
         path.write_bytes(bytes(data))
-        with pytest.raises(M.CheckpointError, match="format version 2 != 3"):
+        with pytest.raises(M.CheckpointError,
+                           match=f"format version {version} != {M.CHECKPOINT_VERSION}"):
             M.load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, named", [
@@ -978,14 +954,13 @@ class TestCheckpoint:
 
     @pytest.mark.filterwarnings("ignore:Morlet filter")
     def test_frozen_flag_survives(self, tmp_path):
-        params, _ = reduced_params(first_layer_mode="fixed_morlet",
-                                   morlet_min_hz=2.0, morlet_max_hz=20.0)
+        params, _ = reduced_params(first_layer_mode="fixed_morlet")
         path = tmp_path / "m.somn"
         M.save_checkpoint(params, path)
         assert M.load_checkpoint(path).frozen == frozenset({"c1_kernels", "c1_bias"})
 
     def test_round_trip_keeps_file_size_and_layout(self, tmp_path):
-        # the v3 layout is v2's with the model config itself as the JSON header;
+        # since v3 the layout is v2's with the model config itself as the JSON header;
         # the CRC-32 fills the u64 trailer
         params, cfg = reduced_params()
         path = tmp_path / "m.somn"
@@ -996,7 +971,7 @@ class TestCheckpoint:
         records = sum(2 + len(name) + 2 + 4 * a.ndim + a.nbytes
                       for name, a in params.tensors.items())
         assert len(data) == 10 + cfg_len + records + 8
-        assert data[:6] == b"SOMN" + struct.pack("<H", 3) and data[-4:] == bytes(4)
+        assert data[:6] == b"SOMN" + struct.pack("<H", 4) and data[-4:] == bytes(4)
 
     def test_save_and_load_copy_no_body(self, tmp_path):
         # f1_w is 3.2 MB; a save allocates well under it, a load about the tensors alone
@@ -1019,7 +994,7 @@ class TestCheckpoint:
 
 
 def _small_checkpoint_bytes() -> bytes:
-    """A checkpoint of 1361 bytes, small enough to damage at every byte."""
+    """A checkpoint of 1275 bytes, small enough to damage at every byte."""
     cfg = M.reduced_config(input_len=40, c1_filters=2, c1_len=5, c2_filters=2, c2_len=3,
                            f1=3, f2=3)
     params = M.init_params(cfg, np.random.default_rng(3))

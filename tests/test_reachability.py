@@ -6,7 +6,8 @@ other than on a line that defines that name. Names only tests reach go, unless
 listed below with the reason a test needs them. Likewise every `ModelConfig`
 field must be read by the package, so no setting is stored that nothing obeys,
 and every CLI option must be a config field or be read by `cli`, so no flag is
-offered that nothing obeys.
+offered that nothing obeys. README's "Configuration" list names exactly the
+`ModelConfig` fields, with their count.
 """
 
 import argparse
@@ -96,11 +97,11 @@ def option_dests(parser: argparse.ArgumentParser) -> set[str]:
 
 
 def unread_options(dests: set[str], lines: list[str], config_fields: set[str]) -> set[str]:
-    """The dests that are no config field and are never read as `args.<d>`,
-    `getattr(args, "<d>"...)` or `"<d>" in args`; an assignment is not a read."""
+    """The dests that are no config field and are never read as `args.<d>` or
+    `getattr(args, "<d>"...)`; an assignment is not a read."""
     return {d for d in dests - config_fields
-            if not any(re.search(rf'\bargs\.{d}\b(?!\s*=[^=])|getattr\(args, "{d}"|"{d}" in args\b',
-                                 line) for line in lines)}
+            if not any(re.search(rf'\bargs\.{d}\b(?!\s*=[^=])|getattr\(args, "{d}"', line)
+                       for line in lines)}
 
 
 def test_every_cli_option_is_read():
@@ -115,7 +116,34 @@ def test_unread_options_detects_an_option_nothing_reads():
     for flag in ("--fold", "--subjects", "--config", "--seed", "--tap"):
         p.add_argument(flag)
     p.add_argument("--power-mode", dest="power_mode")
-    lines = ['if "fold" in args:', "wanted = args.subjects.split(',')",
+    lines = ["index = args.fold", "wanted = args.subjects.split(',')",
              'if getattr(args, "config", None):', "args.tapper", "args.power_mode = 1"]
     assert option_dests(parser) == {"fold", "subjects", "config", "seed", "tap", "power_mode"}
     assert unread_options(option_dests(parser), lines, {"seed"}) == {"tap", "power_mode"}
+
+
+def config_list_faults(readme: str, names: list[str]) -> set[str]:
+    """What README's "Configuration" section gets wrong about the fields
+    `names`: the count its "Its N fields" states, and the backquoted names of
+    its first list."""
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n#", 1)[0]
+    count = int(re.search(r"\bIts (\d+) fields\b", section).group(1))
+    listed = re.findall(r"`(\w+)`", re.search(r"^- .*?(?=\n\n)", section, re.M | re.S)[0])
+    faults = {f"missing {n}" for n in set(names) - set(listed)}
+    faults |= {f"unknown {n}" for n in set(listed) - set(names)}
+    if count != len(names):
+        faults.add(f"states {count} fields, not {len(names)}")
+    return faults
+
+
+def test_readme_config_list_names_every_model_config_field():
+    readme = (ROOT / "README.md").read_text()
+    assert config_list_faults(readme, [f.name for f in fields(ModelConfig)]) == set()
+
+
+def test_config_list_faults_flags_a_missing_name_and_a_wrong_count():
+    readme = ("intro\n## Configuration\n\nIts 3 fields:\n\n- the net: `f1`,\n"
+              "  `f2`;\n- the rest: `dtype`.\n\nprose `f3`\n### Cost\n")
+    assert config_list_faults(readme, ["f1", "f2", "dtype"]) == set()
+    assert config_list_faults(readme, ["f1", "f2", "dtype", "f3"]) == {
+        "missing f3", "states 3 fields, not 4"}
