@@ -620,3 +620,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["crossval", "--seed", "1", "--parallel", "2"])
         assert exc.value.code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "RESULTS", "--overall", "balanced"],
+        ["train", "--seed", "1", "--fold", "0"],
+    ], ids=["evaluate_overall", "train"])
+    def test_removed_option_or_subcommand_is_a_usage_error(self, tmp_path, argv):
+        # the class-balanced reading is sensitivity_mean; one fold is crossval --folds k
+        argv = [str(tmp_path / "results") if a == "RESULTS" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []

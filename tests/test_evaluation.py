@@ -141,6 +141,23 @@ class TestClassMetrics:
                 assert type(value) is float
                 assert summary[name][index] == value, name
 
+    def test_sensitivity_mean_is_the_class_balanced_accuracy(self):
+        # the one balanced reading: the mean of the per-stage recalls, beside
+        # overall accuracy, the trace over the total, for a stack and a matrix alike
+        rng = np.random.default_rng(5)
+        stack = rng.integers(0, 40, size=(6, 5, 5))
+        stack[:, np.arange(5), np.arange(5)] += 1
+        stack[0] = GOLDEN_COUNTS
+        summary = Ev.class_metrics(stack).as_dict()
+        recall = np.diagonal(stack, axis1=-2, axis2=-1) / stack.sum(axis=-1)
+        np.testing.assert_allclose(summary["sensitivity_mean"], recall.mean(axis=-1),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(summary["overall_accuracy"],
+                                   np.trace(stack, axis1=-2, axis2=-1) / stack.sum(axis=(-2, -1)),
+                                   rtol=1e-12)
+        assert Ev.class_metrics(GOLDEN_COUNTS).as_dict()["sensitivity_mean"] == pytest.approx(
+            0.737035, abs=1e-6)
+
     def test_stack_with_one_empty_row_rejected(self):
         stack = np.stack([GOLDEN_COUNTS] * 3)
         stack[1, 3] = 0
@@ -226,6 +243,27 @@ class TestBootstrap:
         assert result.excluded["f1_mean"] > 0
         assert result.excluded["overall_accuracy"] == 0  # overall always defined
         assert result.intervals["f1_mean"].lower <= result.intervals["f1_mean"].upper
+
+    def test_overall_accuracy_taken_from_every_sample(self):
+        # overall accuracy is scored on all samples, the undefined ones
+        # included; the other metrics on the defined samples only
+        a = np.diag([5, 5, 1, 5, 5]) + 1
+        b = np.diag([5, 5, 0, 5, 5])
+        matrices = [a, b, b, b]
+        result = Ev.bootstrap_ci(matrices, n_samples=300, seed=7)
+        overall, balanced = [], []
+        for i in range(300):
+            total = sum(matrices[p] for p in np.random.default_rng([7, i]).integers(0, 4, 4))
+            overall.append(np.trace(total) / total.sum())
+            if total.sum(axis=1).all():
+                balanced.append(Ev.class_metrics(total).as_dict()["sensitivity_mean"])
+        assert 0 < len(balanced) < 300
+        assert result.excluded["sensitivity_mean"] == 300 - len(balanced)
+        iv = result.intervals["overall_accuracy"]
+        assert (iv.lower, iv.upper) == (sorted(overall)[7], sorted(overall)[292])
+        assert iv.mean == pytest.approx(np.mean(overall), abs=1e-12)
+        assert result.intervals["sensitivity_mean"].mean == pytest.approx(np.mean(balanced),
+                                                                          abs=1e-12)
 
     def test_single_recording_rejected(self):
         with pytest.raises(Ev.MetricError):

@@ -62,6 +62,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"unknown model config field.*'{name}'"):
             M.ModelConfig.from_json_dict(M.reduced_config().to_json_dict() | {name: 3})
 
+    @pytest.mark.parametrize("name, value", [
+        ("l2_scope", "all"), ("morlet_min_hz", 0.5), ("morlet_max_hz", 25.0),
+        ("morlet_cycles", 6.0),
+    ])
+    def test_removed_field_refused_by_name(self, name, value):
+        # a format-3 config carried these; the decay set and the Morlet bank are fixed now
+        with pytest.raises(ValueError, match=f"unknown model config field.*'{name}'"):
+            M.ModelConfig.from_json_dict(M.reduced_config().to_json_dict() | {name: value})
+
     def test_non_object_refused(self):
         with pytest.raises(ValueError, match="JSON object, not list"):
             M.ModelConfig.from_json_dict([])
@@ -594,6 +603,27 @@ class TestSgdStep:
         for name in biases:
             np.testing.assert_array_equal(params.tensors[name], 1.0)
 
+    @pytest.mark.parametrize("mode, frozen", [("trainable", ()),
+                                              ("fixed_morlet", ("c1_kernels",))],
+                             ids=["trainable", "fixed_morlet"])
+    @pytest.mark.filterwarnings("ignore:Morlet filter")
+    def test_decay_set_is_the_weights_less_the_frozen(self, mode, frozen):
+        # zero data gradient, momentum 0: each decayed weight moves by
+        # -lr*lambda*w, a frozen one (backward gives it no gradient) and the
+        # biases not at all; the term covers the decayed weights alone
+        params, _ = reduced_params(first_layer_mode=mode)
+        decayed = tuple(n for n in M.WEIGHT_NAMES if n not in frozen)
+        assert params.l2_weight_names() == decayed
+        before = {k: v.copy() for k, v in params.tensors.items()}
+        grads = {k: np.zeros_like(v) for k, v in params.tensors.items()
+                 if k not in params.frozen}
+        term = M.sgd_step(params, grads, step_config(0.1, 0.0, lam=0.5, first_layer_mode=mode))
+        for name, w in params.tensors.items():
+            want = before[name] * (1 - 0.1 * 0.5) if name in decayed else before[name]
+            np.testing.assert_allclose(w, want, rtol=1e-14, atol=0, err_msg=name)
+        assert term == pytest.approx(0.25 * sum(np.sum(before[n] ** 2) for n in decayed),
+                                     rel=1e-12)
+
     def test_one_step_equals_decayed_momentum_rule(self):
         # float64: v = mu*v - lr*(g + lam*w); w += v, to 1e-12 relative
         params, _ = reduced_params()
@@ -830,6 +860,17 @@ class TestMorletBank:
         with pytest.warns(RuntimeWarning, match="truncated"):
             M.make_morlet_bank(np.array([0.5]), 6.0)
 
+    @pytest.mark.filterwarnings("ignore:Morlet filter")
+    def test_fixed_bank_is_the_default_frequencies_at_the_module_constants(self):
+        freqs = M.default_morlet_frequencies(20)
+        assert (freqs[0], freqs[-1]) == pytest.approx((M.MORLET_MIN_HZ, M.MORLET_MAX_HZ))
+        assert (M.MORLET_MIN_HZ, M.MORLET_MAX_HZ, M.MORLET_CYCLES) == (0.5, 25.0, 6.0)
+        np.testing.assert_allclose(freqs[1:] / freqs[:-1], (25.0 / 0.5) ** (1 / 19))
+        params, cfg = reduced_params(first_layer_mode="fixed_morlet")
+        want = M.make_morlet_bank(M.default_morlet_frequencies(cfg.c1_filters),
+                                  M.MORLET_CYCLES, length=cfg.c1_len)
+        np.testing.assert_array_equal(params.tensors["c1_kernels"], want.astype(cfg.dtype))
+
 
 def rewrite_config(path: Path, edit) -> None:
     """Replace a checkpoint's config JSON with `edit(config dict)` and write
@@ -932,6 +973,7 @@ class TestCheckpoint:
         (lambda c: c | {"dropout": 0.5}, "dropout"),
         (lambda c: c | {"eval_every": 0}, "eval_every"),
         (lambda c: [c], "JSON object"),
+        (lambda c: c | {"l2_scope": "all"}, "l2_scope"),
     ])
     def test_intact_file_with_bad_config_refused(self, tmp_path, edit, named):
         # an unknown field, a bad value or a non-object, under a valid checksum
