@@ -37,7 +37,3 @@ somnoscore crossval \
   --learning-rate "${LEARNING_RATE:-3e-7}"
 
 somnoscore evaluate "$OUT_DIR" --out "$OUT_DIR/report" --data-dir "$DATA_DIR"
-
-# Optional: the fixed-wavelet first-layer variant for comparison.
-# somnoscore crossval --data-dir "$DATA_DIR" --output-dir "$OUT_DIR-morlet" \
-#   --seed "$SEED" --first-layer-mode fixed_morlet

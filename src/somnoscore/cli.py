@@ -306,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", dest="max_iterations", type=int)
     p.add_argument("--eval-every", dest="eval_every", type=int)
     p.add_argument("--patience", type=int)
-    p.add_argument("--first-layer-mode", dest="first_layer_mode",
-                   choices=["trainable", "fixed_morlet"])
     p.add_argument("--folds", help="comma-separated fold indices (default: all)")
     p.set_defaults(func=cmd_crossval)
 

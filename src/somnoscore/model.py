@@ -6,34 +6,30 @@ max-pool 20/10, a stacking reinterpretation into a 20-high image, 400
 full-height 20x30 filters, max-pool 10/2, two 500-unit dense layers and a
 5-way softmax. ReLU follows each dense layer and each convolution's pool (the
 paper's ReLU-then-pool is the same function: ReLU and max-pool commute).
-
-A variant mode freezes the first layer to a generated Morlet wavelet bank so
-the effect of learning (vs fixing) the input filters can be measured.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import struct
-import warnings
+import types
+import typing
 import zlib
-from dataclasses import dataclass, asdict, field, fields
+from dataclasses import dataclass, asdict, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import WINDOW_EPOCHS
-from .edf_ingest import N_STAGES, SAMPLES_PER_EPOCH, SCORING_RATE_HZ, SleepStage
+from .edf_ingest import N_STAGES, SAMPLES_PER_EPOCH, SleepStage
 from .fileio import write_atomic
 from . import tensor_ops as T
 
 CHECKPOINT_MAGIC = b"SOMN"
-CHECKPOINT_VERSION = 4
-
-TRAINABLE_MODE = "trainable"
-FIXED_MORLET_MODE = "fixed_morlet"
+CHECKPOINT_VERSION = 5
 
 _DTYPE_CODES = {np.dtype(np.float32): 4, np.dtype(np.float64): 8}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
@@ -57,7 +53,6 @@ class ModelConfig:
     max_iterations: int = 20000
     eval_every: int = 500
     patience: int = 10
-    first_layer_mode: str = TRAINABLE_MODE  # "trainable" | "fixed_morlet"
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -76,8 +71,6 @@ class ModelConfig:
         if self.batch_size % N_STAGES != 0:
             raise ValueError(
                 f"batch size {self.batch_size} not divisible by {N_STAGES} stages")
-        if self.first_layer_mode not in (TRAINABLE_MODE, FIXED_MORLET_MODE):
-            raise ValueError(f"unknown first_layer_mode {self.first_layer_mode!r}")
         if np.dtype(self.dtype) not in _DTYPE_CODES:
             raise ValueError(f"unsupported dtype {self.dtype!r}")
 
@@ -136,13 +129,41 @@ class ModelConfig:
 
 def check_json_fields(cls, d, what: str) -> None:
     """Raise ValueError unless `d`, the JSON form of the dataclass `cls`
-    (`what`), is an object all of whose keys are `cls`'s fields; the error
-    names every other key."""
+    (`what`), is an object all of whose keys are `cls`'s fields, each value
+    of its field's type; the error names every other key, or every value of
+    the wrong type."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(d).__name__}")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {what} field(s) {unknown}")
+    hints = _type_hints(cls)
+    wrong = [f"{f.name!r} must be {f.type}, not {type(d[f.name]).__name__}"
+             for f in fields(cls) if f.name in d and not _holds(hints[f.name], d[f.name])]
+    if wrong:
+        raise ValueError(f"{what} field(s) of the wrong type: {'; '.join(wrong)}")
+
+
+# the annotations are strings; evaluating them takes ~0.2 ms, so it is done once per class
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _holds(hint, value) -> bool:
+    """Whether the JSON value `value` is of the type `hint`: an int is no
+    bool, a float may be an int, a dataclass is an object, and a `tuple[...]`
+    or `list[...]` an array of its items."""
+    if type(value) is hint:  # the common case, decided at once
+        return True
+    if type(hint) is type:
+        kinds = dict if is_dataclass(hint) else (int, float) if hint is float else hint
+        return isinstance(value, kinds) and not isinstance(value, bool)
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_holds(h, value) for h in args)
+    if not isinstance(value, (list, tuple)):
+        return False
+    items = args if typing.get_origin(hint) is tuple else args * len(value)
+    return len(value) == len(items) and all(map(_holds, items, value))
 
 
 def reduced_config(**overrides) -> ModelConfig:
@@ -169,14 +190,7 @@ class ModelParameters:
     tensors: dict[str, np.ndarray]
     velocity: dict[str, np.ndarray] = field(default_factory=dict)  # filled by sgd_step
 
-    @property
-    def frozen(self) -> frozenset[str]:
-        """The tensors no update moves: the Morlet bank's in fixed-Morlet mode."""
-        fixed = self.config.first_layer_mode == FIXED_MORLET_MODE
-        return frozenset({"c1_kernels", "c1_bias"} if fixed else ())
-
-    def l2_weight_names(self) -> tuple[str, ...]:
-        return tuple(n for n in WEIGHT_NAMES if n not in self.frozen)
+    frozen = frozenset()  # every tensor trains; benchmark/workloads.py still compares this
 
     def copy(self) -> "ModelParameters":
         return ModelParameters(
@@ -191,9 +205,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParameter
 
     A weight's fan-in n is the product of its shape after the first axis.
     ReLU-fed weights draw from Normal(0, sqrt(2/n)), the softmax layer from
-    Normal(0, sqrt(1/n)), in `tensor_shapes` order; biases start at zero. In
-    fixed-Morlet mode the first layer is replaced by the generated wavelet
-    bank and frozen.
+    Normal(0, sqrt(1/n)), in `tensor_shapes` order; biases start at zero.
     """
     dtype = config.np_dtype
     tensors = {}
@@ -204,9 +216,6 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParameter
             tensors[name] = rng.standard_normal(shape, dtype=dtype) * std
         else:
             tensors[name] = np.zeros(shape, dtype=dtype)
-    if config.first_layer_mode == FIXED_MORLET_MODE:
-        tensors["c1_kernels"] = make_morlet_bank(default_morlet_frequencies(config.c1_filters),
-                                                 MORLET_CYCLES, length=config.c1_len).astype(dtype)
     return ModelParameters(config, tensors)
 
 
@@ -286,9 +295,8 @@ def backward(params: ModelParameters, cache: ForwardCache,
     """Gradients over the forward pass's windows, from the loss's gradient
     with respect to the logits as `T.cross_entropy` returns it.
 
-    Frozen tensors receive no gradient entry. The dense weight gradients are
-    `T.OuterGrad` factors; `np.asarray` forms one whole. The L2 decay is
-    `sgd_step`'s.
+    The dense weight gradients are `T.OuterGrad` factors; `np.asarray` forms
+    one whole. The L2 decay is `sgd_step`'s.
     """
     cfg = params.config
     t = params.tensors
@@ -306,20 +314,18 @@ def backward(params: ModelParameters, cache: ForwardCache,
     g = T.maxpool1d_backward(cache.p2_off, g, cfg.c2_out, cfg.p2[1])
     # conv2 a few windows at a time, as in forward; its parameter gradients
     # are carried from chunk to chunk, in window order
-    conv1_trains = "c1_kernels" not in params.frozen
     batch = cache.s1.reshape(-1, *cache.s1.shape[-3:])
     g = g.reshape(len(batch), cfg.c2_filters, 1, cfg.c2_out)
     sums, grad_s1 = None, []
     for rows in _conv2_chunks(cfg, len(batch)):
         gx, *sums = T.conv2d_fullheight_backward(
-            batch[rows], t["c2_kernels"], g[rows], input_grad=conv1_trains, sums=sums)
+            batch[rows], t["c2_kernels"], g[rows], sums=sums)
         grad_s1.append(gx)
     grads["c2_kernels"], grads["c2_bias"] = sums
-    if conv1_trains:
-        g = (grad_s1[0] if len(grad_s1) == 1 else np.concatenate(grad_s1)).reshape(cache.s1.shape)
-        g = T.unstack(T.relu_backward(cache.s1, g))
-        g = T.maxpool1d_backward(cache.p1_off, g, cfg.c1_out, cfg.p1[1])
-        grads["c1_kernels"], grads["c1_bias"] = T.conv1d_backward(cache.x, t["c1_kernels"], g)
+    g = (grad_s1[0] if len(grad_s1) == 1 else np.concatenate(grad_s1)).reshape(cache.s1.shape)
+    g = T.unstack(T.relu_backward(cache.s1, g))
+    g = T.maxpool1d_backward(cache.p1_off, g, cfg.c1_out, cfg.p1[1])
+    grads["c1_kernels"], grads["c1_bias"] = T.conv1d_backward(cache.x, t["c1_kernels"], g)
     return grads
 
 
@@ -340,12 +346,11 @@ def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray | T.OuterG
              config: ModelConfig) -> float:
     """Momentum SGD with L2 decay, in place: v <- mu*v - lr*(g + lam*w); w <- w + v.
 
-    lr, mu and lam come from `config`; lam is 0 outside `params.l2_weight_names()`.
+    lr, mu and lam come from `config`; lam is 0 outside `WEIGHT_NAMES`.
     Returns the L2 term (lam/2)*sum(w^2) of the decayed weights it updates,
-    as they were before the step; `backward` gives every one of them a
-    gradient. Array gradients are consumed as scratch. A velocity starts at
-    zero on its first update. Tensors absent from `gradients`, the frozen ones
-    among them (`backward` gives them none), are left untouched.
+    as they were before the step. Array gradients are consumed as scratch. A
+    velocity starts at zero on its first update. Tensors absent from
+    `gradients` are left untouched.
 
     Each tensor is updated in one sweep of tiles of its (rows, cols) view (a
     vector is one row), `_TILE_ROWS` high and about `_UPDATE_BLOCK` elements
@@ -362,7 +367,7 @@ def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray | T.OuterG
     turns the error into a failed fold.
     """
     lr, mu, lam = config.learning_rate, config.momentum, config.l2_lambda
-    decayed = params.l2_weight_names() if lam else ()
+    decayed = WEIGHT_NAMES if lam else ()
     sum_sq = 0.0
     for name, g in gradients.items():
         what = f"the gradient of tensor {name!r}"
@@ -398,50 +403,14 @@ def predict_from_probs(probs: np.ndarray) -> SleepStage:
     return SleepStage(int(np.argmax(probs)))
 
 
-# The fixed-Morlet bank: log-spaced center frequencies and cycles per filter
-MORLET_MIN_HZ, MORLET_MAX_HZ, MORLET_CYCLES = 0.5, 25.0, 6.0
-
-
-def default_morlet_frequencies(n: int) -> np.ndarray:
-    return np.geomspace(MORLET_MIN_HZ, MORLET_MAX_HZ, n)
-
-
-def make_morlet_bank(
-    center_freqs: np.ndarray,
-    cycles_per_filter: float,
-    length: int = 200,
-) -> np.ndarray:
-    """Real Morlet (cosine-Gaussian) filters, one row per center frequency.
-
-    Each filter is cos(2*pi*f*t) * exp(-t^2 / (2*sigma^2)) with
-    sigma = cycles / (2*pi*f), sampled symmetrically about t = 0 and scaled to
-    unit energy. A Gaussian still above 1% of its peak at the window edge is
-    truncated; that raises a warning, not an error.
-    """
-    freqs = np.asarray(center_freqs, dtype=np.float64)
-    if np.any(freqs <= 0):
-        raise ValueError("center frequencies must be positive")
-    t = (np.arange(length) - (length - 1) / 2.0) / SCORING_RATE_HZ
-    bank = np.empty((len(freqs), length))
-    for i, f in enumerate(freqs):
-        sigma = cycles_per_filter / (2.0 * np.pi * f)
-        envelope = np.exp(-(t ** 2) / (2.0 * sigma ** 2))
-        if envelope[0] > 0.01:
-            warnings.warn(
-                f"Morlet filter at {f:.3g} Hz truncated: envelope {envelope[0]:.3f} "
-                f"of peak at window edge", RuntimeWarning, stacklevel=2)
-        k = np.cos(2.0 * np.pi * f * t) * envelope
-        bank[i] = k / np.linalg.norm(k)
-    return bank
-
-
 # --- checkpoint format ------------------------------------------------------
 # magic "SOMN" | u16 version | u32 config-JSON length | config JSON (the
 # ModelConfig's fields) | per-tensor records (u16 name len, name, u8 dtype
 # code, u8 ndim, u32 dims, raw little-endian values) | u64 holding the CRC-32
-# (zlib) of everything before it. Version 3, the same layout whose config
-# has `l2_scope` and the Morlet fields, version 2, whose JSON wraps the
-# config, and version 1, with a CRC-64, are refused.
+# (zlib) of everything before it. Versions 4 and 3, the same layout whose
+# config has `first_layer_mode` (and, in 3, `l2_scope` and the Morlet
+# fields), version 2, whose JSON wraps the config, and version 1, with a
+# CRC-64, are refused.
 
 
 class CheckpointError(Exception):

@@ -188,16 +188,15 @@ def conv2d_fullheight(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> n
 
 
 def conv2d_fullheight_backward(
-    x: np.ndarray, kernels: np.ndarray, grad_y: np.ndarray, input_grad: bool = True,
+    x: np.ndarray, kernels: np.ndarray, grad_y: np.ndarray,
     sums: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients for :func:`conv2d_fullheight`; grad_y has shape (..., F, 1, P).
 
-    Returns (grad_x, grad_kernels, grad_bias); grad_x is None, and not
-    computed, when `input_grad` is False (nothing upstream trains). `sums`,
-    the (grad_kernels, grad_bias) of earlier windows, are carried on: each
-    window's share is added in order, so a batch taken a few windows at a
-    time sums bit for bit as one taken whole.
+    Returns (grad_x, grad_kernels, grad_bias). `sums`, the (grad_kernels,
+    grad_bias) of earlier windows, are carried on: each window's share is
+    added in order, so a batch taken a few windows at a time sums bit for bit
+    as one taken whole.
 
     grad_x is one product, written into the im2col copy once the kernel
     gradient has spent it, and then K overlap-adds.
@@ -220,8 +219,6 @@ def conv2d_fullheight_backward(
     if sums is not None:
         per_window[0], row_sums[0] = sums[0].reshape(f, h * k), sums[1]
     grad_kernels, grad_bias = per_window.sum(axis=0).reshape(f, h, k), row_sums.sum(axis=0)
-    if not input_grad:
-        return None, grad_kernels, grad_bias
     product = cols.reshape(n, h * k, p)
     np.matmul(kernels.reshape(f, h * k).T, g, out=product)
     product = product.reshape(n, h, k, p)

@@ -19,9 +19,7 @@ from somnoscore import training as Tr
 from somnoscore.edf_ingest import STAGES, SleepStage
 
 from test_evaluation import GOLDEN_COUNTS
-from test_model import finite_diff_model_grads
-
-pytestmark = pytest.mark.filterwarnings("ignore:Morlet filter")
+from test_model import finite_diff_model_grads, make_morlet_bank
 
 
 def report(criterion: int, description: str, ok: bool, detail: str = ""):
@@ -178,7 +176,7 @@ def test_criterion_08_filter_analysis():
                         c2_filters=4, f1=8, f2=8, batch_size=10, dtype="float64")
     params = M.init_params(cfg, np.random.default_rng(0))
     freqs = np.array([S.STAGE_BAND_HZ[s] for s in STAGES])
-    params.tensors["c1_kernels"] = M.make_morlet_bank(freqs, 6.0)
+    params.tensors["c1_kernels"] = make_morlet_bank(freqs, 6.0)
     params.tensors["c1_bias"][:] = 0
     stages = [s for s in STAGES for _ in range(3)]
     windows = D.build_windows(S.synthetic_recording("a", 1, stages, seed=4,

@@ -10,13 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from somnoscore import cli, filter_analysis, model
+from somnoscore import cli, model
 from somnoscore.edf_ingest import SleepStage, load_recording
+from somnoscore.model import CHECKPOINT_VERSION
 from somnoscore.synthetic import write_synthetic_pair
 from test_evaluation import GOLDEN_COUNTS, GOLDEN_F1_MEAN, GOLDEN_OVERALL
 from test_model import rewrite_config
-
-pytestmark = pytest.mark.filterwarnings("ignore:Morlet filter")
 
 FIVE = [SleepStage.W, SleepStage.N1, SleepStage.N2, SleepStage.N3, SleepStage.R]
 
@@ -183,11 +182,22 @@ class TestTrain:
         (lambda run: run | {"overall": "raw", "bootstrap_sampels": 9},
          "unknown run config field(s) ['bootstrap_sampels', 'overall']"),
         (lambda run: [run], "run config must be a JSON object, not list"),
-    ], ids=["unknown_fields", "not_an_object"])
+        # a format-4 era model config
+        (lambda run: run | {"model": run["model"] | {"first_layer_mode": "trainable"}},
+         "unknown model config field(s) ['first_layer_mode']"),
+        # a value of the wrong type, however harmless it looks
+        (lambda run: run | {"model": run["model"] | {"batch_size": 10.0}},
+         "'batch_size' must be int, not float"),
+        (lambda run: run | {"model": run["model"] | {"max_iterations": 2.5}},
+         "'max_iterations' must be int, not float"),
+        (lambda run: run | {"folds": "0,1"}, "'folds' must be list[int] | None, not str"),
+    ], ids=["unknown_fields", "not_an_object", "first_layer_mode", "float_batch_size",
+            "float_max_iterations", "string_folds"])
     def test_bad_run_config_file_exits_data_and_writes_nothing(self, tmp_path, run_config,
                                                                capsys, edit, message):
+        # no --folds, so that the file's folds are the ones run
         run_config.write_text(json.dumps(edit(json.loads(run_config.read_text()))))
-        rc = cli.main(["crossval", "--config", str(run_config), "--seed", "3", "--folds", "0"])
+        rc = cli.main(["crossval", "--config", str(run_config), "--seed", "3"])
         assert rc == cli.EXIT_DATA
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -373,6 +383,17 @@ class TestEvaluate:
         assert "no fold result under" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_wrong_typed_config_value_exits_data_and_writes_nothing(self, tmp_path,
+                                                                    results_dir, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"bootstrap_samples": "20"}))
+        rc = cli.main(["evaluate", str(results_dir), "--config", str(config),
+                       "--out", str(tmp_path / "r")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "'bootstrap_samples' must be int, not str" in err
+        assert not (tmp_path / "r").exists()
+
     def test_single_fold_train_output_evaluates(self, tmp_path, run_config, capsys):
         assert cli.main(["crossval", "--config", str(run_config), "--seed", "3",
                          "--folds", "2"]) == 0
@@ -509,9 +530,12 @@ class TestPredict:
         np.testing.assert_array_equal(counts_cli, counts_lib)
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda path: set_version(path, 3), "format version 3 != 4"),
+        (lambda path: set_version(path, CHECKPOINT_VERSION - 1),
+         f"format version {CHECKPOINT_VERSION - 1} != {CHECKPOINT_VERSION}"),
+        (lambda path: set_version(path, CHECKPOINT_VERSION - 2),
+         f"format version {CHECKPOINT_VERSION - 2} != {CHECKPOINT_VERSION}"),
         (lambda path: rewrite_config(path, lambda c: c | {"dropout": 0.5}), "'dropout'"),
-    ], ids=["previous_version", "unknown_config_field"])
+    ], ids=["previous_version", "older_version", "unknown_config_field"])
     def test_refused_checkpoint_is_data_error(self, tmp_path, corpus_dir, trained_checkpoint,
                                               capsys, damage, message):
         refused = tmp_path / "refused.somn"
@@ -547,22 +571,6 @@ class TestAnalyzeFilters:
         assert np.asarray(bundle["normalized"]).shape == (2, 5)
         assert sorted(bundle["ordering"]) == [0, 1]
         assert (out / "activation.svg").exists()
-
-    def test_morlet_checkpoint_reproduces_generated_bank(self, tmp_path, corpus_dir):
-        cfg = model.ModelConfig.from_json_dict(
-            TINY_FULL_LENGTH_MODEL | {"first_layer_mode": "fixed_morlet"})
-        params = model.init_params(cfg, np.random.default_rng(0))
-        ckpt = tmp_path / "morlet.somn"
-        model.save_checkpoint(params, ckpt)
-        out = tmp_path / "filters"
-        rc = cli.main(["analyze-filters", "--checkpoint", str(ckpt),
-                       "--data-dir", str(corpus_dir), "--subjects", "S00A",
-                       "--out", str(out)])
-        assert rc == 0
-        bundle = json.loads((out / "profile.json").read_text())
-        bank = model.make_morlet_bank(model.default_morlet_frequencies(2), model.MORLET_CYCLES)
-        expected = filter_analysis.bank_spectra(bank.astype(cfg.np_dtype))
-        np.testing.assert_array_equal(np.asarray(bundle["spectra"]), expected)
 
     def test_subjects_filter_before_loading(self, tmp_path, corpus_dir, trained_checkpoint,
                                             monkeypatch):
@@ -624,9 +632,11 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["evaluate", "RESULTS", "--overall", "balanced"],
         ["train", "--seed", "1", "--fold", "0"],
-    ], ids=["evaluate_overall", "train"])
+        ["crossval", "--seed", "1", "--first-layer-mode", "fixed_morlet"],
+    ], ids=["evaluate_overall", "train", "crossval_first_layer_mode"])
     def test_removed_option_or_subcommand_is_a_usage_error(self, tmp_path, argv):
-        # the class-balanced reading is sensitivity_mean; one fold is crossval --folds k
+        # the class-balanced reading is sensitivity_mean; one fold is crossval
+        # --folds k; the first layer always trains
         argv = [str(tmp_path / "results") if a == "RESULTS" else a for a in argv]
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--out", str(tmp_path / "out")])

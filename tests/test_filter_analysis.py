@@ -14,7 +14,7 @@ from somnoscore.dataset import WINDOW_EPOCHS, build_windows
 from somnoscore.edf_ingest import STAGES, Recording, SignalSpec, SleepStage
 from somnoscore.synthetic import STAGE_BAND_HZ, synthetic_recording
 
-pytestmark = pytest.mark.filterwarnings("ignore:Morlet filter")
+from test_model import make_morlet_bank
 
 
 def small_bank_params(n_filters=5, seed=0):
@@ -107,8 +107,7 @@ class TestActivationPower:
 
     def test_matched_filter_discriminates_bands(self):
         params, _ = small_bank_params(n_filters=2)
-        params.tensors["c1_kernels"] = M.make_morlet_bank(
-            np.array([10.0, 30.0]), 6.0)
+        params.tensors["c1_kernels"] = make_morlet_bank(np.array([10.0, 30.0]), 6.0)
         params.tensors["c1_bias"][:] = 0
         p10 = FA.c1_activation_power(params, window_with_middle(10.0))
         p30 = FA.c1_activation_power(params, window_with_middle(30.0))
@@ -140,7 +139,7 @@ def band_matched_params():
     """One Morlet filter per stage band, ordered like the stage enum."""
     params, cfg = small_bank_params(n_filters=5)
     freqs = np.array([STAGE_BAND_HZ[s] for s in STAGES])
-    params.tensors["c1_kernels"] = M.make_morlet_bank(freqs, 6.0)
+    params.tensors["c1_kernels"] = make_morlet_bank(freqs, 6.0)
     params.tensors["c1_bias"][:] = 0
     return params, cfg
 
@@ -251,7 +250,7 @@ class TestExport:
                             f1=8, f2=8, batch_size=10, dtype="float64")
         params20 = M.init_params(cfg, np.random.default_rng(0))
         freqs = np.geomspace(1.0, 40.0, 20)
-        params20.tensors["c1_kernels"] = M.make_morlet_bank(freqs, 4.0)
+        params20.tensors["c1_kernels"] = make_morlet_bank(freqs, 4.0)
         params20.tensors["c1_bias"][:] = 0
         profile = FA.build_profile(params20, band_windows)
         spectra = FA.bank_spectra(params20.tensors["c1_kernels"])

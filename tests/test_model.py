@@ -22,13 +22,31 @@ from somnoscore import model as M
 from somnoscore import tensor_ops as T
 from somnoscore import training as Tr
 from somnoscore.dataset import build_windows
-from somnoscore.edf_ingest import N_STAGES, SleepStage
+from somnoscore.edf_ingest import N_STAGES, SCORING_RATE_HZ, SleepStage
 from somnoscore.synthetic import synthetic_recording
 
 
 def reduced_params(seed=7, **overrides):
     cfg = M.reduced_config(**overrides)
     return M.init_params(cfg, np.random.default_rng(seed)), cfg
+
+
+def make_morlet_bank(center_freqs, cycles_per_filter: float, length: int = 200) -> np.ndarray:
+    """Real Morlet (cosine-Gaussian) filters, one row per center frequency:
+    a first layer tuned to chosen bands for the filter-analysis tests.
+
+    Each filter is cos(2*pi*f*t) * exp(-t^2 / (2*sigma^2)) with
+    sigma = cycles / (2*pi*f), sampled symmetrically about t = 0 and scaled to
+    unit energy.
+    """
+    freqs = np.asarray(center_freqs, dtype=np.float64)
+    t = (np.arange(length) - (length - 1) / 2.0) / SCORING_RATE_HZ
+    bank = np.empty((len(freqs), length))
+    for i, f in enumerate(freqs):
+        sigma = cycles_per_filter / (2.0 * np.pi * f)
+        k = np.cos(2.0 * np.pi * f * t) * np.exp(-(t ** 2) / (2.0 * sigma ** 2))
+        bank[i] = k / np.linalg.norm(k)
+    return bank
 
 
 class TestConfig:
@@ -54,7 +72,7 @@ class TestConfig:
             M.ModelConfig(batch_size=33)
 
     def test_json_round_trip(self):
-        cfg = M.reduced_config(learning_rate=0.5, first_layer_mode="fixed_morlet")
+        cfg = M.reduced_config(learning_rate=0.5)
         assert M.ModelConfig.from_json_dict(cfg.to_json_dict()) == cfg
 
     @pytest.mark.parametrize("name", ["seed", "classes", "dropout"])
@@ -64,10 +82,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("l2_scope", "all"), ("morlet_min_hz", 0.5), ("morlet_max_hz", 25.0),
-        ("morlet_cycles", 6.0),
+        ("morlet_cycles", 6.0), ("first_layer_mode", "trainable"),
     ])
     def test_removed_field_refused_by_name(self, name, value):
-        # a format-3 config carried these; the decay set and the Morlet bank are fixed now
+        # a format-3 or format-4 config carried these; every tensor trains now
         with pytest.raises(ValueError, match=f"unknown model config field.*'{name}'"):
             M.ModelConfig.from_json_dict(M.reduced_config().to_json_dict() | {name: value})
 
@@ -106,8 +124,8 @@ class TestInit:
         for name in a.tensors:
             assert a.tensors[name].tobytes() == b.tensors[name].tobytes()
 
-    # SHA-256 of each seeded init's tensors (name, dtype, shape, bytes) and
-    # frozen names, at seeds 0, 1 and 2
+    # SHA-256 of each seeded init's tensors (name, dtype, shape, bytes), at
+    # seeds 0, 1 and 2
     GOLDEN_INIT_DIGESTS = {
         "reduced_float64": ({}, (
             "8a1b22de6ab2cd962d65dc9b9a5747def11441f952312f96fdb4d79139d46195",
@@ -124,14 +142,8 @@ class TestInit:
             "84cc9166e52286f4e9435a1b6919ff738e05ba76042bb6142d0de9ca1b9195fd",
             "826420c28d667fa0d6d7d73a4ac5b5924f25ae7d7e65270a499c492183a7ada0",
         )),
-        "fixed_morlet": ({"first_layer_mode": "fixed_morlet"}, (
-            "b899ee546edc806bb9d5ef2dae29e787077c3b5dccd3cd65599866db655c8c1b",
-            "2c7080b6d8d5a6c4edd40231ff4da8202aa8acdd15b1fca469bffa18fd0a2866",
-            "294b878dddac9fb15699061f270e5d517c1ae02d1d032191f942424ed4d2d70f",
-        )),
     }
 
-    @pytest.mark.filterwarnings("ignore:Morlet filter")
     @pytest.mark.parametrize("case", GOLDEN_INIT_DIGESTS)
     def test_seeded_init_matches_golden_digest(self, case):
         overrides, digests = self.GOLDEN_INIT_DIGESTS[case]
@@ -141,7 +153,6 @@ class TestInit:
             for name, t in params.tensors.items():
                 h.update(f"{name}{t.dtype}{t.shape}".encode())
                 h.update(t.tobytes())
-            h.update(",".join(sorted(params.frozen)).encode())
             assert h.hexdigest() == want, (case, seed)
 
     def test_biases_exactly_zero(self):
@@ -231,7 +242,7 @@ def loss_and_signature(params, x, label):
     if lam:
         loss += 0.5 * lam * sum(
             float(np.vdot(params.tensors[n], params.tensors[n]))
-            for n in params.l2_weight_names())
+            for n in M.WEIGHT_NAMES)
     return loss, tie_signature(cache)
 
 
@@ -244,7 +255,7 @@ def finite_diff_model_grads(params, x, label, eps=1e-5):
     """
     probs, cache = M.forward(params, x)
     grads = M.backward(params, cache, T.cross_entropy(probs, label)[1])
-    for name in params.l2_weight_names():
+    for name in M.WEIGHT_NAMES:
         grads[name] = grads[name] + params.config.l2_lambda * params.tensors[name]
     worst, total, masked = 0.0, 0, 0
     for name, g in grads.items():
@@ -314,14 +325,8 @@ class TestGoldenPass:
             "06ef77520fa4dbb45a9b4cd46c41a0558eb17a311cdf8b6402997602d0767d27",
             "271616c0072f24d4a4b37c39748beda9086989fbdee5167cde06950d8655c106",
         )),
-        "fixed_morlet": ({"first_layer_mode": "fixed_morlet"}, (
-            "4abebbbbe553051fca3ec08ce8632e7a8dfb3951cd840a8c9d3fed4c28aa2e55",
-            "211c10d541eb72fc110a017e64414106391bccc9bd53904fb8af373a576286c1",
-            "9b501dfa8870df561262b7a494fdec6b7c9accfd37bd44a9fda80c9e9f79b169",
-        )),
     }
 
-    @pytest.mark.filterwarnings("ignore:Morlet filter")
     @pytest.mark.parametrize("case", GOLDEN_PASS_DIGESTS)
     def test_reduced_pass_matches_golden_digest(self, case):
         overrides, digests = self.GOLDEN_PASS_DIGESTS[case]
@@ -359,10 +364,8 @@ class TestConv2Chunks:
         probs, cache = M.forward(params, x)
         return probs, dense_arrays(M.backward(params, cache, T.cross_entropy(probs, labels)[1]))
 
-    @pytest.mark.filterwarnings("ignore:Morlet filter")
-    @pytest.mark.parametrize("overrides", [
-        {}, {"dtype": "float32"}, {"first_layer_mode": "fixed_morlet"},
-    ], ids=["reduced_float64", "reduced_float32", "fixed_morlet"])
+    @pytest.mark.parametrize("overrides", [{}, {"dtype": "float32"}],
+                             ids=["reduced_float64", "reduced_float32"])
     def test_chunked_pass_bit_identical_to_one_chunk(self, overrides, monkeypatch):
         params, cfg = reduced_params(seed=3, **overrides)
         x = np.random.default_rng(4).standard_normal((7, cfg.input_len))
@@ -440,13 +443,10 @@ class TestBackward:
         assert worst < 1e-4
         assert masked_frac < 0.01
 
-    @pytest.mark.parametrize("mode", ["trainable", "fixed_morlet"],
-                             ids=["trainable", "fixed-morlet"])
-    @pytest.mark.filterwarnings("ignore:Morlet filter")
-    def test_batch_gradient_is_mean_of_single_window_gradients(self, mode):
+    def test_batch_gradient_is_mean_of_single_window_gradients(self):
         # float64 at reduced_config, to 1e-10 of each tensor's largest entry;
         # the SGD step then adds the configured decay once.
-        params, cfg = reduced_params(seed=9, l2_lambda=1e-2, first_layer_mode=mode)
+        params, cfg = reduced_params(seed=9, l2_lambda=1e-2)
         batch = build_windows(synthetic_recording("s", 1, list(SleepStage) * 2,
                                                   samples_per_epoch=60, seed=4))
         x = np.stack([w.signal() for w in batch])
@@ -468,8 +468,8 @@ class TestBackward:
         Tr.batch_update(stepped, batch, replace(cfg, batch_size=10, learning_rate=1.0,
                                                 momentum=0.0))
         for name in params.tensors:
-            want = -batched.get(name, 0.0)
-            if name in params.l2_weight_names():
+            want = -batched[name]
+            if name in M.WEIGHT_NAMES:
                 want = want - cfg.l2_lambda * params.tensors[name]
             np.testing.assert_allclose(stepped.tensors[name] - params.tensors[name], want,
                                        rtol=1e-10, atol=1e-12)
@@ -485,48 +485,6 @@ class TestBackward:
                    for k, v in dense_arrays(M.backward(params, cache, grad_logits)).items()}
         for name in single:
             np.testing.assert_allclose(single[name], doubled[name], rtol=0, atol=0)
-
-    @pytest.mark.filterwarnings("ignore:Morlet filter")
-    @pytest.mark.parametrize("mode, computed", [("trainable", True), ("fixed_morlet", False)])
-    def test_conv2_input_gradient_computed_only_when_conv1_trains(self, mode, computed,
-                                                                   monkeypatch):
-        params, cfg = reduced_params(first_layer_mode=mode)
-        x = np.random.default_rng(4).standard_normal((3, cfg.input_len))
-        _, cache = M.forward(params, x)
-        real, returned = T.conv2d_fullheight_backward, []
-
-        def spy(*args, **kwargs):
-            out = real(*args, **kwargs)
-            returned.append(out[0])
-            return out
-
-        monkeypatch.setattr(T, "conv2d_fullheight_backward", spy)
-        M.backward(params, cache, T.cross_entropy(cache.probs, [0, 2, 4])[1])
-        assert len(returned) == 1 and (returned[0] is not None) == computed
-
-    @pytest.mark.filterwarnings("ignore:Morlet filter")
-    def test_fixed_morlet_gradients_bit_identical_without_conv2_input_gradient(
-            self, monkeypatch):
-        params, cfg = reduced_params(first_layer_mode="fixed_morlet")
-        x = np.random.default_rng(5).standard_normal((3, cfg.input_len))
-        _, cache = M.forward(params, x)
-        grad_logits = T.cross_entropy(cache.probs, [1, 3, 3])[1]
-        skipped = dense_arrays(M.backward(params, cache, grad_logits))
-        real = T.conv2d_fullheight_backward
-        monkeypatch.setattr(T, "conv2d_fullheight_backward",
-                            lambda x, k, g, input_grad=True, sums=None: real(x, k, g, sums=sums))
-        computed = dense_arrays(M.backward(params, cache, grad_logits))
-        assert set(skipped) == set(computed)
-        for name in skipped:
-            assert np.array_equal(skipped[name], computed[name])
-
-    @pytest.mark.filterwarnings("ignore:Morlet filter")
-    def test_fixed_morlet_freezes_first_layer_gradient(self):
-        params, cfg = reduced_params(first_layer_mode="fixed_morlet")
-        x = np.random.default_rng(4).standard_normal(cfg.input_len)
-        _, cache = M.forward(params, x)
-        grads = M.backward(params, cache, T.cross_entropy(cache.probs, 0)[1])
-        assert "c1_kernels" not in grads and "c1_bias" not in grads
 
 
 def step_config(lr, mu, lam=0.0, **overrides):
@@ -595,7 +553,7 @@ class TestSgdStep:
         grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
         before = {n: params.tensors[n].copy() for n in grads}
         M.sgd_step(params, grads, step_config(0.1, 0.0, lam=0.01))
-        for name in params.l2_weight_names():
+        for name in M.WEIGHT_NAMES:
             after, was = np.abs(params.tensors[name]), np.abs(before[name])
             nonzero = was > 0
             assert (after[nonzero] < was[nonzero]).all()
@@ -603,21 +561,14 @@ class TestSgdStep:
         for name in biases:
             np.testing.assert_array_equal(params.tensors[name], 1.0)
 
-    @pytest.mark.parametrize("mode, frozen", [("trainable", ()),
-                                              ("fixed_morlet", ("c1_kernels",))],
-                             ids=["trainable", "fixed_morlet"])
-    @pytest.mark.filterwarnings("ignore:Morlet filter")
-    def test_decay_set_is_the_weights_less_the_frozen(self, mode, frozen):
-        # zero data gradient, momentum 0: each decayed weight moves by
-        # -lr*lambda*w, a frozen one (backward gives it no gradient) and the
-        # biases not at all; the term covers the decayed weights alone
-        params, _ = reduced_params(first_layer_mode=mode)
-        decayed = tuple(n for n in M.WEIGHT_NAMES if n not in frozen)
-        assert params.l2_weight_names() == decayed
+    def test_decay_set_is_every_weight(self):
+        # zero data gradient, momentum 0: each weight moves by -lr*lambda*w,
+        # the biases not at all; the term covers the weights alone
+        params, _ = reduced_params()
+        decayed = M.WEIGHT_NAMES
         before = {k: v.copy() for k, v in params.tensors.items()}
-        grads = {k: np.zeros_like(v) for k, v in params.tensors.items()
-                 if k not in params.frozen}
-        term = M.sgd_step(params, grads, step_config(0.1, 0.0, lam=0.5, first_layer_mode=mode))
+        grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        term = M.sgd_step(params, grads, step_config(0.1, 0.0, lam=0.5))
         for name, w in params.tensors.items():
             want = before[name] * (1 - 0.1 * 0.5) if name in decayed else before[name]
             np.testing.assert_allclose(w, want, rtol=1e-14, atol=0, err_msg=name)
@@ -633,7 +584,7 @@ class TestSgdStep:
         grads = {k: rng.standard_normal(v.shape) for k, v in params.tensors.items()}
         want_v, want_w = {}, {}
         for name, w in params.tensors.items():
-            lam = cfg.l2_lambda if name in params.l2_weight_names() else 0.0
+            lam = cfg.l2_lambda if name in M.WEIGHT_NAMES else 0.0
             want_v[name] = 0.9 * params.velocity[name] - 0.05 * (grads[name] + lam * w)
             want_w[name] = w + want_v[name]
         M.sgd_step(params, grads, cfg)
@@ -656,19 +607,6 @@ class TestSgdStep:
             np.testing.assert_array_equal(params.velocity[name], want_v[name])
             np.testing.assert_array_equal(params.tensors[name], want_w[name])
 
-    @pytest.mark.filterwarnings("ignore:Morlet filter")
-    def test_fixed_morlet_kernels_never_move(self):
-        params, cfg = reduced_params(first_layer_mode="fixed_morlet")
-        frozen = params.tensors["c1_kernels"].copy()
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            x = rng.standard_normal(cfg.input_len)
-            probs, cache = M.forward(params, x)
-            grads = M.backward(params, cache, T.cross_entropy(probs, int(rng.integers(5)))[1])
-            M.sgd_step(params, grads, replace(cfg, learning_rate=0.05, momentum=0.9))
-        np.testing.assert_array_equal(params.tensors["c1_kernels"], frozen)
-        assert "c1_kernels" not in params.velocity and "c1_bias" not in params.velocity
-
 
 B = M._UPDATE_BLOCK
 R, W = M._TILE_ROWS, M._UPDATE_BLOCK // M._TILE_ROWS  # f1_w's tile: R rows, W columns
@@ -690,28 +628,19 @@ def whole_tensor_step(params, gradients, config):
         v = params.velocity.setdefault(name, np.zeros(w.shape, w.dtype))
         v *= config.momentum
         v -= np.multiply(g, lr, out=g)
-        if lam and name in params.l2_weight_names():
+        if lam and name in M.WEIGHT_NAMES:
             v -= np.multiply(w, lr * lam, out=g)
         w += v
-
-
-# l2 case -> (config overrides, the tensors of the block test whose decay
-# the step's L2 term covers)
-L2_CASES = {
-    "all": ({}, ("f1_w", "out_w", "c1_kernels")),
-    "fixed_morlet": ({"first_layer_mode": "fixed_morlet"}, ("f1_w", "out_w")),
-}
 
 
 class TestBlockedSgdStep:
     @pytest.mark.parametrize("size", [1, B - 1, B, B + 1, 2 * B + 3])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("lam, case", [(0.0, "all"), (0.02, "all"), (0.02, "fixed_morlet")])
-    def test_block_boundaries_bit_identical_to_whole_tensor_rule(self, size, dtype, lam, case):
-        # f1_w and out_w are decayed, f1_b never, c1_kernels only while it
-        # trains, though every case gives it a gradient; f2_w has none
-        overrides, decayed = L2_CASES[case]
-        cfg = step_config(0.05, 0.9, lam=lam, dtype=dtype, **overrides)
+    @pytest.mark.parametrize("lam", [0.0, 0.02])
+    def test_block_boundaries_bit_identical_to_whole_tensor_rule(self, size, dtype, lam):
+        # f1_w, out_w and c1_kernels are decayed, f1_b never; f2_w has no gradient
+        decayed = ("f1_w", "out_w", "c1_kernels")
+        cfg = step_config(0.05, 0.9, lam=lam, dtype=dtype)
         rng = np.random.default_rng(size)
         draw = lambda: rng.standard_normal((1, size)).astype(dtype)  # noqa: E731
         tensors = {n: draw() for n in ("f1_w", "out_w", "f1_b", "c1_kernels", "f2_w")}
@@ -840,36 +769,17 @@ class TestPredict:
 
 class TestMorletBank:
     def test_peak_at_center_frequency(self):
-        bank = M.make_morlet_bank(np.array([10.0]), 6.0)
+        bank = make_morlet_bank(np.array([10.0]), 6.0)
         power = np.abs(np.fft.rfft(bank[0])) ** 2
         assert np.argmax(power) == 20  # 10 Hz at 0.5 Hz bins
 
     def test_unit_energy(self):
-        bank = M.make_morlet_bank(np.array([2.0, 5.0, 10.0, 25.0]), 4.0)
+        bank = make_morlet_bank(np.array([2.0, 5.0, 10.0, 25.0]), 4.0)
         np.testing.assert_allclose((bank ** 2).sum(axis=1), 1.0, atol=1e-9)
 
     def test_even_symmetry(self):
-        bank = M.make_morlet_bank(np.array([7.0]), 5.0)
+        bank = make_morlet_bank(np.array([7.0]), 5.0)
         np.testing.assert_allclose(bank[0], bank[0][::-1], atol=1e-12)
-
-    def test_nonpositive_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            M.make_morlet_bank(np.array([0.0]), 6.0)
-
-    def test_truncation_warning_for_wide_envelope(self):
-        with pytest.warns(RuntimeWarning, match="truncated"):
-            M.make_morlet_bank(np.array([0.5]), 6.0)
-
-    @pytest.mark.filterwarnings("ignore:Morlet filter")
-    def test_fixed_bank_is_the_default_frequencies_at_the_module_constants(self):
-        freqs = M.default_morlet_frequencies(20)
-        assert (freqs[0], freqs[-1]) == pytest.approx((M.MORLET_MIN_HZ, M.MORLET_MAX_HZ))
-        assert (M.MORLET_MIN_HZ, M.MORLET_MAX_HZ, M.MORLET_CYCLES) == (0.5, 25.0, 6.0)
-        np.testing.assert_allclose(freqs[1:] / freqs[:-1], (25.0 / 0.5) ** (1 / 19))
-        params, cfg = reduced_params(first_layer_mode="fixed_morlet")
-        want = M.make_morlet_bank(M.default_morlet_frequencies(cfg.c1_filters),
-                                  M.MORLET_CYCLES, length=cfg.c1_len)
-        np.testing.assert_array_equal(params.tensors["c1_kernels"], want.astype(cfg.dtype))
 
 
 def rewrite_config(path: Path, edit) -> None:
@@ -956,7 +866,7 @@ class TestCheckpoint:
         with pytest.raises(M.CheckpointError, match="version"):
             M.load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [M.CHECKPOINT_VERSION - 2, M.CHECKPOINT_VERSION - 1])
+    @pytest.mark.parametrize("version", range(2, M.CHECKPOINT_VERSION))
     def test_version_checked_before_checksum(self, tmp_path, version):
         # A file of another format version fails by version, whatever its trailer.
         params, _ = reduced_params()
@@ -974,6 +884,7 @@ class TestCheckpoint:
         (lambda c: c | {"eval_every": 0}, "eval_every"),
         (lambda c: [c], "JSON object"),
         (lambda c: c | {"l2_scope": "all"}, "l2_scope"),
+        (lambda c: c | {"first_layer_mode": "trainable"}, "first_layer_mode"),
     ])
     def test_intact_file_with_bad_config_refused(self, tmp_path, edit, named):
         # an unknown field, a bad value or a non-object, under a valid checksum
@@ -994,13 +905,6 @@ class TestCheckpoint:
         assert data[-8:] == struct.pack("<Q", zlib.crc32(data[:-8]))
         assert [p.name for p in tmp_path.iterdir()] == ["m.somn"]
 
-    @pytest.mark.filterwarnings("ignore:Morlet filter")
-    def test_frozen_flag_survives(self, tmp_path):
-        params, _ = reduced_params(first_layer_mode="fixed_morlet")
-        path = tmp_path / "m.somn"
-        M.save_checkpoint(params, path)
-        assert M.load_checkpoint(path).frozen == frozenset({"c1_kernels", "c1_bias"})
-
     def test_round_trip_keeps_file_size_and_layout(self, tmp_path):
         # since v3 the layout is v2's with the model config itself as the JSON header;
         # the CRC-32 fills the u64 trailer
@@ -1013,7 +917,7 @@ class TestCheckpoint:
         records = sum(2 + len(name) + 2 + 4 * a.ndim + a.nbytes
                       for name, a in params.tensors.items())
         assert len(data) == 10 + cfg_len + records + 8
-        assert data[:6] == b"SOMN" + struct.pack("<H", 4) and data[-4:] == bytes(4)
+        assert data[:6] == b"SOMN" + struct.pack("<H", 5) and data[-4:] == bytes(4)
 
     def test_save_and_load_copy_no_body(self, tmp_path):
         # f1_w is 3.2 MB; a save allocates well under it, a load about the tensors alone
@@ -1036,7 +940,7 @@ class TestCheckpoint:
 
 
 def _small_checkpoint_bytes() -> bytes:
-    """A checkpoint of 1275 bytes, small enough to damage at every byte."""
+    """A checkpoint of 1242 bytes, small enough to damage at every byte."""
     cfg = M.reduced_config(input_len=40, c1_filters=2, c1_len=5, c2_filters=2, c2_len=3,
                            f1=3, f2=3)
     params = M.init_params(cfg, np.random.default_rng(3))

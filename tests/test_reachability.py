@@ -7,7 +7,8 @@ listed below with the reason a test needs them. Likewise every `ModelConfig`
 field must be read by the package, so no setting is stored that nothing obeys,
 and every CLI option must be a config field or be read by `cli`, so no flag is
 offered that nothing obeys. README's "Configuration" list names exactly the
-`ModelConfig` fields, with their count.
+`ModelConfig` fields, with their count, and every `somnoscore` command in
+README's bash blocks and in `scripts/*.sh` uses only its subcommand's options.
 """
 
 import argparse
@@ -89,10 +90,14 @@ def test_unread_fields_detects_a_field_only_declared_or_assigned():
     assert unread_fields(["seed", "dtype", "patience"], lines) == {"seed"}
 
 
+def subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def option_dests(parser: argparse.ArgumentParser) -> set[str]:
     """The dest of every option and positional of every subcommand, help aside."""
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for p in subparsers.choices.values() for a in p._actions
+    return {a.dest for p in subcommands(parser).values() for a in p._actions
             if not isinstance(a, argparse._HelpAction)}
 
 
@@ -147,3 +152,50 @@ def test_config_list_faults_flags_a_missing_name_and_a_wrong_count():
     assert config_list_faults(readme, ["f1", "f2", "dtype"]) == set()
     assert config_list_faults(readme, ["f1", "f2", "dtype", "f3"]) == {
         "missing f3", "states 3 fields, not 4"}
+
+
+def command_lines(text: str) -> list[str]:
+    """`text`'s shell lines, each continuation joined on; a comment line
+    counts as its text after the `#`."""
+    lines, held = [], ""
+    for line in text.splitlines():
+        held += re.sub(r"^\s*#", "", line)
+        if held.endswith("\\"):
+            held = held[:-1]
+        else:
+            lines.append(held)
+            held = ""
+    return lines + [held] if held else lines
+
+
+def stale_flags(lines: list[str], parser: argparse.ArgumentParser) -> set[str]:
+    """Each `somnoscore <subcommand>` of `lines` that `parser` lacks, and each
+    `<subcommand> --option` whose option is not one of that subcommand's."""
+    faults = set()
+    for line in lines:
+        for command, args in re.findall(r"\bsomnoscore\s+([\w-]+)(.*)", line):
+            if command not in subcommands(parser):
+                faults.add(f"somnoscore {command}")
+                continue
+            known = {s for a in subcommands(parser)[command]._actions for s in a.option_strings}
+            faults |= {f"{command} {flag}" for flag in re.findall(r"(?<![\w-])--[\w-]+", args)
+                       if flag not in known}
+    return faults
+
+
+def test_documented_commands_use_real_options():
+    texts = re.findall(r"```bash\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    texts += [path.read_text() for path in sorted((ROOT / "scripts").glob("*.sh"))]
+    lines = [line for text in texts for line in command_lines(text)]
+    assert sum("somnoscore crossval" in line for line in lines) >= 4
+    assert stale_flags(lines, cli.build_parser()) == set()
+
+
+def test_stale_flags_flags_an_option_on_a_commented_continuation():
+    script = ('somnoscore crossval --data-dir D \\\n  --seed 1 --folds 0,2\n'
+              '# somnoscore crossval --output-dir "$OUT-morlet" \\\n'
+              '#   --seed 1 --first-layer-mode fixed_morlet\n'
+              'somnoscore train --fold 0  # one fold\n')
+    assert command_lines(script)[0] == "somnoscore crossval --data-dir D   --seed 1 --folds 0,2"
+    assert stale_flags(command_lines(script), cli.build_parser()) == {
+        "crossval --first-layer-mode", "somnoscore train"}

@@ -18,8 +18,6 @@ from somnoscore.dataset import make_folds, windows_for_subjects
 from somnoscore.edf_ingest import SleepStage, discover_pairs, load_recording
 from somnoscore.synthetic import synthetic_corpus, synthetic_recording, write_synthetic_pair
 
-pytestmark = pytest.mark.filterwarnings("ignore:Morlet filter")
-
 
 def tiny_config(**overrides):
     base = dict(batch_size=10, learning_rate=0.01, momentum=0.9, l2_lambda=1e-4,
@@ -118,7 +116,7 @@ class TestTrainFold:
         params = M.init_params(cfg, np.random.default_rng(21))
         batch = balanced_batch(pools, cfg.batch_size, np.random.default_rng(22))
         sum_sq = sum(float(np.sum(params.tensors[n].astype(np.float64) ** 2))
-                     for n in params.l2_weight_names())
+                     for n in M.WEIGHT_NAMES)
         real_xent, real_step, losses, terms = T.cross_entropy, M.sgd_step, [], []
 
         def xent(*args):
