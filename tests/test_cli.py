@@ -594,6 +594,24 @@ class TestAnalyzeFilters:
         assert rc == cli.EXIT_DATA
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("data_dir", None), ("folds", [0, 1]), ("folds", None), ("lights_out_epoch", 5),
+    ])
+    def test_json_value_of_its_field_type_accepted(self, name, value):
+        assert getattr(cli.RunConfig.from_json_dict({name: value}), name) == value
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("data_dir", 3, r"'data_dir' must be str \| None, not int"),
+        ("folds", [0, 1.0], r"'folds' must be list\[int\] \| None, not list"),
+        ("lights_out_epoch", "5", r"'lights_out_epoch' must be int \| None, not str"),
+        ("model", [], "'model' must be ModelConfig, not list"),
+    ])
+    def test_json_value_of_wrong_type_refused_by_name(self, name, value, message):
+        with pytest.raises(ValueError, match=f"run config field.*of the wrong type.*{message}"):
+            cli.RunConfig.from_json_dict({name: value})
+
+
 class TestMissingInputFile:
     @pytest.mark.parametrize("command", ["predict", "analyze-filters", "evaluate"])
     def test_exits_data_naming_the_path(self, tmp_path, corpus_dir, capsys, command):

@@ -93,6 +93,37 @@ class TestConfig:
         with pytest.raises(ValueError, match="JSON object, not list"):
             M.ModelConfig.from_json_dict([])
 
+    @pytest.mark.parametrize("name, value", [
+        ("batch_size", 10), ("learning_rate", 1), ("learning_rate", 0.5),
+        ("p1", [4, 2]), ("dtype", "float64"),
+    ])
+    def test_json_value_of_its_field_type_accepted(self, name, value):
+        # a float field takes a JSON integer; a tuple field takes an array
+        cfg = M.ModelConfig.from_json_dict(M.reduced_config().to_json_dict() | {name: value})
+        assert getattr(cfg, name) == (tuple(value) if isinstance(value, list) else value)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("batch_size", 10.0, "'batch_size' must be int, not float"),
+        ("batch_size", True, "'batch_size' must be int, not bool"),
+        ("patience", "3", "'patience' must be int, not str"),
+        ("learning_rate", False, "'learning_rate' must be float, not bool"),
+        ("learning_rate", "0.1", "'learning_rate' must be float, not str"),
+        ("momentum", None, "'momentum' must be float, not NoneType"),
+        ("p1", [4], r"'p1' must be tuple\[int, int\], not list"),
+        ("p1", [4, 2.5], r"'p1' must be tuple\[int, int\], not list"),
+        ("p1", 4, r"'p1' must be tuple\[int, int\], not int"),
+        ("dtype", 4, "'dtype' must be str, not int"),
+    ])
+    def test_json_value_of_wrong_type_refused_by_name(self, name, value, message):
+        with pytest.raises(ValueError, match=f"model config field.*of the wrong type.*{message}"):
+            M.ModelConfig.from_json_dict(M.reduced_config().to_json_dict() | {name: value})
+
+    def test_every_wrong_typed_value_named_at_once(self):
+        with pytest.raises(ValueError) as info:
+            M.ModelConfig.from_json_dict({"batch_size": 10.0, "eval_every": "5"})
+        assert "'batch_size' must be int, not float" in str(info.value)
+        assert "'eval_every' must be int, not str" in str(info.value)
+
     @pytest.mark.parametrize("name", ["batch_size", "max_iterations", "eval_every"])
     def test_schedule_field_must_be_positive(self, name):
         with pytest.raises(ValueError, match=f"{name} must be positive"):
