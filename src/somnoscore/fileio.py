@@ -3,9 +3,8 @@
 Checkpoints and every JSON, CSV and hypnogram output of training,
 evaluation and the CLI are written through :func:`write_atomic`, so a
 process killed mid-write leaves the previous file or no file, never a torn
-one that a resumed run would trip over. The exception is the five files of
-`filter_analysis.export_profile`, written in place: that bundle is rebuilt
-from a checkpoint in seconds, and nothing reads it back on resume.
+one that a resumed run would trip over. So are the five files of
+`filter_analysis.export_profile`.
 """
 
 from __future__ import annotations

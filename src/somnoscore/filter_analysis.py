@@ -24,6 +24,7 @@ import numpy as np
 from . import tensor_ops as T
 from .dataset import CONTEXT_EPOCHS, WINDOW_EPOCHS
 from .edf_ingest import N_STAGES, SCORING_RATE_HZ, STAGES, SleepStage
+from .fileio import write_atomic, write_csv
 from .model import ModelParameters
 
 
@@ -133,41 +134,32 @@ def export_profile(
                          f"a {profile.kernel_len}-tap filter has {bins}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_filters = profile.raw.shape[0]
+    normalized, power = profile.normalized.tolist(), spectra.tolist()
 
-    lines = ["filter,stage,value"]
-    for f in range(n_filters):
-        for stage in STAGES:
-            lines.append(f"{f},{stage.name},{float(profile.normalized[f, int(stage)])!r}")
-    (out_dir / "activation.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out_dir / "activation.csv", [("filter", "stage", "value")] + [
+        (f, stage.name, row[int(stage)]) for f, row in enumerate(normalized) for stage in STAGES])
 
     freqs = spectrum_frequencies(profile.kernel_len)
-    lines = ["filter,freq_hz,power"]
-    for f in range(spectra.shape[0]):
-        for k, freq in enumerate(freqs):
-            lines.append(f"{f},{freq:g},{float(spectra[f, k])!r}")
-    (out_dir / "spectra.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out_dir / "spectra.csv", [("filter", "freq_hz", "power")] + [
+        (f, f"{freq:g}", v) for f, row in enumerate(power) for freq, v in zip(freqs, row)])
 
     bundle = {
         "fold": fold_index,
-        "spectra": spectra.tolist(),
+        "spectra": power,
         "raw": profile.raw.tolist(),
-        "normalized": profile.normalized.tolist(),
+        "normalized": normalized,
         "ordering": profile.order.tolist(),
         "zero_columns": profile.zero_columns,
         "zero_rows": profile.zero_rows,
     }
-    (out_dir / "profile.json").write_text(json.dumps(bundle) + "\n")
+    write_atomic(out_dir / "profile.json", (json.dumps(bundle) + "\n").encode("utf-8"))
 
-    (out_dir / "activation.svg").write_text(
-        _heatmap_svg(profile.normalized[profile.order],
-                     [f"f{int(i)}" for i in profile.order],
-                     [s.name for s in STAGES], cell_class="stage-cell"))
-    (out_dir / "spectra.svg").write_text(
-        _heatmap_svg(spectra[profile.order],
-                     [f"f{int(i)}" for i in profile.order],
-                     [f"{f:g}" for f in freqs], cell_class="freq-cell",
-                     label_every=10))
+    write_atomic(out_dir / "activation.svg", _heatmap_svg(
+        profile.normalized[profile.order], [f"f{int(i)}" for i in profile.order],
+        [s.name for s in STAGES], cell_class="stage-cell").encode("utf-8"))
+    write_atomic(out_dir / "spectra.svg", _heatmap_svg(
+        spectra[profile.order], [f"f{int(i)}" for i in profile.order],
+        [f"{f:g}" for f in freqs], cell_class="freq-cell", label_every=10).encode("utf-8"))
 
 
 def read_activation_csv(path: Path) -> np.ndarray:

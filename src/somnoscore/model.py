@@ -29,10 +29,7 @@ from .fileio import write_atomic
 from . import tensor_ops as T
 
 CHECKPOINT_MAGIC = b"SOMN"
-CHECKPOINT_VERSION = 5
-
-_DTYPE_CODES = {np.dtype(np.float32): 4, np.dtype(np.float64): 8}
-_CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
+CHECKPOINT_VERSION = 6
 
 
 @dataclass
@@ -68,10 +65,13 @@ class ModelConfig:
             raise ValueError(f"l2_lambda must be non-negative, not {self.l2_lambda}")
         if any(v <= 0 for v in (*self.p1, *self.p2)):
             raise ValueError("pool sizes and strides must be positive")
+        if self.p2_out < 1:  # given the positive sizes above, every earlier extent is then >= 1
+            raise ValueError(f"the layers do not fit a {self.input_len}-sample window: "
+                             f"pool2 would give {self.p2_out} outputs")
         if self.batch_size % N_STAGES != 0:
             raise ValueError(
                 f"batch size {self.batch_size} not divisible by {N_STAGES} stages")
-        if np.dtype(self.dtype) not in _DTYPE_CODES:
+        if np.dtype(self.dtype) not in (np.float32, np.float64):
             raise ValueError(f"unsupported dtype {self.dtype!r}")
 
     # Closed-form layer extents
@@ -405,109 +405,87 @@ def predict_from_probs(probs: np.ndarray) -> SleepStage:
 
 # --- checkpoint format ------------------------------------------------------
 # magic "SOMN" | u16 version | u32 config-JSON length | config JSON (the
-# ModelConfig's fields) | per-tensor records (u16 name len, name, u8 dtype
-# code, u8 ndim, u32 dims, raw little-endian values) | u64 holding the CRC-32
-# (zlib) of everything before it. Versions 4 and 3, the same layout whose
-# config has `first_layer_mode` (and, in 3, `l2_scope` and the Morlet
-# fields), version 2, whose JSON wraps the config, and version 1, with a
-# CRC-64, are refused.
+# ModelConfig's fields) | each tensor's raw little-endian values, in
+# `tensor_shapes()` order and the config's dtype | u64 holding the CRC-32
+# (zlib) of everything before it. The config alone fixes every tensor's name,
+# shape and offset. Version 5, which repeated each tensor's name, dtype and
+# shape in a record of its own, versions 4 and 3, whose config has
+# `first_layer_mode` (and, in 3, `l2_scope` and the Morlet fields), version 2,
+# whose JSON wraps the config, and version 1, with a CRC-64, are refused.
 
 
 class CheckpointError(Exception):
     pass
 
 
+_CRC_CHUNK = 1 << 20  # bytes read at a time to checksum a file whose config does not build
+
+
 def save_checkpoint(params: ModelParameters, path: Path) -> None:
     """Write `params` atomically, streaming each tensor's own buffer: nothing
-    is copied but the record headers."""
-    cfg_bytes = json.dumps(params.config.to_json_dict(), sort_keys=True).encode("utf-8")
+    is copied but the header. A tensor missing, or not of its config's shape
+    and dtype, is refused by name and nothing is written."""
+    cfg = params.config
+    cfg_bytes = json.dumps(cfg.to_json_dict(), sort_keys=True).encode("utf-8")
     pieces = [CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(cfg_bytes)),
               cfg_bytes]
-    for name, arr in params.tensors.items():
-        name_b = name.encode("utf-8")
-        a = np.ascontiguousarray(arr, arr.dtype.newbyteorder("<"))  # a view if it already is
-        pieces.append(struct.pack(f"<H{len(name_b)}sBB{a.ndim}I", len(name_b), name_b,
-                                  _DTYPE_CODES[arr.dtype], a.ndim, *a.shape))
-        pieces.append(memoryview(a))
+    for name, shape in cfg.tensor_shapes().items():
+        if name not in params.tensors:
+            raise CheckpointError(f"{path}: tensor {name!r} missing")
+        arr = params.tensors[name]
+        if arr.shape != shape:
+            raise CheckpointError(f"{path}: tensor {name!r} shape {arr.shape} != {shape}")
+        if arr.dtype != cfg.np_dtype:
+            raise CheckpointError(f"{path}: tensor {name!r} dtype {arr.dtype} != {cfg.dtype}")
+        # a view if it already is contiguous and little-endian
+        pieces.append(memoryview(np.ascontiguousarray(arr, arr.dtype.newbyteorder("<"))))
     crc = 0
     for piece in pieces:
         crc = zlib.crc32(piece, crc)
     write_atomic(path, [*pieces, struct.pack("<Q", crc)])
 
 
-class _Body:
-    """A checkpoint's body, the bytes from `f`'s position to the 8-byte
-    trailer, read once in order with its CRC-32 kept. A read past the body
-    raises EOFError before anything is allocated for it."""
-
-    def __init__(self, f, crc: int):
-        self.f, self.crc = f, crc
-        self.left = os.fstat(f.fileno()).st_size - f.tell() - 8
-
-    def _take(self, nbytes: int) -> None:
-        if nbytes > self.left:
-            raise EOFError
-        self.left -= nbytes
-
-    def read(self, n: int) -> bytes:
-        self._take(n)
-        data = self.f.read(n)
-        if len(data) != n:
-            raise EOFError
-        self.crc = zlib.crc32(data, self.crc)
-        return data
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
-
-    def array(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        self._take(math.prod(shape) * dtype.itemsize)
-        arr = np.empty(shape, dtype.newbyteorder("<"))
-        if self.f.readinto(arr) != arr.nbytes:
-            raise EOFError
-        self.crc = zlib.crc32(arr, self.crc)
-        return arr.astype(dtype, copy=False)  # a byte swap only on a big-endian host
-
-
 def load_checkpoint(path: Path) -> ModelParameters:
     """Read a checkpoint in one pass, each tensor straight into its own array.
 
-    The format version is checked first, then the checksum, then the config
-    and the architecture. A file cut short or damaged past its version fails
-    the checksum, even where its lengths or codes no longer parse; every
-    length is bounded by the bytes left, so no allocation exceeds the file's
-    size. An intact file whose config does not build is refused by name.
+    The format version is checked first. A file cut short or damaged past
+    its version fails the checksum: so does a config length past the end,
+    or a file whose size is not the one its config implies, both before any
+    tensor is allocated, so no allocation exceeds the file's size. An intact
+    file whose config does not build is refused by name.
     """
+    corrupt = CheckpointError(f"{path}: checksum failure (corrupt or truncated)")
     with open(path, "rb") as f:
-        head = f.read(6)
+        head = f.read(10)
         if len(head) < 6 or head[:4] != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<H", head[4:])
+        (version,) = struct.unpack_from("<H", head, 4)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: format version {version} != {CHECKPOINT_VERSION}")
-        body = _Body(f, zlib.crc32(head))
-        tensors: dict[str, np.ndarray] = {}
+        body_end = os.fstat(f.fileno()).st_size - 8  # where the trailer starts
+        if len(head) < 10 or 10 + (cfg_len := struct.unpack_from("<I", head, 6)[0]) > body_end:
+            raise corrupt
+        cfg_bytes = f.read(cfg_len)
+        crc = zlib.crc32(cfg_bytes, zlib.crc32(head))
         try:
-            cfg_bytes = body.read(*body.unpack("<I"))
-            while body.left:
-                name = body.read(*body.unpack("<H")).decode("utf-8")
-                code, ndim = body.unpack("<BB")
-                dtype = _CODE_DTYPES[code]
-                tensors[name] = body.array(body.unpack(f"<{ndim}I"), dtype)
-            intact = f.read(8) == struct.pack("<Q", body.crc)
-        except (EOFError, KeyError, ValueError):  # a length past the end, a bad code or name
-            intact = False
-    if not intact:
-        raise CheckpointError(f"{path}: checksum failure (corrupt or truncated)")
-    try:
-        config = ModelConfig.from_json_dict(json.loads(cfg_bytes))
-    except (TypeError, ValueError) as exc:  # not an object, an unknown field, a bad value
-        raise CheckpointError(f"{path}: bad model config: {exc}") from exc
-    expected = config.tensor_shapes()
-    for name, shape in expected.items():
-        if name not in tensors:
-            raise CheckpointError(f"{path}: tensor {name!r} missing")
-        if tensors[name].shape != shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} shape {tensors[name].shape} != {shape}")
+            config = ModelConfig.from_json_dict(json.loads(cfg_bytes))
+        except (TypeError, ValueError) as exc:  # not an object, an unknown field, a bad value
+            while chunk := f.read(min(_CRC_CHUNK, body_end - f.tell())):  # b"" at either end
+                crc = zlib.crc32(chunk, crc)
+            if f.read(8) != struct.pack("<Q", crc):
+                raise corrupt from None
+            raise CheckpointError(f"{path}: bad model config: {exc}") from exc
+        dtype = config.np_dtype.newbyteorder("<")
+        shapes = config.tensor_shapes()
+        if f.tell() + sum(map(math.prod, shapes.values())) * dtype.itemsize != body_end:
+            raise corrupt
+        tensors = {}
+        for name, shape in shapes.items():
+            arr = np.empty(shape, dtype)
+            f.readinto(arr)  # a short read ends at the file's end: no trailer is left to match
+            crc = zlib.crc32(arr, crc)
+            # a byte swap only on a big-endian host
+            tensors[name] = arr.astype(config.np_dtype, copy=False)
+        if f.read(8) != struct.pack("<Q", crc):
+            raise corrupt
     return ModelParameters(config, tensors)

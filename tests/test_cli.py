@@ -191,8 +191,11 @@ class TestTrain:
         (lambda run: run | {"model": run["model"] | {"max_iterations": 2.5}},
          "'max_iterations' must be int, not float"),
         (lambda run: run | {"folds": "0,1"}, "'folds' must be list[int] | None, not str"),
+        # a conv2 longer than pool1's output: no fold may start on it
+        (lambda run: run | {"model": run["model"] | {"c2_len": 2000}},
+         "the layers do not fit a 15000-sample window"),
     ], ids=["unknown_fields", "not_an_object", "first_layer_mode", "float_batch_size",
-            "float_max_iterations", "string_folds"])
+            "float_max_iterations", "string_folds", "layers_do_not_fit"])
     def test_bad_run_config_file_exits_data_and_writes_nothing(self, tmp_path, run_config,
                                                                capsys, edit, message):
         # no --folds, so that the file's folds are the ones run

@@ -137,6 +137,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{name} must be"):
             M.reduced_config(**{name: value})
 
+    @pytest.mark.parametrize("overrides", [
+        {"c2_len": 200}, {"c1_len": 290}, {"p2": (400, 2)}])
+    def test_layers_that_do_not_fit_the_window_refused(self, overrides):
+        # each would give pool2 no outputs and a negative flat_size
+        with pytest.raises(ValueError, match="layers do not fit a 300-sample window"):
+            M.reduced_config(**overrides)
+
     def test_patience_zero_allowed(self):
         assert M.reduced_config(patience=0).patience == 0
 
@@ -873,18 +880,26 @@ class TestCheckpoint:
     def test_tensor_shape_against_own_config_rejected(self, tmp_path):
         wide, _ = reduced_params(f1=32)
         path = tmp_path / "m.somn"
-        M.save_checkpoint(M.ModelParameters(M.reduced_config(f1=16), wide.tensors), path)
         with pytest.raises(M.CheckpointError,
                            match=r"tensor 'f1_w' shape \(32, 528\) != \(16, 528\)"):
-            M.load_checkpoint(path)
+            M.save_checkpoint(M.ModelParameters(M.reduced_config(f1=16), wide.tensors), path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_tensor_rejected(self, tmp_path):
         params, _ = reduced_params()
         del params.tensors["out_b"]
         path = tmp_path / "m.somn"
-        M.save_checkpoint(params, path)
         with pytest.raises(M.CheckpointError, match="tensor 'out_b' missing"):
-            M.load_checkpoint(path)
+            M.save_checkpoint(params, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tensor_dtype_against_own_config_rejected(self, tmp_path):
+        single, _ = reduced_params(dtype="float32")
+        path = tmp_path / "m.somn"
+        with pytest.raises(M.CheckpointError,
+                           match="tensor 'c1_kernels' dtype float32 != float64"):
+            M.save_checkpoint(M.ModelParameters(M.reduced_config(), single.tensors), path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_version_mismatch_rejected(self, tmp_path):
         params, _ = reduced_params()
@@ -937,18 +952,27 @@ class TestCheckpoint:
         assert [p.name for p in tmp_path.iterdir()] == ["m.somn"]
 
     def test_round_trip_keeps_file_size_and_layout(self, tmp_path):
-        # since v3 the layout is v2's with the model config itself as the JSON header;
-        # the CRC-32 fills the u64 trailer
+        # the model config is the JSON header, and it alone fixes the tensors'
+        # layout: their raw values follow it; the CRC-32 fills the u64 trailer
         params, cfg = reduced_params()
         path = tmp_path / "m.somn"
         M.save_checkpoint(params, path)
         data = path.read_bytes()
         (cfg_len,) = struct.unpack_from("<I", data, 6)
         assert json.loads(data[10:10 + cfg_len]) == cfg.to_json_dict()
-        records = sum(2 + len(name) + 2 + 4 * a.ndim + a.nbytes
-                      for name, a in params.tensors.items())
-        assert len(data) == 10 + cfg_len + records + 8
-        assert data[:6] == b"SOMN" + struct.pack("<H", 5) and data[-4:] == bytes(4)
+        assert len(data) == 10 + cfg_len + sum(a.nbytes for a in params.tensors.values()) + 8
+        assert data[:6] == b"SOMN" + struct.pack("<H", 6) and data[-4:] == bytes(4)
+        out_b = params.tensors["out_b"]
+        assert data[-8 - out_b.nbytes:-8] == out_b.astype("<f8").tobytes()
+
+    def test_intact_file_of_another_architecture_fails_checksum(self, tmp_path):
+        # a config naming other shapes than the tensors stored, under a valid CRC
+        params, _ = reduced_params()
+        path = tmp_path / "m.somn"
+        M.save_checkpoint(params, path)
+        rewrite_config(path, lambda c: c | {"f1": 17})
+        with pytest.raises(M.CheckpointError, match="checksum failure"):
+            M.load_checkpoint(path)
 
     def test_save_and_load_copy_no_body(self, tmp_path):
         # f1_w is 3.2 MB; a save allocates well under it, a load about the tensors alone
@@ -971,7 +995,7 @@ class TestCheckpoint:
 
 
 def _small_checkpoint_bytes() -> bytes:
-    """A checkpoint of 1242 bytes, small enough to damage at every byte."""
+    """A checkpoint of 1078 bytes, small enough to damage at every byte."""
     cfg = M.reduced_config(input_len=40, c1_filters=2, c1_len=5, c2_filters=2, c2_len=3,
                            f1=3, f2=3)
     params = M.init_params(cfg, np.random.default_rng(3))

@@ -7,8 +7,10 @@ listed below with the reason a test needs them. Likewise every `ModelConfig`
 field must be read by the package, so no setting is stored that nothing obeys,
 and every CLI option must be a config field or be read by `cli`, so no flag is
 offered that nothing obeys. README's "Configuration" list names exactly the
-`ModelConfig` fields, with their count, and every `somnoscore` command in
-README's bash blocks and in `scripts/*.sh` uses only its subcommand's options.
+`ModelConfig` fields, with their count; its "Checkpoints" paragraph names the
+current format version and the refusal of the one before; and every
+`somnoscore` command in README's bash blocks and in `scripts/*.sh` uses only
+its subcommand's options.
 """
 
 import argparse
@@ -19,7 +21,7 @@ from pathlib import Path
 
 from somnoscore import cli
 from somnoscore.cli import RunConfig
-from somnoscore.model import ModelConfig
+from somnoscore.model import CHECKPOINT_VERSION, ModelConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "somnoscore"
@@ -152,6 +154,14 @@ def test_config_list_faults_flags_a_missing_name_and_a_wrong_count():
     assert config_list_faults(readme, ["f1", "f2", "dtype"]) == set()
     assert config_list_faults(readme, ["f1", "f2", "dtype", "f3"]) == {
         "missing f3", "states 3 fields, not 4"}
+
+
+def test_readme_checkpoints_paragraph_names_the_format_version():
+    paragraph = (ROOT / "README.md").read_text().split("\nCheckpoints (`.somn`", 1)[1]
+    paragraph = paragraph.split("\n\n", 1)[0]
+    v = CHECKPOINT_VERSION
+    assert f"format version {v})" in paragraph
+    assert f"`format version {v - 1} != {v}`" in paragraph
 
 
 def command_lines(text: str) -> list[str]:
