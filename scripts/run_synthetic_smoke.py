@@ -48,8 +48,9 @@ def main() -> None:
     fold = result.split
     print(f"fold {fold.fold_index}: test={fold.test_subjects} "
           f"val={fold.validation_subjects}")
+    best = result.history.best()
     for rec in result.history.records:
-        marker = "  <- best" if rec.is_best else ""
+        marker = "  <- best" if rec is best else ""
         print(f"iter {rec.iteration:5d}  loss {rec.training_loss:.4f}  "
               f"val mean F1 {rec.val_mean_f1:.3f}  "
               f"val acc {rec.val_overall_accuracy:.3f}{marker}")

@@ -31,7 +31,7 @@ from .edf_ingest import (
     load_recording,
 )
 from .evaluation import METRIC_NAMES
-from .fileio import write_csv, write_json
+from .fileio import write_json
 from .model import ModelConfig, check_json_fields
 from .training import TrainingError
 
@@ -49,8 +49,6 @@ class RunConfig:
     channel: str = DEFAULT_CHANNEL
     output_dir: str = "runs/default"
     model: ModelConfig = field(default_factory=ModelConfig)
-    bootstrap_samples: int = 1000
-    bootstrap_seed: int = 0
     folds: list[int] | None = None          # None = all
     lights_out_epoch: int | None = None
 
@@ -79,8 +77,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     else:
         cfg = RunConfig()
 
-    for name in ("data_dir", "channel", "output_dir", "bootstrap_samples",
-                 "bootstrap_seed", "lights_out_epoch"):
+    for name in ("data_dir", "channel", "output_dir", "lights_out_epoch"):
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
@@ -154,7 +151,6 @@ def cmd_crossval(args) -> int:
     # Written after the runner, which refuses bad folds or another run's
     # directory before it writes anything, so a refused command changes no file.
     _write_manifest(out_dir, "crossval", cfg, {"seed": args.seed})
-    write_csv(out_dir / "aggregate_confusion.csv", outcome.aggregate.tolist())
     if outcome.skipped:
         print(f"skipped completed folds: {outcome.skipped}")
     for fold_index, result in sorted(outcome.fold_results.items()):
@@ -164,8 +160,7 @@ def cmd_crossval(args) -> int:
     for fold_index, message in sorted(outcome.failures.items()):
         print(f"fold {fold_index} FAILED: {message}", file=sys.stderr)
     done = len(outcome.fold_results) + len(outcome.skipped)
-    print(f"{done} folds complete, {len(outcome.failures)} failed; "
-          f"aggregate epochs {int(outcome.aggregate.sum())}")
+    print(f"{done} folds complete, {len(outcome.failures)} failed")
     return EXIT_OK if not outcome.failures else EXIT_NUMERIC
 
 
@@ -177,26 +172,24 @@ def cmd_evaluate(args) -> int:
         raise IngestError(f"no run record {record}: not a crossval output directory")
     found, missing = {}, []
     for i in range(len(json.loads(record.read_text())["folds"])):
-        payload = training.load_fold_result_json(results_dir, i)
-        if payload is None:
+        scores = training.load_recording_scores(results_dir, i)
+        if scores is None:
             missing.append(i)
         else:
-            found[i] = payload
+            found[i] = scores
     if not found:
         raise IngestError(f"no fold result under {results_dir}: all folds {missing} missing")
     if missing:
         print(f"missing fold result(s) under {results_dir}: {missing}; "
               f"scoring the {len(found)} present", file=sys.stderr)
 
-    aggregate = sum(p["test_matrix"] for p in found.values())
-    per_recording = [s for p in found.values() for s in p["per_recording"]]
+    per_recording = [s for scores in found.values() for s in scores]
+    aggregate = sum(s.matrix for s in per_recording)
 
     metrics = evaluation.class_metrics(aggregate)
     boot = None
     if len(per_recording) > 1:  # one recording leaves nothing to resample
-        boot = evaluation.bootstrap_ci(
-            [s.matrix for s in per_recording], n_samples=cfg.bootstrap_samples,
-            seed=cfg.bootstrap_seed)
+        boot = evaluation.bootstrap_ci([s.matrix for s in per_recording])
 
     regressions = None
     if cfg.data_dir:
@@ -312,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="aggregate fold results into reports")
     common(p)
     p.add_argument("results_dir")
-    p.add_argument("--bootstrap-samples", dest="bootstrap_samples", type=int)
-    p.add_argument("--bootstrap-seed", dest="bootstrap_seed", type=int)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="score one recording with a checkpoint")

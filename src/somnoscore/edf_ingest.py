@@ -137,10 +137,10 @@ class ParsedEdf:
     specs: list[SignalSpec]
     records: np.ndarray  # (records, samples per record) int16 view of the file's bytes
 
-    def digital(self, i: int) -> np.ndarray:
-        """Signal i's counts over the whole file."""
+    def columns(self, i: int) -> np.ndarray:
+        """Signal i's counts, (records, samples per record), viewed in place."""
         start = sum(spec.samples_per_record for spec in self.specs[:i])
-        return self.records[:, start:start + self.specs[i].samples_per_record].reshape(-1)
+        return self.records[:, start:start + self.specs[i].samples_per_record]
 
     def annotation_bytes(self) -> bytes:
         """Raw byte stream of the EDF+ annotations signal (empty if absent)."""
@@ -148,7 +148,7 @@ class ParsedEdf:
             idx = signal_index(self.specs, ANNOTATIONS_LABEL)
         except IngestError:
             return b""
-        return self.digital(idx).tobytes()
+        return self.columns(idx).tobytes()
 
 
 @dataclass(eq=False)  # identity equality; field equality is meaningless on arrays
@@ -387,11 +387,10 @@ def assemble_recording(
             f"channel {channel_name!r} sampled at {spec.sampling_rate} Hz; "
             f"this pipeline requires {SCORING_RATE_HZ} Hz")
 
-    counts = parsed.digital(idx)
-    n_epochs = len(counts) // SAMPLES_PER_EPOCH
+    columns = parsed.columns(idx)
+    n_epochs = columns.size // SAMPLES_PER_EPOCH
     if n_epochs == 0:
         raise IngestError("signal shorter than one epoch")
-    epochs = counts[:n_epochs * SAMPLES_PER_EPOCH].reshape(n_epochs, SAMPLES_PER_EPOCH)
 
     labels: list[SleepStage | None] = [None] * n_epochs
     lights_out = lights_out_epoch
@@ -428,8 +427,15 @@ def assemble_recording(
     if not kept:
         raise IngestError("zero scored epochs within the in-bed span")
 
-    return Recording(subject_id, night, epochs[kept], spec, [labels[e] for e in kept],
-                     removed_epochs=removed)
+    # Records and epochs are both whole blocks of g samples, so the kept
+    # epochs' blocks are gathered from the file's view; the channel is not copied.
+    g = math.gcd(spec.samples_per_record, SAMPLES_PER_EPOCH)
+    per_epoch, per_record = SAMPLES_PER_EPOCH // g, spec.samples_per_record // g
+    rows, cols = np.divmod(np.asarray(kept)[:, None] * per_epoch + np.arange(per_epoch),
+                           per_record)
+    epochs = columns.reshape(len(columns), per_record, g)[rows, cols]
+    return Recording(subject_id, night, epochs.reshape(len(kept), SAMPLES_PER_EPOCH), spec,
+                     [labels[e] for e in kept], removed_epochs=removed)
 
 
 @dataclass(frozen=True)

@@ -234,16 +234,6 @@ class ForwardCache:
     h1: np.ndarray
     h2: np.ndarray
     probs: np.ndarray
-    conv_lengths: tuple[int, int]  # conv1's and conv2's output lengths
-
-    def shape_trace(self) -> list:
-        """Layer output shapes; the flat and dense extents are per window."""
-        (c1_out, c2_out), p1, p2 = self.conv_lengths, self.p1_off.shape, self.p2_off.shape
-        return [
-            (*p1[:-1], c1_out), p1, self.s1.shape,
-            (*p2[:-1], c2_out), p2, self.flat.shape[-1],
-            self.h1.shape[-1], self.h2.shape[-1], self.probs.shape[-1],
-        ]
 
 
 _CONV2_CHUNK = 1 << 19  # im2col elements per conv2 chunk: one window at full size
@@ -286,8 +276,7 @@ def forward(params: ModelParameters, x: np.ndarray) -> tuple[np.ndarray, Forward
     h2 = T.relu(T.dense(h1, t["f2_w"], t["f2_b"]))
     probs = T.softmax(T.dense(h2, t["out_w"], t["out_b"]))
 
-    cache = ForwardCache(x, p1_off, s1, p2_off, flat, h1, h2, probs, (cfg.c1_out, cfg.c2_out))
-    return probs, cache
+    return probs, ForwardCache(x, p1_off, s1, p2_off, flat, h1, h2, probs)
 
 
 def backward(params: ModelParameters, cache: ForwardCache,

@@ -32,6 +32,7 @@ from .model import ModelConfig, ModelParameters
 
 
 FAILURE_FILE = "failure.txt"  # a failed fold's traceback
+RESULT_FILE = "result.json"  # a finished fold's history and per-recording test matrices
 RUN_RECORD = "run_manifest.json"  # seed, model config, subjects, corpus hash, folds, threads
 
 
@@ -46,7 +47,6 @@ class EvalRecord:
     val_mean_f1: float
     val_overall_accuracy: float
     wall_clock: float
-    is_best: bool = False
 
 
 @dataclass
@@ -54,10 +54,8 @@ class TrainingHistory:
     records: list[EvalRecord] = field(default_factory=list)
 
     def best(self) -> EvalRecord:
-        flagged = [r for r in self.records if r.is_best]
-        if len(flagged) != 1:
-            raise TrainingError(f"history must flag exactly one best record, has {len(flagged)}")
-        return flagged[0]
+        """The first record of the highest validation mean F1: the one `best.somn` holds."""
+        return max(self.records, key=lambda r: r.val_mean_f1)
 
     def as_dicts(self) -> list[dict]:
         return [vars(r) for r in self.records]
@@ -74,9 +72,14 @@ class RecordingScore:
 class FoldResult:
     split: FoldSplit
     checkpoint_path: Path  # the best parameters; no tensor is held in memory
-    test_matrix: np.ndarray
     per_recording: list[RecordingScore]
     history: TrainingHistory
+
+    @property
+    def test_matrix(self) -> np.ndarray:
+        """The fold's test confusion matrix: the sum of its recordings'."""
+        return sum((s.matrix for s in self.per_recording),
+                   np.zeros((N_STAGES, N_STAGES), dtype=np.int64))
 
     @property
     def best_params(self) -> ModelParameters:
@@ -168,7 +171,6 @@ def train_fold(
             if len(history.records) - 1 - best_index >= config.patience:
                 break
 
-    history.records[best_index].is_best = True
     del params  # the live tensors and velocity
     best_params = model.load_checkpoint(checkpoint)
 
@@ -179,9 +181,7 @@ def train_fold(
             windows = windows_for_subjects([rec], test_set)
             per_recording.append(RecordingScore(
                 rec.subject_id, rec.night, _score_windows(best_params, windows)))
-    test_matrix = sum((s.matrix for s in per_recording),
-                      np.zeros((N_STAGES, N_STAGES), dtype=np.int64))
-    return FoldResult(fold, checkpoint, test_matrix, per_recording, history)
+    return FoldResult(fold, checkpoint, per_recording, history)
 
 
 def corpus_fingerprint(recordings: list[Recording]) -> str:
@@ -199,37 +199,28 @@ def _fold_dir(out_dir: Path, fold_index: int) -> Path:
     return Path(out_dir) / f"fold_{fold_index:02d}"
 
 
-def save_fold_result(result: FoldResult, out_dir: Path, seed: int) -> Path:
+def save_fold_result(result: FoldResult, out_dir: Path) -> None:
+    """Write the fold's history and per-recording test matrices; its split
+    and seed are the run record's, its best parameters `best.somn`'s."""
     fold_dir = _fold_dir(out_dir, result.split.fold_index)
-    payload = result.split.to_json_dict() | {
-        "seed": seed,
+    write_json(fold_dir / RESULT_FILE, {
         "history": result.history.as_dicts(),
-        "test_matrix": result.test_matrix.tolist(),
         "per_recording": [
             {"subject_id": s.subject_id, "night": s.night, "matrix": s.matrix.tolist()}
             for s in result.per_recording
         ],
-        "checkpoint": result.checkpoint_path.name,
-    }
-    write_json(fold_dir / "result.json", payload)
+    })
     (fold_dir / FAILURE_FILE).unlink(missing_ok=True)  # left by an earlier attempt
-    return fold_dir
 
 
-def load_fold_result_json(out_dir: Path, fold_index: int) -> dict | None:
-    """A saved fold's result.json, or None when it has none. Its
-    `test_matrix` comes back as an array and its `per_recording` entries as
-    `RecordingScore`s."""
-    path = _fold_dir(out_dir, fold_index) / "result.json"
+def load_recording_scores(out_dir: Path, fold_index: int) -> list[RecordingScore] | None:
+    """A saved fold's per-recording test matrices, or None when it has no result."""
+    path = _fold_dir(out_dir, fold_index) / RESULT_FILE
     if not path.exists():
         return None
-    payload = json.loads(path.read_text())
-    payload["test_matrix"] = np.asarray(payload["test_matrix"], dtype=np.int64)
-    payload["per_recording"] = [
-        RecordingScore(item["subject_id"], item["night"],
-                       np.asarray(item["matrix"], dtype=np.int64))
-        for item in payload["per_recording"]]
-    return payload
+    return [RecordingScore(item["subject_id"], item["night"],
+                           np.asarray(item["matrix"], dtype=np.int64))
+            for item in json.loads(path.read_text())["per_recording"]]
 
 
 @dataclass
@@ -237,7 +228,6 @@ class CrossValidationOutcome:
     fold_results: dict[int, FoldResult]
     skipped: list[int]
     failures: dict[int, str]
-    aggregate: np.ndarray
 
 
 def run_crossvalidation(
@@ -247,7 +237,7 @@ def run_crossvalidation(
     out_dir: Path,
     fold_indices: list[int] | None = None,
 ) -> CrossValidationOutcome:
-    """Run the 20 leave-one-subject-out folds and sum their test matrices.
+    """Run the 20 leave-one-subject-out folds.
 
     Fold RNG streams derive from (seed, fold), so folds are independent of
     execution order. The run record (`RUN_RECORD`) is written to `out_dir`
@@ -280,7 +270,6 @@ def run_crossvalidation(
     results: dict[int, FoldResult] = {}
     skipped: list[int] = []
     failures: dict[int, str] = {}
-    aggregate = np.zeros((N_STAGES, N_STAGES), dtype=np.int64)
 
     out_dir = Path(out_dir)
     record = {
@@ -297,7 +286,7 @@ def run_crossvalidation(
     path = out_dir / RUN_RECORD
     # Looked for before the record: a process sharing the directory writes
     # the record before any result, so a result seen here has its record.
-    has_results = any(out_dir.glob("fold_*/result.json"))
+    has_results = any(out_dir.glob(f"fold_*/{RESULT_FILE}"))
     if not path.exists():
         if has_results:
             raise ValueError(f"{out_dir} holds fold results but no {RUN_RECORD}, so "
@@ -315,23 +304,20 @@ def run_crossvalidation(
                          "folds or thread setting differ); use a new output directory")
 
     for fold in selected:
-        prior = load_fold_result_json(out_dir, fold.fold_index)
-        if prior is not None:
-            skipped.append(fold.fold_index)
-            aggregate += prior["test_matrix"]
-            continue
         fold_dir = _fold_dir(out_dir, fold.fold_index)
+        if (fold_dir / RESULT_FILE).exists():
+            skipped.append(fold.fold_index)
+            continue
         try:
             rng = np.random.default_rng([seed, fold.fold_index])
             fold_dir.mkdir(parents=True, exist_ok=True)
             result = train_fold(recordings, fold, config, rng, fold_dir / "best.somn")
-            save_fold_result(result, out_dir, seed)
+            save_fold_result(result, out_dir)
         except Exception as exc:  # isolate fold failures
             with contextlib.suppress(OSError):  # the traceback, unless the disk is what failed
                 write_atomic(fold_dir / FAILURE_FILE, traceback.format_exc().encode())
             failures[fold.fold_index] = f"{type(exc).__name__}: {exc}"
             continue
         results[fold.fold_index] = result
-        aggregate += result.test_matrix
 
-    return CrossValidationOutcome(results, skipped, failures, aggregate)
+    return CrossValidationOutcome(results, skipped, failures)

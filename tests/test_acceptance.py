@@ -19,7 +19,7 @@ from somnoscore import training as Tr
 from somnoscore.edf_ingest import STAGES, SleepStage
 
 from test_evaluation import GOLDEN_COUNTS
-from test_model import finite_diff_model_grads, make_morlet_bank
+from test_model import finite_diff_model_grads, layer_shapes, make_morlet_bank
 
 
 def report(criterion: int, description: str, ok: bool, detail: str = ""):
@@ -36,8 +36,8 @@ def test_criterion_01_shape_conformance():
     expected = [(20, 14801), (20, 1479), (1, 20, 1479),
                 (400, 1450), (400, 721), 288400, 500, 500, 5]
     report(1, "forward-pass layer extents match the reference architecture",
-           cache.shape_trace() == expected and abs(probs.sum() - 1.0) < 1e-9,
-           f"trace {cache.shape_trace()}")
+           layer_shapes(cache, cfg) == expected and abs(probs.sum() - 1.0) < 1e-9,
+           f"trace {layer_shapes(cache, cfg)}")
 
 
 def test_criterion_02_gradient_correctness():
@@ -124,7 +124,7 @@ def test_criterion_06_ingestion_round_trip(tmp_path):
            "digital": digital}
     S.write_edf(tmp_path / "rt.edf", [sig], n_records=2, record_duration=30)
     parsed = E.parse_edf((tmp_path / "rt.edf").read_bytes())
-    bit_exact = np.array_equal(parsed.digital(0), digital)
+    bit_exact = np.array_equal(parsed.columns(0).ravel(), digital)
 
     stages = [SleepStage.W, SleepStage.N1, SleepStage.N2, None,
               SleepStage.N3, SleepStage.R]

@@ -101,10 +101,11 @@ class TestTrain:
         assert rc == 0
         out = tmp_path / "out"
         payload = json.loads((out / "fold_02" / "result.json").read_text())
-        assert payload["fold"] == 2 and payload["seed"] == 3
+        assert set(payload) == {"history", "per_recording"}
         assert (out / "fold_02" / "best.somn").exists()
         assert not (out / "fold_00").exists()  # exactly one fold trained
-        assert (out / "aggregate_confusion.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fold_02", "manifest.json", "run_manifest.json"]
         assert not (out / "folds.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest) == {"command", "config", "seed"}
@@ -114,8 +115,7 @@ class TestTrain:
         record = json.loads((out / "run_manifest.json").read_text())
         assert record["seed"] == 3 and len(record["corpus_sha256"]) == 64
         assert len(record["folds"]) == 20 and record["folds"][2]["fold"] == 2
-        assert record["folds"][2]["test"] == payload["test"]
-        assert record["folds"][2]["val"] == payload["val"]
+        assert [s["subject_id"] for s in payload["per_recording"]] == record["folds"][2]["test"]
 
     def test_rerun_skips_completed_fold(self, tmp_path, run_config, capsys):
         argv = ["crossval", "--config", str(run_config), "--seed", "3", "--folds", "2"]
@@ -191,11 +191,14 @@ class TestTrain:
         (lambda run: run | {"model": run["model"] | {"max_iterations": 2.5}},
          "'max_iterations' must be int, not float"),
         (lambda run: run | {"folds": "0,1"}, "'folds' must be list[int] | None, not str"),
+        # the bootstrap knobs, which evaluate no longer has
+        (lambda run: run | {"bootstrap_samples": 1000, "bootstrap_seed": 0},
+         "unknown run config field(s) ['bootstrap_samples', 'bootstrap_seed']"),
         # a conv2 longer than pool1's output: no fold may start on it
         (lambda run: run | {"model": run["model"] | {"c2_len": 2000}},
          "the layers do not fit a 15000-sample window"),
     ], ids=["unknown_fields", "not_an_object", "first_layer_mode", "float_batch_size",
-            "float_max_iterations", "string_folds", "layers_do_not_fit"])
+            "float_max_iterations", "string_folds", "bootstrap_fields", "layers_do_not_fit"])
     def test_bad_run_config_file_exits_data_and_writes_nothing(self, tmp_path, run_config,
                                                                capsys, edit, message):
         # no --folds, so that the file's folds are the ones run
@@ -223,9 +226,37 @@ class TestCrossval:
         out = tmp_path / "out"
         assert (out / "fold_00" / "result.json").exists()
         assert (out / "fold_01" / "result.json").exists()
-        assert (out / "aggregate_confusion.csv").exists()
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert len(manifest["folds"]) == 20
+
+    def test_old_fold_records_resume_and_evaluate_as_a_fresh_run(self, tmp_path, run_config,
+                                                                 capsys):
+        # Fold records as once written: each also held its split, the seed, the
+        # sum of its per-recording matrices, its checkpoint's name and a flag
+        # on the best history record.
+        base = ["crossval", "--config", str(run_config), "--seed", "4"]
+        old, fresh = tmp_path / "old", tmp_path / "fresh"
+        assert cli.main(base + ["--output-dir", str(old), "--folds", "0,1"]) == 0
+        splits = json.loads((old / "run_manifest.json").read_text())["folds"]
+        for i in (0, 1):
+            path = old / f"fold_0{i}" / "result.json"
+            payload = json.loads(path.read_text())
+            best = max(payload["history"], key=lambda r: r["val_mean_f1"])
+            history = [r | {"is_best": r is best} for r in payload["history"]]
+            matrix = sum(np.asarray(s["matrix"]) for s in payload["per_recording"])
+            path.write_text(json.dumps(splits[i] | {
+                "seed": 4, "history": history, "test_matrix": matrix.tolist(),
+                "per_recording": payload["per_recording"], "checkpoint": "best.somn"}))
+        before = {i: file_bytes(old / f"fold_0{i}") for i in (0, 1)}
+        capsys.readouterr()
+        assert cli.main(base + ["--output-dir", str(old), "--folds", "0,1,2"]) == 0
+        assert "skipped completed folds: [0, 1]" in capsys.readouterr().out
+        assert {i: file_bytes(old / f"fold_0{i}") for i in (0, 1)} == before
+        assert cli.main(base + ["--output-dir", str(fresh), "--folds", "0,1,2"]) == 0
+        for out in (old, fresh):
+            assert cli.main(["evaluate", str(out), "--out", str(out / "report")]) == 0
+        assert (old / "report" / "metrics.json").read_bytes() == \
+            (fresh / "report" / "metrics.json").read_bytes()
 
     @pytest.mark.parametrize("folds", ["25", "-1"])
     def test_fold_out_of_range_exits_data(self, tmp_path, run_config, capsys, folds):
@@ -278,7 +309,7 @@ class TestCrossval:
     def test_save_failure_exits_numeric(self, tmp_path, run_config, capsys, monkeypatch):
         from somnoscore import training
 
-        def disk_full(result, out_dir, seed):
+        def disk_full(result, out_dir):
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(training, "save_fold_result", disk_full)
@@ -315,24 +346,18 @@ class TestCrossval:
         assert list(fold_outputs(shared)) == ["fold_00", "fold_01"]
         assert fold_outputs(shared) == fold_outputs(serial)
         for out in (shared, serial):
-            assert cli.main(["evaluate", str(out), "--out", str(out / "report"),
-                             "--bootstrap-samples", "20"]) == 0
+            assert cli.main(["evaluate", str(out), "--out", str(out / "report")]) == 0
         for name in ("run_manifest.json", "report/metrics.json"):
             assert (shared / name).read_bytes() == (serial / name).read_bytes()
         assert not list(shared.rglob("*.tmp"))
 
 
-def write_fold_fixture(results_dir, fold_index, matrix, subjects):
+def write_fold_fixture(results_dir, fold_index, subjects):
     fold_dir = results_dir / f"fold_{fold_index:02d}"
     fold_dir.mkdir(parents=True)
     per_rec = [{"subject_id": s, "night": 1, "matrix": m.tolist()}
                for s, m in subjects]
-    (fold_dir / "result.json").write_text(json.dumps({
-        "fold": fold_index, "seed": 0, "test": [s for s, _ in subjects],
-        "val": [], "train": [], "history": [],
-        "test_matrix": matrix.tolist(), "per_recording": per_rec,
-        "checkpoint": "best.somn",
-    }))
+    (fold_dir / "result.json").write_text(json.dumps({"history": [], "per_recording": per_rec}))
 
 
 class TestEvaluate:
@@ -344,14 +369,13 @@ class TestEvaluate:
             {"seed": 0, "folds": [{"fold_index": 0}, {"fold_index": 1}]}))
         a = GOLDEN_COUNTS // 2
         b = GOLDEN_COUNTS - a
-        write_fold_fixture(d, 0, a, [("s0", a)])
-        write_fold_fixture(d, 1, b, [("s1", b)])
+        write_fold_fixture(d, 0, [("s0", a)])
+        write_fold_fixture(d, 1, [("s1", b)])
         return d
 
     def test_golden_metrics_reproduced(self, tmp_path, results_dir):
         out = tmp_path / "report"
-        rc = cli.main(["evaluate", str(results_dir), "--out", str(out),
-                       "--bootstrap-samples", "50"])
+        rc = cli.main(["evaluate", str(results_dir), "--out", str(out)])
         assert rc == 0
         report = json.loads((out / "metrics.json").read_text())
         assert report["summary"]["f1_mean"] == pytest.approx(GOLDEN_F1_MEAN, abs=1e-6)
@@ -364,8 +388,7 @@ class TestEvaluate:
     def test_missing_folds_listed(self, tmp_path, results_dir, capsys):
         (results_dir / "fold_01" / "result.json").unlink()
         out = tmp_path / "r"
-        rc = cli.main(["evaluate", str(results_dir), "--out", str(out),
-                       "--bootstrap-samples", "20"])
+        rc = cli.main(["evaluate", str(results_dir), "--out", str(out)])
         assert rc == 0
         assert f"missing fold result(s) under {results_dir}: [1]" in capsys.readouterr().err
         report = json.loads((out / "metrics.json").read_text())
@@ -374,8 +397,7 @@ class TestEvaluate:
 
     def test_complete_run_lists_no_missing_fold(self, tmp_path, results_dir):
         out = tmp_path / "r"
-        assert cli.main(["evaluate", str(results_dir), "--out", str(out),
-                         "--bootstrap-samples", "20"]) == 0
+        assert cli.main(["evaluate", str(results_dir), "--out", str(out)]) == 0
         assert json.loads((out / "metrics.json").read_text())["missing_folds"] == []
 
     def test_no_fold_result_is_data_error(self, tmp_path, results_dir, capsys):
@@ -389,20 +411,20 @@ class TestEvaluate:
     def test_wrong_typed_config_value_exits_data_and_writes_nothing(self, tmp_path,
                                                                     results_dir, capsys):
         config = tmp_path / "c.json"
-        config.write_text(json.dumps({"bootstrap_samples": "20"}))
+        config.write_text(json.dumps({"lights_out_epoch": "5"}))
         rc = cli.main(["evaluate", str(results_dir), "--config", str(config),
                        "--out", str(tmp_path / "r")])
         assert rc == cli.EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith("data error: ") and "'bootstrap_samples' must be int, not str" in err
+        assert err.startswith("data error: ") and \
+            "'lights_out_epoch' must be int | None, not str" in err
         assert not (tmp_path / "r").exists()
 
     def test_single_fold_train_output_evaluates(self, tmp_path, run_config, capsys):
         assert cli.main(["crossval", "--config", str(run_config), "--seed", "3",
                          "--folds", "2"]) == 0
         out = tmp_path / "report"
-        assert cli.main(["evaluate", str(tmp_path / "out"), "--out", str(out),
-                         "--bootstrap-samples", "20"]) == 0
+        assert cli.main(["evaluate", str(tmp_path / "out"), "--out", str(out)]) == 0
         others = [i for i in range(20) if i != 2]
         assert f": {others}; scoring the 1 present" in capsys.readouterr().err
         report = json.loads((out / "metrics.json").read_text())
@@ -419,8 +441,7 @@ class TestEvaluate:
 
     def test_csv_rounded_to_tenth_point(self, tmp_path, results_dir):
         out = tmp_path / "report"
-        cli.main(["evaluate", str(results_dir), "--out", str(out),
-                  "--bootstrap-samples", "20"])
+        cli.main(["evaluate", str(results_dir), "--out", str(out)])
         rows = (out / "summary.csv").read_text().splitlines()[1:]
         values = [r.split(",")[1] for r in rows]
         assert all(len(v.split(".")[-1]) == 1 for v in values)
@@ -438,10 +459,10 @@ class TestEvaluate:
         (results / "run_manifest.json").write_text(json.dumps(
             {"seed": 0, "folds": [{"fold_index": 0}, {"fold_index": 1}]}))
         a = GOLDEN_COUNTS // 2
-        write_fold_fixture(results, 0, a, [("S07A", a)])
-        write_fold_fixture(results, 1, GOLDEN_COUNTS - a, [("S03A", GOLDEN_COUNTS - a)])
+        write_fold_fixture(results, 0, [("S07A", a)])
+        write_fold_fixture(results, 1, [("S03A", GOLDEN_COUNTS - a)])
         assert cli.main(["evaluate", str(results), "--out", str(tmp_path / "report"),
-                         "--data-dir", str(corpus_dir), "--bootstrap-samples", "20"]) == 0
+                         "--data-dir", str(corpus_dir)]) == 0
         assert loaded == ["S03A", "S07A"]
 
     def test_regressions_emitted_with_corpus(self, tmp_path):
@@ -466,10 +487,10 @@ class TestEvaluate:
         rng = np.random.default_rng(0)
         for i, stem in enumerate(sequences):
             m = np.diag(rng.integers(2, 9, size=5)) + rng.integers(0, 3, size=(5, 5))
-            write_fold_fixture(results, i, m, [(stem, m)])
+            write_fold_fixture(results, i, [(stem, m)])
         out = tmp_path / "report"
         rc = cli.main(["evaluate", str(results), "--out", str(out),
-                       "--data-dir", str(data), "--bootstrap-samples", "20"])
+                       "--data-dir", str(data)])
         assert rc == 0
         report = json.loads((out / "metrics.json").read_text())
         assert "f1_vs_sleep_efficiency" in report["regressions"]

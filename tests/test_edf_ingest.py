@@ -33,7 +33,7 @@ class TestParseEdf:
     def test_scaling_endpoints(self, tmp_path):
         parsed = write_and_parse(
             tmp_path, [eeg_signal_dict([2047, -2048] * 50)], n_records=1)
-        physical = parsed.specs[0].physical(parsed.digital(0))
+        physical = parsed.specs[0].physical(parsed.columns(0).ravel())
         assert physical[0] == pytest.approx(200.0)
         assert physical[1] == pytest.approx(-200.0)
 
@@ -46,14 +46,14 @@ class TestParseEdf:
             eeg_signal_dict(d2, label="EEG Pz-Oz", phys=(-100, 100),
                             dig=(-500, 500), spr=200),
         ], n_records=3)
-        np.testing.assert_array_equal(parsed.digital(0), d1)
-        np.testing.assert_array_equal(parsed.digital(1), d2)
+        np.testing.assert_array_equal(parsed.columns(0).ravel(), d1)
+        np.testing.assert_array_equal(parsed.columns(1).ravel(), d2)
         # physical values within one scaling quantum of the exact map
         for i, (d, spec) in enumerate(zip((d1, d2), parsed.specs)):
             quantum = (spec.physical_max - spec.physical_min) / (
                 spec.digital_max - spec.digital_min)
             exact = (d - spec.digital_min) * quantum + spec.physical_min
-            assert np.abs(spec.physical(parsed.digital(i)) - exact).max() <= quantum
+            assert np.abs(spec.physical(parsed.columns(i).ravel()) - exact).max() <= quantum
 
     def test_signal_order_preserved(self, tmp_path):
         parsed = write_and_parse(tmp_path, [
@@ -319,6 +319,26 @@ class TestAssembleRecording:
             physical = rec.spec.physical(rec.epochs)
             assert physical.dtype == np.float64
             assert physical.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("duration", [1, 30, 45, 60])
+    def test_kept_epochs_do_not_depend_on_the_record_duration(self, tmp_path, duration):
+        # The scoring channel follows a 1 Hz signal. With 1 s and 45 s records
+        # the file ends in a partial epoch; with 45 s ones, epochs straddle records.
+        rng = np.random.default_rng(duration)
+        n_records = 7 * 30 // duration + 1
+        n_epochs = n_records * duration // 30
+        counts = rng.integers(-2048, 2048, n_records * 100 * duration)
+        signals = [eeg_signal_dict(rng.integers(-2048, 2048, n_records * duration),
+                                   label="Resp oro-nasal", spr=duration),
+                   eeg_signal_dict(counts, spr=100 * duration)]
+        parsed = write_and_parse(tmp_path, signals, n_records, duration)
+        stages = [SleepStage.W, SleepStage.W, SleepStage.N1, SleepStage.N2,
+                  None, SleepStage.N3, SleepStage.R, SleepStage.W][:n_epochs]
+        rec = E.assemble_recording(parsed, events_for(stages, lights_out=1))
+        kept = [1, 2, 3, 5, 6]  # lights-out at 1, Movement at 4, trailing W
+        expected = counts[:n_epochs * E.SAMPLES_PER_EPOCH].reshape(n_epochs, -1)[kept]
+        assert rec.epochs.dtype == np.int16 and rec.epochs.flags.c_contiguous
+        np.testing.assert_array_equal(rec.epochs, expected)
 
     def test_csv_annotated_pair(self, tmp_path):
         stages = [SleepStage.N1, SleepStage.N2, SleepStage.N3]

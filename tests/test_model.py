@@ -206,18 +206,27 @@ class TestInit:
         assert list(params.velocity) == ["out_b"] and not params.velocity["out_b"].any()
 
 
+def layer_shapes(cache: M.ForwardCache, cfg: M.ModelConfig) -> list:
+    """Each layer's output shape, from the cache's arrays and the config's
+    conv lengths; the flat and dense extents are per window."""
+    p1, p2 = cache.p1_off.shape, cache.p2_off.shape
+    return [(*p1[:-1], cfg.c1_out), p1, cache.s1.shape, (*p2[:-1], cfg.c2_out), p2,
+            cache.flat.shape[-1], cache.h1.shape[-1], cache.h2.shape[-1],
+            cache.probs.shape[-1]]
+
+
 class TestForward:
     def test_full_architecture_shape_trace(self):
         cfg = M.ModelConfig()  # float32 keeps the 145M-parameter net affordable
         params = M.init_params(cfg, np.random.default_rng(0))
         x = np.random.default_rng(1).standard_normal((2, 15000))
         probs, cache = M.forward(params, x[0])
-        assert cache.shape_trace() == [
+        assert layer_shapes(cache, cfg) == [
             (20, 14801), (20, 1479), (1, 20, 1479),
             (400, 1450), (400, 721), 288400, 500, 500, 5]
         assert probs.shape == (5,) and abs(probs.sum() - 1.0) < 1e-9
         batch_probs, cache = M.forward(params, x)
-        assert cache.shape_trace() == [
+        assert layer_shapes(cache, cfg) == [
             (2, 20, 14801), (2, 20, 1479), (2, 1, 20, 1479),
             (2, 400, 1450), (2, 400, 721), 288400, 500, 500, 5]
         assert batch_probs.shape == (2, 5)

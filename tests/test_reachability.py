@@ -4,9 +4,9 @@ A function, class or method of `src/somnoscore` must appear as a whole word
 somewhere in `src/`, `scripts/` or `benchmark/` (outside `benchmark/tests/`)
 other than on a line that defines that name. Names only tests reach go, unless
 listed below with the reason a test needs them. Likewise every `ModelConfig`
-field must be read by the package, so no setting is stored that nothing obeys,
-and every CLI option must be a config field or be read by `cli`, so no flag is
-offered that nothing obeys. README's "Configuration" list names exactly the
+and `RunConfig` field must be read by the package, so no setting is stored
+that nothing obeys, and every CLI option must be a config field or be read by
+`cli`, so no flag is offered that nothing obeys. README's "Configuration" list names exactly the
 `ModelConfig` fields, with their count; its "Checkpoints" paragraph names the
 current format version and the refusal of the one before; and every
 `somnoscore` command in README's bash blocks and in `scripts/*.sh` uses only
@@ -29,7 +29,6 @@ PROGRAM_DIRS = ("src", "scripts", "benchmark")
 
 TEST_ONLY = {
     "finite_diff_check": "the finite-difference gradient oracle",
-    "shape_trace": "the acceptance test's check of every layer's output shape",
 }
 
 
@@ -80,10 +79,17 @@ def unread_fields(names: list[str], lines: list[str]) -> set[str]:
                        for line in lines)}
 
 
+def package_lines() -> list[str]:
+    return [line for path in sorted(PACKAGE.glob("*.py"))
+            for line in path.read_text().splitlines()]
+
+
 def test_every_model_config_field_is_read():
-    lines = [line for path in sorted(PACKAGE.glob("*.py"))
-             for line in path.read_text().splitlines()]
-    assert unread_fields([f.name for f in fields(ModelConfig)], lines) == set()
+    assert unread_fields([f.name for f in fields(ModelConfig)], package_lines()) == set()
+
+
+def test_every_run_config_field_is_read():
+    assert unread_fields([f.name for f in fields(RunConfig)], package_lines()) == set()
 
 
 def test_unread_fields_detects_a_field_only_declared_or_assigned():

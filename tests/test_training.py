@@ -70,9 +70,9 @@ class TestTrainFold:
         result = Tr.train_fold(corpus, folds[0], cfg, np.random.default_rng(0),
                                tmp_path / "best.somn")
         assert len(result.history.records) == 2
-        assert result.history.records[0].is_best
+        assert result.history.best() is result.history.records[0]
 
-    def test_plateau_stops_after_patience_and_flags_first_tied_best(
+    def test_plateau_stops_after_patience_and_best_is_first_tied_maximum(
             self, corpus, folds, tmp_path, monkeypatch):
         # scripted validation F1: the best (0.5) comes second and is tied
         # twice; the third evaluation that does not beat it ends the fold
@@ -86,7 +86,7 @@ class TestTrainFold:
                                tmp_path / "result.somn")
         records = result.history.records
         assert [r.val_mean_f1 for r in records] == [0.2, 0.5, 0.5, 0.4, 0.5]
-        assert [r.is_best for r in records] == [False, True, False, False, False]
+        assert result.history.best() is records[1]
         # the kept tensors are those at the first tied best, iteration 4
         scripted(0.2, 0.5)
         cut = Tr.train_fold(corpus, folds[0], tiny_config(eval_every=2, max_iterations=4),
@@ -142,8 +142,7 @@ class TestTrainFold:
             result = Tr.train_fold(corpus, folds[1], cfg, np.random.default_rng(77),
                                    tmp_path / "best.somn")
             runs.append([(r.iteration, r.training_loss, r.val_mean_f1,
-                          r.val_overall_accuracy, r.is_best)
-                         for r in result.history.records])
+                          r.val_overall_accuracy) for r in result.history.records])
         assert runs[0] == runs[1]
 
     def test_returned_params_reproduce_best_metric(self, corpus, folds, tmp_path):
@@ -259,30 +258,27 @@ class TestValidationScores:
 
 
 class TestCrossValidation:
-    def test_aggregate_is_sum_of_folds(self, corpus, tmp_path):
-        cfg = tiny_config(max_iterations=3)
-        outcome = Tr.run_crossvalidation(corpus, cfg, seed=5, out_dir=tmp_path,
-                                         fold_indices=[0, 1, 2])
-        total = sum(r.test_matrix for r in outcome.fold_results.values())
-        np.testing.assert_array_equal(outcome.aggregate, total)
-        assert not outcome.failures and not outcome.skipped
-
     def test_twenty_folds_for_twenty_subjects(self, corpus, tmp_path):
         cfg = tiny_config(max_iterations=1, eval_every=1)
         outcome = Tr.run_crossvalidation(corpus, cfg, seed=5, out_dir=tmp_path)
         assert len(outcome.fold_results) == 20
         tested = {r.split.test_subjects[0] for r in outcome.fold_results.values()}
         assert tested == {r.subject_id for r in corpus}
-        assert int(outcome.aggregate.sum()) == sum(r.n_epochs for r in corpus)
+        assert sum(int(r.test_matrix.sum()) for r in outcome.fold_results.values()) == \
+            sum(r.n_epochs for r in corpus)
 
-    def test_same_seed_bit_exact_aggregate(self, corpus, tmp_path):
+    def test_same_seed_bit_exact_fold_results(self, corpus, tmp_path):
         cfg = tiny_config(max_iterations=3)
         a = Tr.run_crossvalidation(corpus, cfg, seed=8, out_dir=tmp_path / "a",
                                    fold_indices=[0, 4])
         b = Tr.run_crossvalidation(corpus, cfg, seed=8, out_dir=tmp_path / "b",
                                    fold_indices=[0, 4])
         assert not b.skipped
-        np.testing.assert_array_equal(a.aggregate, b.aggregate)
+        for i in (0, 4):
+            assert [(s.subject_id, s.night, s.matrix.tolist())
+                    for s in a.fold_results[i].per_recording] == \
+                [(s.subject_id, s.night, s.matrix.tolist())
+                 for s in b.fold_results[i].per_recording]
 
     def test_outcome_holds_no_parameters(self, corpus, tmp_path):
         # the runner's memory does not grow with the number of folds
@@ -342,12 +338,12 @@ class TestCrossValidation:
         first = Tr.run_crossvalidation(corpus, cfg, seed=6, out_dir=tmp_path,
                                        fold_indices=[0, 1])
         assert set(first.fold_results) == {0, 1}
+        saved = [(tmp_path / f"fold_0{i}" / "result.json").read_bytes() for i in (0, 1)]
         second = Tr.run_crossvalidation(corpus, cfg, seed=6, out_dir=tmp_path,
                                         fold_indices=[0, 1, 2])
         assert second.skipped == [0, 1]
         assert set(second.fold_results) == {2}
-        np.testing.assert_array_equal(second.aggregate[:, :],
-                                      first.aggregate + second.fold_results[2].test_matrix)
+        assert [(tmp_path / f"fold_0{i}" / "result.json").read_bytes() for i in (0, 1)] == saved
 
     @pytest.mark.parametrize("change", ["seed", "learning_rate", "corpus"])
     def test_other_run_into_same_directory_refused(self, corpus, tmp_path, change):
@@ -412,17 +408,20 @@ class TestCrossValidation:
         (tmp_path / "fold_00").mkdir()
         result = Tr.train_fold(corpus, folds[0], tiny_config(), np.random.default_rng(0),
                                tmp_path / "fold_00" / "best.somn")
-        Tr.save_fold_result(result, tmp_path, seed=5)
-        payload = Tr.load_fold_result_json(tmp_path, 0)
-        np.testing.assert_array_equal(payload["test_matrix"], result.test_matrix)
-        assert payload["test_matrix"].dtype == np.int64
-        assert [(s.subject_id, s.night) for s in payload["per_recording"]] == \
+        Tr.save_fold_result(result, tmp_path)
+        payload = json.loads((tmp_path / "fold_00" / "result.json").read_text())
+        # the split and seed are the run record's, the parameters best.somn's
+        assert set(payload) == {"history", "per_recording"}
+        assert payload["history"] == [vars(r) for r in result.history.records]
+        assert set(payload["history"][0]) == {"iteration", "training_loss", "val_mean_f1",
+                                              "val_overall_accuracy", "wall_clock"}
+        scores = Tr.load_recording_scores(tmp_path, 0)
+        assert [(s.subject_id, s.night) for s in scores] == \
             [(s.subject_id, s.night) for s in result.per_recording]
-        for loaded_score, score in zip(payload["per_recording"], result.per_recording):
+        for loaded_score, score in zip(scores, result.per_recording):
             np.testing.assert_array_equal(loaded_score.matrix, score.matrix)
-        assert payload["seed"] == 5
-        assert Tr.load_fold_result_json(tmp_path, 1) is None
-        assert payload["checkpoint"] == "best.somn"
+            assert loaded_score.matrix.dtype == np.int64
+        assert Tr.load_recording_scores(tmp_path, 1) is None
         assert (tmp_path / "fold_00" / "best.somn").exists()
 
     def test_run_manifest_written(self, corpus, tmp_path):
@@ -494,24 +493,24 @@ class TestCrashResume:
         again = Tr.run_crossvalidation(corpus, cfg, seed=6, out_dir=tmp_path,
                                        fold_indices=[0])
         assert again.skipped == [] and set(again.fold_results) == {0}
-        assert Tr.load_fold_result_json(tmp_path, 0)["fold"] == 0
+        assert Tr.load_recording_scores(tmp_path, 0) is not None
         assert not (tmp_path / "fold_00" / "failure.txt").exists()
 
     def test_save_failure_is_that_folds_failure(self, corpus, tmp_path, monkeypatch):
         cfg = tiny_config(max_iterations=3)
         real_save = Tr.save_fold_result
 
-        def disk_full_on_fold_1(result, out_dir, seed):
+        def disk_full_on_fold_1(result, out_dir):
             if result.split.fold_index == 1:
                 raise OSError(28, "No space left on device")
-            return real_save(result, out_dir, seed)
+            return real_save(result, out_dir)
 
         monkeypatch.setattr(Tr, "save_fold_result", disk_full_on_fold_1)
         outcome = Tr.run_crossvalidation(corpus, cfg, seed=6, out_dir=tmp_path,
                                          fold_indices=[0, 1, 2])
         assert outcome.failures == {1: "OSError: [Errno 28] No space left on device"}
         assert set(outcome.fold_results) == {0, 2}
-        assert [Tr.load_fold_result_json(tmp_path, i) is not None for i in range(3)] == \
+        assert [Tr.load_recording_scores(tmp_path, i) is not None for i in range(3)] == \
             [True, False, True]
 
     def test_failure_keeps_its_traceback(self, corpus, tmp_path, monkeypatch):
