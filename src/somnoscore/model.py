@@ -212,8 +212,8 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParameter
     for name, shape in config.tensor_shapes().items():
         if name in WEIGHT_NAMES:
             gain = 1.0 if name == "out_w" else 2.0
-            std = dtype.type(np.sqrt(gain / np.prod(shape[1:])))
-            tensors[name] = rng.standard_normal(shape, dtype=dtype) * std
+            tensors[name] = rng.standard_normal(shape, dtype=dtype)
+            tensors[name] *= dtype.type(np.sqrt(gain / np.prod(shape[1:])))  # in place: no copy
         else:
             tensors[name] = np.zeros(shape, dtype=dtype)
     return ModelParameters(config, tensors)
@@ -320,6 +320,7 @@ def backward(params: ModelParameters, cache: ForwardCache,
 
 _TILE_ROWS = 64         # rows of a tensor's (rows, cols) view per sgd_step tile
 _UPDATE_BLOCK = 1 << 18  # elements of w, v and g per tile: 64 x 4096 for f1_w
+_STRIP_ROWS = 16        # rows of a tile updated at a time: 3 x 256 KB of f1_w's w, v and g
 
 
 def _tiles(rows: int, cols: int):
@@ -329,6 +330,15 @@ def _tiles(rows: int, cols: int):
     for r in range(0, rows, height):
         for c in range(0, cols, width):
             yield slice(r, r + height), slice(c, c + width)
+
+
+def _strips(*tiles: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """The `_STRIP_ROWS`-row strips of same-height tiles, in order, each a
+    tuple of one strip of every tile. A tile no taller is one strip, itself,
+    so that a small tensor's update pays for no slicing."""
+    if len(tiles[0]) <= _STRIP_ROWS:
+        return [tiles]
+    return [tuple(t[r:r + _STRIP_ROWS] for t in tiles) for r in range(0, len(tiles[0]), _STRIP_ROWS)]
 
 
 def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray | T.OuterGrad],
@@ -343,17 +353,22 @@ def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray | T.OuterG
 
     Each tensor is updated in one sweep of tiles of its (rows, cols) view (a
     vector is one row), `_TILE_ROWS` high and about `_UPDATE_BLOCK` elements
-    in all, so a tile of w, v and g stays in cache across the in-place ops. A
-    tile of an array gradient is a slice of it, and the result is
-    bit-identical to whole-tensor ops. A `T.OuterGrad` is formed one tile at a
-    time, so its whole product is never built; the result is whole-tensor ops
-    on those tiles. Before a decayed tile is updated, each of its rows' sum of
-    squares is taken in the weights' dtype (`np.vecdot`), and these row sums
-    are accumulated in float64, so no float32 sum runs over more than one row
-    of one tile. Each gradient tile is checked before it is used: a NaN or
-    infinity raises FloatingPointError naming the tensor, leaving the earlier
-    tensors and the earlier tiles of this one updated. `training.train_fold`
-    turns the error into a failed fold.
+    in all, each applied `_STRIP_ROWS` rows at a time, so that a strip of w,
+    v and g stays in cache across the in-place ops. A tile of an array
+    gradient is a slice of it, and the result is bit-identical to
+    whole-tensor ops. A `T.OuterGrad` is formed one tile at a time, so its
+    whole product is never built; the result is whole-tensor ops on those
+    tiles. Before a decayed strip is updated, each of its rows' sum of
+    squares is taken in the weights' dtype (`np.vecdot`), and a tile's row
+    sums are accumulated in float64, so no float32 sum runs over more than
+    one row of one tile. A gradient is checked for NaN and infinity before
+    it is used. A `T.OuterGrad` whose factors hold fewer values than its
+    product is checked once, from the factors, when they bound every entry
+    below the dtype's maximum (`T.OuterGrad.bounded`); any other gradient
+    is checked tile by tile. A NaN or infinity raises FloatingPointError
+    naming the tensor, leaving the earlier tensors and the earlier tiles of
+    this one updated. `training.train_fold` turns the error into a failed
+    fold.
     """
     lr, mu, lam = config.learning_rate, config.momentum, config.l2_lambda
     decayed = WEIGHT_NAMES if lam else ()
@@ -369,16 +384,22 @@ def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray | T.OuterG
         factored = isinstance(g, T.OuterGrad)
         if not factored:
             g = g.reshape(w2.shape)
+        checked = factored and g.g.size + g.x.size < w.size and g.bounded()
         for rows, cols in _tiles(*w2.shape):
             wt, vt = w2[rows, cols], v2[rows, cols]
             gt = g.tile(rows, cols) if factored else g[rows, cols]
-            T.assert_finite(what, gt)
-            vt *= mu
-            vt -= np.multiply(gt, lr, out=gt)
-            if name in decayed:
-                sum_sq += float(np.vecdot(wt, wt).sum(dtype=np.float64))
-                vt -= np.multiply(wt, lr * lam, out=gt)
-            wt += vt
+            if not checked:
+                T.assert_finite(what, gt)
+            decay, row_sq = name in decayed, np.empty(len(wt), wt.dtype)
+            for ws, vs, gs, rs in _strips(wt, vt, gt, row_sq):
+                vs *= mu
+                vs -= np.multiply(gs, lr, out=gs)
+                if decay:
+                    np.vecdot(ws, ws, out=rs)
+                    vs -= np.multiply(ws, lr * lam, out=gs)
+                ws += vs
+            if decay:
+                sum_sq += float(row_sq.sum(dtype=np.float64))
     return 0.5 * lam * sum_sq
 
 

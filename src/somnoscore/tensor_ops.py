@@ -8,10 +8,14 @@ backward kernels sum parameter gradients over the batch. The 2D
 convolution's backward sums window by window, in order, and can carry its
 sums on from earlier windows, so a caller may take a batch a few windows at a
 time and get the same bits. Convolutions use the im2col layout of
-Chellapilla, Puri & Simard (2006): one matrix product per window; the 2D
+Chellapilla, Puri & Simard (2006). The forward pass lays it out tap-major,
+(H*K, P), one row per kernel tap, and copies it about a budget of values at
+a time, so each BLAS product reads a contiguous operand; the backward passes
+lay it out position-major, one matrix product per window, and the 2D
 convolution's input gradient is one more, written into its spent im2col copy.
-Max-pooling is a running maximum over each window's strided columns, a block
-of rows at a time, and records where each maximum is without an argmax.
+Max-pooling takes a running maximum over blocks of gcd(size, stride) samples
+and then one over each window's blocks, a chunk of rows at a time, and
+records where each maximum is without an argmax.
 
 Conventions, fixed so that learned-filter analysis stays meaningful:
   - convolutions are cross-correlations (kernels are templates, never flipped)
@@ -23,6 +27,8 @@ Conventions, fixed so that learned-filter analysis stays meaningful:
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,18 +43,61 @@ def _windows(x: np.ndarray, size: int, stride: int = 1) -> np.ndarray:
     return win
 
 
+# im2col values a convolution's forward copies at a time: a full-size conv2
+# window (600 x 1450) in one product, a conv1 window (200 x 14801) in four
+_CONV_CHUNK = 900_000
+_CONV_ALIGN = 64  # a stretch of output positions starts at a multiple of this
+
+
+def _correlate(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Cross-correlate N stacks x (N, H, L) with F full-height kernels
+    (F, H, K): y (N, F, P), P = L-K+1.
+
+    The im2col copy is tap-major, (n, H*K, P'): its row h*K + j is
+    x[:, h, j:j+P'], one strided copy made for each product, so that the
+    product reads a contiguous operand with no transpose. A copy holds
+    several whole windows, or a stretch of one window's output positions:
+    the fewest stretches of equal length that keep to `_CONV_CHUNK` values,
+    the length rounded up to a multiple of `_CONV_ALIGN` (so a copy may
+    exceed the budget by H*K*_CONV_ALIGN values). Aligned stretches let BLAS
+    take each output column with the kernel it takes in a whole-window
+    product, so the bits do not depend on the budget; OpenBLAS keeps to this
+    unless a stretch is small enough for its small-matrix kernels.
+    """
+    x = np.ascontiguousarray(x)
+    n, h, l = x.shape
+    f, _, k = kernels.shape
+    if k > l:
+        raise ValueError(f"kernel length {k} exceeds signal length {l}")
+    p, taps, b = l - k + 1, h * k, x.itemsize
+    y = np.empty((n, f, p), np.result_type(x, kernels))
+    windows = max(1, min(n, _CONV_CHUNK // (taps * p)))
+    # the fewest stretches that keep to the budget, of equal length rounded up
+    # to the alignment: one, to the window's end, if a window fits
+    stretches = -(-taps * p // _CONV_CHUNK)
+    span = -(-p // (stretches * _CONV_ALIGN)) * _CONV_ALIGN
+    w, column = kernels.reshape(f, taps), bias[:, None]
+    for first in range(0, n, windows):
+        rows = x[first:first + windows]
+        for start in range(0, p, span):
+            m = min(span, p - start)
+            # the windows view of `_windows`: its j-th row is x[..., start+j:start+j+m]
+            view = np.ndarray((len(rows), h, k, m), x.dtype, rows, start * b, (*rows.strides[:2], b, b))
+            out = y[first:first + windows, :, start:start + m]
+            # the copy lives only for the product, so no two chunks' copies coexist
+            np.matmul(w, np.ascontiguousarray(view).reshape(len(rows), taps, m), out=out)
+            out += column
+    return y
+
+
 def conv1d_valid(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Cross-correlate signals x (..., L) with F kernels of length K.
 
     Returns y (..., F, L-K+1) with y[..., f, i] = bias[f] + sum_j x[..., i+j] * kernels[f, j].
     """
-    x = np.asarray(x)
-    kernels = np.asarray(kernels)
-    k, l = kernels.shape[1], x.shape[-1]
-    if k > l:
-        raise ValueError(f"kernel length {k} exceeds signal length {l}")
-    cols = _windows(x, k)                        # (..., L-K+1, K)
-    return np.matmul(kernels, np.swapaxes(cols, -1, -2)) + bias[:, None]
+    x, kernels = np.asarray(x), np.asarray(kernels)
+    y = _correlate(x.reshape(-1, 1, x.shape[-1]), kernels[:, None, :], bias)
+    return y.reshape(*x.shape[:-1], *y.shape[1:])
 
 
 def conv1d_backward(
@@ -93,6 +142,11 @@ def maxpool1d(x: np.ndarray, size: int, stride: int) -> tuple[np.ndarray, np.nda
     for every pooled output, its maximum's offset within its window (first
     occurrence on ties; a NaN counts as the maximum, as under argmax), as
     uint8 when size <= 256. Output i's maximum is x[..., i*stride + offsets[..., i]].
+
+    With g = gcd(size, stride), each window is w = size/g whole blocks of g
+    samples, one every stride/g blocks: a running max first takes each
+    block's maximum, then one over each window's w blocks. Pool2's (10, 2)
+    takes 1 + 4 combines per output, not 9.
     """
     x = np.ascontiguousarray(x)
     l = x.shape[-1]
@@ -100,30 +154,62 @@ def maxpool1d(x: np.ndarray, size: int, stride: int) -> tuple[np.ndarray, np.nda
         raise ValueError(f"pool size {size} exceeds length {l}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    win = _windows(x.reshape(-1, l), size, stride)      # (R, n, size)
-    n = win.shape[1]
-    y = np.empty(win.shape[:2], x.dtype)
-    offsets = np.empty(win.shape[:2], pool_offset_dtype(size))
-    # a running max over the window's strided columns, about _POOL_CHUNK
-    # window elements at a time so that a block's rows stay in cache
-    step = max(1, _POOL_CHUNK // (n * size))
-    for start in range(0, len(win), step):
-        block, top, at = win[start:start + step], y[start:start + step], offsets[start:start + step]
-        top[...], at[...] = block[..., 0], 0
-        rise, scaled = np.empty(top.shape, bool), np.empty_like(at)
-        for j in range(1, size):
-            column = block[..., j]
-            np.greater(column, top, out=rise)  # strictly: a tie keeps the first index
-            # a NaN wins; on a tie (-0.0 and 0.0) maximum returns its second
-            # operand, so the earlier value stays
-            np.maximum(column, top, out=top)
-            # j only grows, so a window's last rise is its largest; no masked write
-            np.maximum(at, np.multiply(rise, j, out=scaled, dtype=scaled.dtype), out=at)
-        nan = np.isnan(top)  # no value exceeds a NaN: point those at their first NaN
-        if nan.any():
-            at[nan] = np.isnan(block[nan]).argmax(axis=1)
+    rows = x.reshape(-1, l)
+    g = math.gcd(size, stride)
+    hop, w = stride // g, size // g                     # in blocks
+    n = 1 + (l - size) // stride
+    nb = (n - 1) * hop + w                              # blocks the windows cover
+    y = np.empty((len(rows), n), x.dtype)
+    offsets = np.empty((len(rows), n), pool_offset_dtype(size))
+    # about _POOL_CHUNK window elements (or samples read, if more) at a time,
+    # so that a chunk's rows stay in cache
+    step = max(1, _POOL_CHUNK // max(n * size, nb * g))
+    spaced = [slice(j, j + (n - 1) * hop + 1, hop) for j in range(w)]  # window i's j-th block
+    for start in range(0, len(rows), step):
+        chunk = rows[start:start + step]
+        block_max = np.empty((len(chunk), nb), x.dtype)
+        block_at = np.empty(block_max.shape, offsets.dtype)
+        _running_max([chunk[:, j:j + (nb - 1) * g + 1:g] for j in range(g)], block_max, block_at)
+        top, at = y[start:start + step], offsets[start:start + step]
+        _running_max([block_max[:, j] for j in spaced], top, at, [block_at[:, j] for j in spaced], g)
+        if math.isnan(top.max()):  # no value exceeds a NaN: point those at their first NaN
+            nan = np.isnan(top)
+            at[nan] = np.isnan(_windows(chunk, size, stride)[nan]).argmax(axis=1)
     shape = (*x.shape[:-1], n)
     return y.reshape(shape), offsets.reshape(shape)
+
+
+def _running_max(columns: list, top: np.ndarray, at: np.ndarray, inner: list | None = None,
+                 unit: int = 1) -> None:
+    """Write into `top` the maximum over `columns`, a list of arrays of its
+    shape, and into `at` the index of the first column that holds it; or,
+    given each column's own offsets `inner` (below `unit`), the offset
+    j*unit + inner[j] of that first column j.
+    """
+    np.copyto(top, columns[0])
+    first = 1  # the first column the loop below folds in
+    if inner is not None:
+        np.copyto(at, inner[0])
+    elif len(columns) == 1:
+        at.fill(0)
+    else:  # offsets start at 0, so after column 1 they are its strict rise
+        np.greater(columns[1], top, out=at)
+        np.maximum(columns[1], top, out=top)
+        first = 2
+    rise, scaled = np.empty(top.shape, bool), np.empty_like(at)
+    for j in range(first, len(columns)):
+        np.greater(columns[j], top, out=rise)  # strictly: a tie keeps the first index
+        # a NaN wins; on a tie (-0.0 and 0.0) maximum returns its second
+        # operand, so the earlier value stays
+        np.maximum(columns[j], top, out=top)
+        # every earlier offset is below j*unit, so the last rise is the
+        # largest offset: no masked write
+        if inner is None:
+            np.multiply(rise, j, out=scaled, dtype=scaled.dtype)
+        else:
+            np.add(inner[j], j * unit, out=scaled, dtype=scaled.dtype)
+            scaled *= rise
+        np.maximum(at, scaled, out=at)
 
 
 def maxpool1d_backward(offsets: np.ndarray, grad_y: np.ndarray, input_length: int,
@@ -179,12 +265,8 @@ def conv2d_fullheight(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> n
     f, kh, k = kernels.shape
     if kh != h:
         raise ValueError(f"kernel height {kh} != input height {h}")
-    if k > l:
-        raise ValueError(f"kernel length {k} exceeds signal length {l}")
-    cols = np.swapaxes(_windows(x[..., 0, :, :], k), -2, -3)      # (..., P, H, K)
-    cols = cols.reshape(*cols.shape[:-2], h * k)
-    y = np.matmul(kernels.reshape(f, h * k), np.swapaxes(cols, -1, -2)) + bias[:, None]
-    return y[..., None, :]
+    y = _correlate(x.reshape(-1, h, l), kernels, bias)
+    return y.reshape(*x.shape[:-3], f, 1, y.shape[-1])
 
 
 def conv2d_fullheight_backward(
@@ -253,6 +335,16 @@ class OuterGrad:
 
     def tile(self, rows: slice, cols: slice) -> np.ndarray:
         return self.g[:, rows].T @ self.x[:, cols]
+
+    def bounded(self) -> bool:
+        """Whether the factors alone show every entry of the product finite:
+        they are finite and N * max|g| * max|x| is below a quarter of the
+        dtype's maximum, which leaves room for the rounding of each sum. A
+        NaN or infinity in a factor, or a larger bound, gives False."""
+        def peak(a):  # max|a| without an |a| temporary; NaN if a holds one
+            return float(max(a.max(initial=0), -a.min(initial=0)))
+        bound = len(self.g) * peak(self.g) * peak(self.x)
+        return bound < float(np.finfo(np.result_type(self.g, self.x)).max) / 4  # not if NaN
 
     def __array__(self, dtype=None, copy=None):
         full = self.g.T @ self.x

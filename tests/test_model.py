@@ -193,6 +193,18 @@ class TestInit:
                 h.update(t.tobytes())
             assert h.hexdigest() == want, (case, seed)
 
+    def test_init_allocates_nothing_beyond_its_tensors(self):
+        # each draw is scaled in place: scaling a copy would hold f1_w twice
+        cfg = M.ModelConfig(c1_filters=4, c2_filters=8, f1=16, f2=16)
+        tracemalloc.start()
+        try:
+            params = M.init_params(cfg, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        total = sum(t.nbytes for t in params.tensors.values())
+        assert peak < total + params.tensors["f1_w"].nbytes / 4
+
     def test_biases_exactly_zero(self):
         params, _ = reduced_params()
         for name in ("c1_bias", "c2_bias", "f1_b", "f2_b", "out_b"):
@@ -778,6 +790,44 @@ class TestBlockedSgdStep:
         w = params.tensors["f1_w"]
         np.testing.assert_array_equal(w[:R, :W], -(g[:, :R].T @ x[:, :W] * 0.1))
         assert not w[:R, W:].any() and not w[R:].any()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+    def test_factored_gradient_of_finite_factors_that_overflows_raises_naming_it(self):
+        # every factor is finite, but entries of 1e20 * 1e20 summed over the
+        # batch overflow float32: the factors cannot vouch for the product,
+        # so each tile is checked and the first one raises
+        cfg = step_config(0.1, 0.9, dtype="float32")
+        m, k = 2 * R + 5, W + 7
+        g, x = (np.full(shape, 1e20, np.float32) for shape in ((3, m), (3, k)))
+        grad = T.OuterGrad(g, x)
+        assert not grad.bounded()
+        params = M.ModelParameters(cfg, {"f1_w": np.zeros((m, k), np.float32)})
+        with pytest.raises(FloatingPointError, match="f1_w"):
+            M.sgd_step(params, {"f1_w": grad}, cfg)
+        assert not params.tensors["f1_w"].any()
+
+    def test_factored_gradient_of_bounded_factors_is_checked_once(self, monkeypatch):
+        # finite factors whose bound N * max|g| * max|x| is far below float32's
+        # maximum need no tile check; an array gradient is checked tile by tile
+        cfg = step_config(0.1, 0.9, dtype="float32")
+        m, k = 2 * R + 5, W + 7
+        g, x = integer_factors(10, m, k, "float32", seed=6)
+        assert T.OuterGrad(g, x).bounded()
+        checked = []
+        monkeypatch.setattr(T, "assert_finite", lambda name, *a: checked.append(name))
+        params = M.ModelParameters(cfg, {"f1_w": np.zeros((m, k), np.float32),
+                                         "f1_b": np.zeros(m, np.float32)})
+        M.sgd_step(params, {"f1_w": T.OuterGrad(g, x), "f1_b": np.ones(m, np.float32)}, cfg)
+        assert checked == ["the gradient of tensor 'f1_b'"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 3e38])
+    def test_factor_bound_refuses_a_non_finite_or_large_factor(self, bad):
+        g, x = integer_factors(10, 4, 5, "float32", seed=7)
+        assert T.OuterGrad(g, x).bounded()
+        g[3, 2] = bad
+        assert not T.OuterGrad(g, x).bounded() and not T.OuterGrad(x, g).bounded()
+        g[3, 2] = -bad
+        assert not T.OuterGrad(g, x).bounded()
 
     def test_dense_update_allocates_no_weight_sized_temporary(self):
         # dense_backward's weight gradient and its update together; the whole

@@ -152,6 +152,31 @@ class TestMaxPool:
         np.testing.assert_array_equal(
             y.reshape(-1, 721), np.take_along_axis(rows, want + np.arange(0, 721 * 2, 2), axis=1))
 
+    @pytest.mark.parametrize("chunk", [1, 2 * 1479 * 20 + 1, T._POOL_CHUNK],
+                             ids=["row-per-chunk", "two-rows-per-chunk", "default"])
+    def test_chunked_pool1_equals_argmax_across_chunk_edges(self, chunk, monkeypatch):
+        # pool1's extents: 21 rows of 1479 windows of 20 samples, one every
+        # 10, so each window is two blocks of 10 and shares one with the
+        # next. The two-row and the default 8-row chunks leave a partial last
+        # chunk. Zeros make ties within and across blocks; row 20, in the
+        # last chunk, holds NaNs after a large value, and an infinity that
+        # a NaN in the same window outranks.
+        monkeypatch.setattr(T, "_POOL_CHUNK", chunk)
+        x = np.maximum(rand((3, 7, 14801), 11), 0).astype(np.float32)
+        x[1, 2, 1000:1300] = 0
+        x[2, 6, 5000] = 1e30
+        x[2, 6, [5004, 5011, 9000]] = np.nan
+        x[2, 6, 7003], x[2, 6, 7012] = np.inf, np.nan
+        y, off = T.maxpool1d(x, 20, 10)
+        rows = x.reshape(-1, 14801)
+        want = T._windows(rows, 20, 10).argmax(axis=2)
+        assert off[2, 6, 500] == 4 and off[2, 6, 499] == 14   # windows at 5000 and 4990
+        assert off[2, 6, 700] == 12 and np.isnan(y[2, 6, 700])  # window at 7000
+        np.testing.assert_array_equal(off.reshape(-1, 1479), want)
+        np.testing.assert_array_equal(
+            y.reshape(-1, 1479),
+            np.take_along_axis(rows, want + np.arange(0, 1479 * 10, 10), axis=1))
+
     def test_window_copy_is_chunk_sized(self):
         # an argmax over every window at once would copy them all: 5x the
         # input at size 10, stride 2. A block's temporaries, its rise mask,
@@ -312,6 +337,86 @@ class TestConv2dFullHeight:
         y = T.conv2d_fullheight(rand((1, h, l), seed), rand((f, h, k), seed + 1),
                                 np.zeros(f))
         assert y.shape == (f, 1, l - k + 1)
+
+
+class TestConvChunks:
+    """Both conv forwards copy their tap-major im2col at most a budget of
+    values at a time, several windows or a stretch of one window's output
+    positions; the bits do not depend on the budget."""
+
+    # (input shape, kernel shape, dtype): conv1 and conv2 of reduced_config,
+    # of reduced_config at full length, and of the full network
+    CASES = {
+        "conv1-reduced-float64": ((7, 1, 300), (4, 1, 20), np.float64),
+        "conv1-reduced-float32": ((7, 1, 300), (4, 1, 20), np.float32),
+        "conv2-reduced-float64": ((7, 4, 139), (8, 4, 5), np.float64),
+        "conv2-full-length-float32": ((3, 4, 1479), (8, 4, 30), np.float32),
+        "conv1-full-float32": ((3, 1, 15000), (20, 1, 200), np.float32),
+        "conv2-full-float32": ((2, 20, 1479), (400, 20, 30), np.float32),
+    }
+
+    @staticmethod
+    def forward(x, k, b):
+        if k.shape[1] == 1:
+            return T.conv1d_valid(x[:, 0], k[:, 0], b)
+        return T.conv2d_fullheight(x[:, None], k, b)[:, :, 0]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bits_do_not_depend_on_the_copy_budget(self, case, monkeypatch):
+        shape, kshape, dtype = self.CASES[case]
+        rng = np.random.default_rng(sum(shape))
+        x = np.maximum(rng.standard_normal(shape), 0).astype(dtype)
+        k, b = rng.standard_normal(kshape).astype(dtype), rng.standard_normal(kshape[0]).astype(dtype)
+        n, h, l = shape
+        window = h * kshape[2] * (l - kshape[2] + 1)  # one window's im2col values
+        monkeypatch.setattr(T, "_CONV_CHUNK", n * window)
+        whole = self.forward(x, k, b)
+        # the whole batch; two windows at a time (a partial last chunk); one
+        # window in three stretches; and, at reduced size, stretches of the
+        # minimum width
+        budgets = [n * window, 2 * window, window // 3 + 1]
+        if l < 1000:
+            budgets.append(1)
+        for budget in budgets:
+            monkeypatch.setattr(T, "_CONV_CHUNK", budget)
+            assert self.forward(x, k, b).tobytes() == whole.tobytes(), budget
+        # and against an explicit im2col product, to a tolerance
+        cols = np.stack([x[:, :, j:j + whole.shape[-1]] for j in range(kshape[2])], axis=2)
+        want = np.einsum("fhk,nhkp->nfp", k.astype(np.float64), cols.astype(np.float64))
+        np.testing.assert_allclose(whole, want + b[:, None], rtol=1e-4 if dtype == np.float32 else 1e-12,
+                                   atol=1e-3 if dtype == np.float32 else 1e-12)
+
+    def test_stretches_start_on_the_alignment_and_cover_the_window(self, monkeypatch):
+        # a spy on the product records each stretch's extent
+        x = rand((1, 15000), 3).astype(np.float32)
+        k, b = rand((20, 200), 4).astype(np.float32), np.zeros(20, np.float32)
+        spans, real = [], np.matmul
+
+        def spy(a, c, out):
+            spans.append(c.shape[-1])
+            return real(a, c, out=out)
+        monkeypatch.setattr(T.np, "matmul", spy)
+        T.conv1d_valid(x, k, b)
+        monkeypatch.undo()
+        assert sum(spans) == 14801 and len(spans) == -(-200 * 14801 // T._CONV_CHUNK)
+        assert all(span % T._CONV_ALIGN == 0 for span in spans[:-1])
+        assert max(spans) * 200 <= T._CONV_CHUNK + T._CONV_ALIGN * 200
+
+    def test_conv1_copy_is_chunk_sized(self):
+        # a whole-window im2col copy of one full-size conv1 window is 2.96M
+        # values, over 3x the budget; a call allocates its output and one
+        # chunk's copy
+        x = rand((2, 15000), 5).astype(np.float32)
+        k, b = rand((20, 200), 6).astype(np.float32), np.zeros(20, np.float32)
+        tracemalloc.start()
+        try:
+            y = T.conv1d_valid(x, k, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        copy = peak - y.nbytes
+        assert copy <= (T._CONV_CHUNK + T._CONV_ALIGN * 200) * x.itemsize
+        assert copy < 200 * 14801 * x.itemsize / 3
 
 
 class TestDense:
