@@ -247,9 +247,13 @@ def _conv2_chunks(cfg: ModelConfig, n: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
-def forward(params: ModelParameters, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+def forward(params: ModelParameters, x: np.ndarray, *,
+            cache: bool = True) -> tuple[np.ndarray, ForwardCache | None]:
     """Stage probabilities, (5,) for one window (input_len,), (N, 5) for a
-    batch (N, input_len); and the cache that backward needs.
+    batch (N, input_len); and the cache that backward needs. With `cache`
+    False, for a scoring pass that no backward follows, the second item is
+    None: the pools keep no offsets and nothing is kept for backward. The
+    probabilities are the same bits either way.
 
     conv2 and pool2 run a few windows at a time, so no conv2 output or im2col
     copy is ever batch-sized.
@@ -260,22 +264,27 @@ def forward(params: ModelParameters, x: np.ndarray) -> tuple[np.ndarray, Forward
     if x.ndim not in (1, 2) or x.shape[-1] != cfg.input_len:
         raise ValueError(f"input shape {x.shape}: want window length {cfg.input_len}, 1 or 2 axes")
 
-    p1, p1_off = T.maxpool1d(T.conv1d_valid(x, t["c1_kernels"], t["c1_bias"]), *cfg.p1)
+    p1, p1_off = T.maxpool1d(T.conv1d_valid(x, t["c1_kernels"], t["c1_bias"]), *cfg.p1,
+                             offsets=cache)
     s1 = T.stack(T.relu(p1))
     # len(s1) is the batch size, or 1 for one window's (1, H, L) stack. Each
     # chunk's result is copied into place at once; keeping the chunks to join
     # them fragments the heap and raises a batch-100 step's peak (1.81 GB, not 1.68)
     p2 = np.empty((len(s1), cfg.c2_filters, cfg.p2_out), cfg.np_dtype)
-    p2_off = np.empty(p2.shape, T.pool_offset_dtype(cfg.p2[0]))
+    p2_off = np.empty(p2.shape, T.pool_offset_dtype(cfg.p2[0])) if cache else None
     for rows in _conv2_chunks(cfg, len(s1)):
-        p2[rows], p2_off[rows] = T.maxpool1d(
-            T.conv2d_fullheight(s1[rows], t["c2_kernels"], t["c2_bias"])[..., 0, :], *cfg.p2)
-    p2_off = p2_off.reshape(*x.shape[:-1], *p2.shape[1:])
+        p2[rows], off = T.maxpool1d(
+            T.conv2d_fullheight(s1[rows], t["c2_kernels"], t["c2_bias"])[..., 0, :], *cfg.p2,
+            offsets=cache)
+        if cache:
+            p2_off[rows] = off
     flat = T.relu(p2).reshape(*x.shape[:-1], -1)
     h1 = T.relu(T.dense(flat, t["f1_w"], t["f1_b"]))
     h2 = T.relu(T.dense(h1, t["f2_w"], t["f2_b"]))
     probs = T.softmax(T.dense(h2, t["out_w"], t["out_b"]))
-
+    if not cache:
+        return probs, None
+    p2_off = p2_off.reshape(*x.shape[:-1], *p2.shape[1:])
     return probs, ForwardCache(x, p1_off, s1, p2_off, flat, h1, h2, probs)
 
 
@@ -404,7 +413,7 @@ def sgd_step(params: ModelParameters, gradients: dict[str, np.ndarray | T.OuterG
 
 
 def predict(params: ModelParameters, signal: np.ndarray) -> SleepStage:
-    probs, _ = forward(params, signal)
+    probs, _ = forward(params, signal, cache=False)
     return predict_from_probs(probs)
 
 

@@ -15,7 +15,9 @@ lay it out position-major, one matrix product per window, and the 2D
 convolution's input gradient is one more, written into its spent im2col copy.
 Max-pooling takes a running maximum over blocks of gcd(size, stride) samples
 and then one over each window's blocks, a chunk of rows at a time, and
-records where each maximum is without an argmax.
+records where each maximum is without an argmax; for a pass that no backward
+follows it runs the same maxima and records nothing. A dense layer takes a
+batch as one product.
 
 Conventions, fixed so that learned-filter analysis stays meaningful:
   - convolutions are cross-correlations (kernels are templates, never flipped)
@@ -135,13 +137,17 @@ def _flat_index(index: np.ndarray, first_row: int, stride: int, length: int) -> 
     return index
 
 
-def maxpool1d(x: np.ndarray, size: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+def maxpool1d(x: np.ndarray, size: int, stride: int, *,
+              offsets: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Max-pool each row of x (..., L) with the given window size and stride.
 
     Returns (y, offsets), both (..., 1 + (L-size)//stride): offsets holds,
     for every pooled output, its maximum's offset within its window (first
     occurrence on ties; a NaN counts as the maximum, as under argmax), as
     uint8 when size <= 256. Output i's maximum is x[..., i*stride + offsets[..., i]].
+    With `offsets` False, for a pass that no backward follows, it returns
+    (y, None) and keeps no offsets: the same running max over the same
+    blocks, so y holds the same bits, NaNs and signed zeros included.
 
     With g = gcd(size, stride), each window is w = size/g whole blocks of g
     samples, one every stride/g blocks: a running max first takes each
@@ -160,36 +166,48 @@ def maxpool1d(x: np.ndarray, size: int, stride: int) -> tuple[np.ndarray, np.nda
     n = 1 + (l - size) // stride
     nb = (n - 1) * hop + w                              # blocks the windows cover
     y = np.empty((len(rows), n), x.dtype)
-    offsets = np.empty((len(rows), n), pool_offset_dtype(size))
+    off = np.empty((len(rows), n), pool_offset_dtype(size)) if offsets else None
     # about _POOL_CHUNK window elements (or samples read, if more) at a time,
     # so that a chunk's rows stay in cache
     step = max(1, _POOL_CHUNK // max(n * size, nb * g))
+    firsts = [slice(j, j + (nb - 1) * g + 1, g) for j in range(g)]     # block i's j-th sample
     spaced = [slice(j, j + (n - 1) * hop + 1, hop) for j in range(w)]  # window i's j-th block
     for start in range(0, len(rows), step):
-        chunk = rows[start:start + step]
+        chunk, top = rows[start:start + step], y[start:start + step]
         block_max = np.empty((len(chunk), nb), x.dtype)
-        block_at = np.empty(block_max.shape, offsets.dtype)
-        _running_max([chunk[:, j:j + (nb - 1) * g + 1:g] for j in range(g)], block_max, block_at)
-        top, at = y[start:start + step], offsets[start:start + step]
-        _running_max([block_max[:, j] for j in spaced], top, at, [block_at[:, j] for j in spaced], g)
+        if off is None:
+            _running_max(chunk, firsts, block_max)
+            _running_max(block_max, spaced, top)
+            continue
+        at, block_at = off[start:start + step], np.empty(block_max.shape, off.dtype)
+        _running_max(chunk, firsts, block_max, block_at)
+        _running_max(block_max, spaced, top, at, block_at, g)
         if math.isnan(top.max()):  # no value exceeds a NaN: point those at their first NaN
             nan = np.isnan(top)
             at[nan] = np.isnan(_windows(chunk, size, stride)[nan]).argmax(axis=1)
     shape = (*x.shape[:-1], n)
-    return y.reshape(shape), offsets.reshape(shape)
+    return y.reshape(shape), None if off is None else off.reshape(shape)
 
 
-def _running_max(columns: list, top: np.ndarray, at: np.ndarray, inner: list | None = None,
-                 unit: int = 1) -> None:
-    """Write into `top` the maximum over `columns`, a list of arrays of its
-    shape, and into `at` the index of the first column that holds it; or,
-    given each column's own offsets `inner` (below `unit`), the offset
-    j*unit + inner[j] of that first column j.
+def _running_max(source: np.ndarray, picks: list, top: np.ndarray, at: np.ndarray | None = None,
+                 inner: np.ndarray | None = None, unit: int = 1) -> None:
+    """Write into `top` the maximum over the columns source[:, p], p in
+    `picks`, each of top's shape, folded in order; and into `at`, if given,
+    the index of the first column that holds it; or, given each column's own
+    offsets in `inner` (of source's shape, below `unit`), the offset
+    j*unit + inner[:, p_j] of that first column j.
     """
+    columns = [source[:, p] for p in picks]
     np.copyto(top, columns[0])
     first = 1  # the first column the loop below folds in
+    if at is None:
+        for column in columns[1:]:
+            # a NaN wins; on a tie (-0.0 and 0.0) maximum returns its second
+            # operand, so the earlier value stays
+            np.maximum(column, top, out=top)
+        return
     if inner is not None:
-        np.copyto(at, inner[0])
+        np.copyto(at, inner[:, picks[0]])
     elif len(columns) == 1:
         at.fill(0)
     else:  # offsets start at 0, so after column 1 they are its strict rise
@@ -199,15 +217,13 @@ def _running_max(columns: list, top: np.ndarray, at: np.ndarray, inner: list | N
     rise, scaled = np.empty(top.shape, bool), np.empty_like(at)
     for j in range(first, len(columns)):
         np.greater(columns[j], top, out=rise)  # strictly: a tie keeps the first index
-        # a NaN wins; on a tie (-0.0 and 0.0) maximum returns its second
-        # operand, so the earlier value stays
-        np.maximum(columns[j], top, out=top)
+        np.maximum(columns[j], top, out=top)   # as in the values-only loop above
         # every earlier offset is below j*unit, so the last rise is the
         # largest offset: no masked write
         if inner is None:
             np.multiply(rise, j, out=scaled, dtype=scaled.dtype)
         else:
-            np.add(inner[j], j * unit, out=scaled, dtype=scaled.dtype)
+            np.add(inner[:, picks[j]], j * unit, out=scaled, dtype=scaled.dtype)
             scaled *= rise
         np.maximum(at, scaled, out=at)
 
@@ -311,8 +327,17 @@ def conv2d_fullheight_backward(
 
 
 def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map y = W x + b for x (..., N), W (M, N), b (M,)."""
-    return x @ weights.T + bias
+    """Affine map y = W x + b for x (..., N), W (M, N), b (M,).
+
+    A batch (K, N) is one product W @ x.T written into the transpose of a
+    C-ordered (K, M) result: the same bits as x @ W.T.
+    """
+    if x.ndim != 2:
+        return x @ weights.T + bias
+    y = np.empty((len(x), len(weights)), np.result_type(x, weights))
+    np.matmul(weights, x.T, out=y.T)
+    y += bias
+    return y
 
 
 class OuterGrad:

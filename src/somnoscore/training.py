@@ -91,8 +91,8 @@ def predict_windows(params: ModelParameters, windows) -> np.ndarray:
     """Predicted stage index of each window (the lowest on ties), scored
     `config.batch_size` windows at a time."""
     n = params.config.batch_size
-    probs = [model.forward(params, np.stack([w.signal() for w in windows[i:i + n]]))[0]
-             for i in range(0, len(windows), n)]
+    probs = [model.forward(params, np.stack([w.signal() for w in windows[i:i + n]]),
+                           cache=False)[0] for i in range(0, len(windows), n)]
     return np.concatenate(probs).argmax(axis=1) if probs else np.zeros(0, dtype=np.intp)
 
 

@@ -487,6 +487,120 @@ class TestConv2Chunks:
         assert peak < 8 * window_im2col(cfg) * x.itemsize
 
 
+def spy_kernels(monkeypatch) -> list:
+    """Replace every public tensor_ops function with one that appends its
+    name to the returned list, then calls it."""
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name, fn in list(vars(T).items()):
+        public = callable(fn) and not name.startswith("_")
+        if public and getattr(fn, "__module__", None) == T.__name__:
+            monkeypatch.setattr(T, name, spy(name, fn))
+    return calls
+
+
+class TestForwardOnly:
+    # forward(..., cache=False), the pass that no backward follows: no cache,
+    # no pool offsets, the same probabilities
+    CONFIGS = {
+        "reduced_float64": {},
+        "reduced_float32": {"dtype": "float32"},
+        # full-length windows, so that both pools run at the full extents
+        "full_length": {"input_len": 15000, "c1_len": 200, "p1": (20, 10), "c2_len": 30,
+                        "p2": (10, 2), "dtype": "float32"},
+    }
+
+    @pytest.mark.parametrize("windows", [1, 3, None], ids=["one-window", "three-windows", "whole"])
+    @pytest.mark.parametrize("case", CONFIGS)
+    def test_probabilities_bit_identical_to_the_cached_pass(self, case, windows, monkeypatch):
+        params, cfg = reduced_params(seed=3, **self.CONFIGS[case])
+        if windows is not None:
+            monkeypatch.setattr(M, "_CONV2_CHUNK", windows * window_im2col(cfg))
+        x = np.random.default_rng(4).standard_normal((7, cfg.input_len))
+        assert len(M._conv2_chunks(cfg, 7)) > 1 or windows is None
+        for batch in (x, x[0]):
+            want, cache = M.forward(params, batch)
+            got, none = M.forward(params, batch, cache=False)
+            assert none is None and cache is not None
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_full_size_probabilities_bit_identical_to_the_cached_pass(self):
+        params = M.init_params(M.ModelConfig(), np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((2, 15000))  # two conv2 chunks
+        for batch in (x, x[0]):
+            want, _ = M.forward(params, batch)
+            got, none = M.forward(params, batch, cache=False)
+            assert none is None and got.tobytes() == want.tobytes()
+
+    def test_same_kernel_sequence_with_and_without_the_cache(self, monkeypatch):
+        # benchmark/tracing.py books the n-th call of a kernel inside forward
+        # to a layer by its position, so a scoring pass must call the same
+        # kernels in the same order. Only the cached pass asks the dtype of
+        # pool2's offsets (an int argument, no array work), to allocate them.
+        params, cfg = reduced_params(seed=3)
+        monkeypatch.setattr(M, "_CONV2_CHUNK", 3 * window_im2col(cfg))
+        calls = spy_kernels(monkeypatch)
+        x = np.random.default_rng(4).standard_normal((7, cfg.input_len))
+        for batch in (x, x[0]):
+            M.forward(params, batch)
+            cached = [name for name in calls if name != "pool_offset_dtype"]
+            calls.clear()
+            M.forward(params, batch, cache=False)
+            assert calls == cached and calls.count("maxpool1d") == 1 + len(
+                M._conv2_chunks(cfg, len(np.atleast_2d(batch))))
+            calls.clear()
+
+    def test_scoring_passes_request_no_cache(self, monkeypatch):
+        # each pool says whether it was asked for offsets: scoring passes do
+        # not ask, a training step does
+        asked = []
+        real = T.maxpool1d
+
+        def pool(*args, **kwargs):
+            asked.append(kwargs.get("offsets", True))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(T, "maxpool1d", pool)
+        params, cfg = reduced_params(batch_size=5)
+        windows = build_windows(synthetic_recording("s", 1, list(SleepStage) * 2,
+                                                    samples_per_epoch=60, seed=4))
+        M.predict(params, windows[0].signal())
+        assert asked == [False, False]
+        asked.clear()
+        assert len(Tr.predict_windows(params, windows)) == len(windows)
+        assert asked == [False, False] * 2  # two batches of five
+        asked.clear()
+        Tr.batch_update(params, windows[:5], cfg)
+        assert asked == [True, True]
+
+    def test_no_offsets_or_cache_allocated(self):
+        # 400 conv2 filters over full-length windows: pool2's outputs and
+        # offsets outweigh conv1's copy, so both passes peak at pool2, where
+        # the cached one holds its offsets
+        cfg = M.ModelConfig(c1_filters=4, f1=16, f2=16)
+        params = M.init_params(cfg, np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((4, cfg.input_len)).astype(np.float32)
+
+        def peak(cache):
+            tracemalloc.start()
+            try:
+                out = M.forward(params, x, cache=cache)
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (_, cache), cached_peak = peak(True)
+        (_, none), forward_only_peak = peak(False)
+        assert none is None
+        offsets = cache.p1_off.nbytes + cache.p2_off.nbytes
+        assert forward_only_peak <= cached_peak - offsets, (forward_only_peak, cached_peak, offsets)
+
+
 class TestBackward:
     def test_end_to_end_gradient_reduced_architecture(self):
         params, cfg = reduced_params(seed=7, l2_lambda=1e-3)

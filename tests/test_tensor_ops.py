@@ -1,6 +1,7 @@
 """Forward/backward kernel contracts, with finite differences as the oracle."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -269,6 +270,30 @@ class TestMaxPool:
         starts = np.arange(y.shape[1]) * s
         np.testing.assert_array_equal(np.take_along_axis(x, off + starts, axis=1), y)
 
+    @given(pool=st.sampled_from([(20, 10), (10, 2), (4, 2)]), rows=st.integers(1, 6),
+           n=st.integers(1, 40), tail=st.integers(0, 9), per_chunk=st.integers(0, 6),
+           seed=st.integers(0, 10_000), dtype=st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=100, deadline=None)
+    def test_values_only_pool_gives_the_tracked_values_bit_for_bit(
+            self, pool, rows, n, tail, per_chunk, seed, dtype):
+        # the model's three pools over rows of n windows and a dropped tail,
+        # `per_chunk` rows a pass (0: the default budget). Few values make
+        # ties of -0.0 and 0.0 and of infinities; NaNs of both signs make
+        # NaN maxima. Skipping the offsets must leave every bit of y.
+        size, stride = pool
+        rng = np.random.default_rng(seed)
+        values = np.array([-np.inf, -0.0, 0.0, 1.0, np.inf, np.nan, -np.nan], dtype)
+        x = rng.choice(values, (rows, size + (n - 1) * stride + tail % stride))
+        x[0, :size] = np.resize(np.array([-0.0, 0.0], dtype), size)  # a window of signed zeros
+        chunk = per_chunk * n * size if per_chunk else T._POOL_CHUNK
+        with mock.patch.object(T, "_POOL_CHUNK", chunk):
+            y, off = T.maxpool1d(x, size, stride)
+            values_only, none = T.maxpool1d(x, size, stride, offsets=False)
+        assert none is None and off is not None
+        assert values_only.shape == y.shape and values_only.dtype == y.dtype
+        assert values_only.tobytes() == y.tobytes()
+        assert y[0, 0] == 0 and np.signbit(y[0, 0])  # a tie keeps the first zero, -0.0
+
 
 class TestRelu:
     def test_values(self):
@@ -436,6 +461,17 @@ class TestDense:
         err_w = T.finite_diff_check(lambda v: float((g * T.dense(x, v, b)).sum()), w, gw)
         err_b = T.finite_diff_check(lambda v: float((g * T.dense(x, w, v)).sum()), b, gb)
         assert max(err_x, err_w, err_b) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 20, 100])
+    def test_batch_is_x_times_w_transposed_bit_for_bit_and_c_ordered(self, n, dtype):
+        # a batch is written through the transpose of its result; the
+        # result must stay C-ordered, the layout dense1's output had before
+        x = np.maximum(rand((n, 288), 5), 0).astype(dtype)
+        w, b = rand((16, 288), 6).astype(dtype), rand(16, 7).astype(dtype)
+        y = T.dense(x, w, b)
+        assert y.flags.c_contiguous and y.dtype == dtype
+        assert y.tobytes() == (x @ w.T + b).tobytes()
 
 
 class TestOuterGrad:
