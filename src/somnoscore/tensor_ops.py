@@ -16,8 +16,7 @@ convolution's input gradient is one more, written into its spent im2col copy.
 Max-pooling takes a running maximum over blocks of gcd(size, stride) samples
 and then one over each window's blocks, a chunk of rows at a time, and
 records where each maximum is without an argmax; for a pass that no backward
-follows it runs the same maxima and records nothing. A dense layer takes a
-batch as one product.
+follows it runs the same maxima and records nothing.
 
 Conventions, fixed so that learned-filter analysis stays meaningful:
   - convolutions are cross-correlations (kernels are templates, never flipped)
@@ -170,18 +169,18 @@ def maxpool1d(x: np.ndarray, size: int, stride: int, *,
     # about _POOL_CHUNK window elements (or samples read, if more) at a time,
     # so that a chunk's rows stay in cache
     step = max(1, _POOL_CHUNK // max(n * size, nb * g))
-    firsts = [slice(j, j + (nb - 1) * g + 1, g) for j in range(g)]     # block i's j-th sample
     spaced = [slice(j, j + (n - 1) * hop + 1, hop) for j in range(w)]  # window i's j-th block
     for start in range(0, len(rows), step):
-        chunk, top = rows[start:start + step], y[start:start + step]
+        chunk = rows[start:start + step]
         block_max = np.empty((len(chunk), nb), x.dtype)
+        block_at = None if off is None else np.empty(block_max.shape, off.dtype)
+        _running_max([chunk[:, j:j + (nb - 1) * g + 1:g] for j in range(g)], block_max, block_at)
+        top = y[start:start + step]
         if off is None:
-            _running_max(chunk, firsts, block_max)
-            _running_max(block_max, spaced, top)
+            _running_max([block_max[:, j] for j in spaced], top)
             continue
-        at, block_at = off[start:start + step], np.empty(block_max.shape, off.dtype)
-        _running_max(chunk, firsts, block_max, block_at)
-        _running_max(block_max, spaced, top, at, block_at, g)
+        at = off[start:start + step]
+        _running_max([block_max[:, j] for j in spaced], top, at, [block_at[:, j] for j in spaced], g)
         if math.isnan(top.max()):  # no value exceeds a NaN: point those at their first NaN
             nan = np.isnan(top)
             at[nan] = np.isnan(_windows(chunk, size, stride)[nan]).argmax(axis=1)
@@ -189,15 +188,13 @@ def maxpool1d(x: np.ndarray, size: int, stride: int, *,
     return y.reshape(shape), None if off is None else off.reshape(shape)
 
 
-def _running_max(source: np.ndarray, picks: list, top: np.ndarray, at: np.ndarray | None = None,
-                 inner: np.ndarray | None = None, unit: int = 1) -> None:
-    """Write into `top` the maximum over the columns source[:, p], p in
-    `picks`, each of top's shape, folded in order; and into `at`, if given,
-    the index of the first column that holds it; or, given each column's own
-    offsets in `inner` (of source's shape, below `unit`), the offset
-    j*unit + inner[:, p_j] of that first column j.
+def _running_max(columns: list, top: np.ndarray, at: np.ndarray | None = None,
+                 inner: list | None = None, unit: int = 1) -> None:
+    """Write into `top` the maximum over `columns`, a list of arrays of its
+    shape, and into `at`, if given, the index of the first column that holds
+    it; or, given each column's own offsets `inner` (below `unit`), the
+    offset j*unit + inner[j] of that first column j.
     """
-    columns = [source[:, p] for p in picks]
     np.copyto(top, columns[0])
     first = 1  # the first column the loop below folds in
     if at is None:
@@ -207,7 +204,7 @@ def _running_max(source: np.ndarray, picks: list, top: np.ndarray, at: np.ndarra
             np.maximum(column, top, out=top)
         return
     if inner is not None:
-        np.copyto(at, inner[:, picks[0]])
+        np.copyto(at, inner[0])
     elif len(columns) == 1:
         at.fill(0)
     else:  # offsets start at 0, so after column 1 they are its strict rise
@@ -223,7 +220,7 @@ def _running_max(source: np.ndarray, picks: list, top: np.ndarray, at: np.ndarra
         if inner is None:
             np.multiply(rise, j, out=scaled, dtype=scaled.dtype)
         else:
-            np.add(inner[:, picks[j]], j * unit, out=scaled, dtype=scaled.dtype)
+            np.add(inner[j], j * unit, out=scaled, dtype=scaled.dtype)
             scaled *= rise
         np.maximum(at, scaled, out=at)
 
@@ -327,17 +324,8 @@ def conv2d_fullheight_backward(
 
 
 def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map y = W x + b for x (..., N), W (M, N), b (M,).
-
-    A batch (K, N) is one product W @ x.T written into the transpose of a
-    C-ordered (K, M) result: the same bits as x @ W.T.
-    """
-    if x.ndim != 2:
-        return x @ weights.T + bias
-    y = np.empty((len(x), len(weights)), np.result_type(x, weights))
-    np.matmul(weights, x.T, out=y.T)
-    y += bias
-    return y
+    """Affine map y = W x + b for x (..., N), W (M, N), b (M,)."""
+    return x @ weights.T + bias
 
 
 class OuterGrad:

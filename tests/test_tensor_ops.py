@@ -462,17 +462,6 @@ class TestDense:
         err_b = T.finite_diff_check(lambda v: float((g * T.dense(x, w, v)).sum()), b, gb)
         assert max(err_x, err_w, err_b) < 1e-6
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n", [1, 2, 20, 100])
-    def test_batch_is_x_times_w_transposed_bit_for_bit_and_c_ordered(self, n, dtype):
-        # a batch is written through the transpose of its result; the
-        # result must stay C-ordered, the layout dense1's output had before
-        x = np.maximum(rand((n, 288), 5), 0).astype(dtype)
-        w, b = rand((16, 288), 6).astype(dtype), rand(16, 7).astype(dtype)
-        y = T.dense(x, w, b)
-        assert y.flags.c_contiguous and y.dtype == dtype
-        assert y.tobytes() == (x @ w.T + b).tobytes()
-
 
 class TestOuterGrad:
     @pytest.mark.parametrize("n", [1, 10])
