@@ -1,15 +1,13 @@
 #!/usr/bin/env bash
 # Full 20-subject cross-validation on the real sleep-cassette corpus.
 #
-# This is the long-running experiment: 20 folds x a 145M-parameter network.
-# A batch-100 step takes about 5 s on 2 Xeon vCPUs (numpy 2.4, OpenBLAS), so
-# a fold that runs to the 20000-iteration cap takes about 28 hours; each fold
-# peaks at about 1.7 GB RSS, plus the corpus (about 0.24 GB of EDF counts for
-# the 39 nights, measured; see README "Cost at full size"). Its best.somn
-# (579 MB), written at each improvement, saves in about 1 s and loads in about
-# 0.5 s, with no transient copy. Desk-scale checks live in the test suite; this recipe exists
-# to reproduce the headline numbers (target: mean F1 within 3 percentage points
-# of 81) once the corpus is available locally.
+# This is the long-running experiment: 20 folds x a 145M-parameter network,
+# each fold running up to the 20000-iteration cap. README "Cost at full size"
+# gives the measured time of a step and of a fold, the peak memory of a fold
+# and of the corpus, and the cost of a checkpoint. Desk-scale checks live in
+# the test suite; this recipe exists to reproduce the headline numbers
+# (target: mean F1 within 3 percentage points of 81) once the corpus is
+# available locally.
 #
 # Corpus layout expected under $SOMNO_DATA_DIR (or --data-dir):
 #   SC4ssNE0-PSG.edf + SC4ssNE*-Hypnogram.edf pairs, 20 subjects, 39 nights.
@@ -24,7 +22,7 @@ somnoscore ingest --data-dir "$DATA_DIR" --out "$OUT_DIR/ingest"
 # Resumes automatically: completed folds under $OUT_DIR are skipped.
 # Raw microvolt-scale input saturates the softmax under the default rate;
 # see README "Configuration" (learning rate ~1e-7..1e-6 for raw uV signals).
-# With memory for two folds (about 3.8 GB with their two corpora), split the folds
+# With memory for two folds (see README "Cost at full size"), split the folds
 # over two processes into the same directory instead, then evaluate once both
 # are done:
 #   somnoscore crossval ...same flags... --folds 0,2,4,6,8,10,12,14,16,18 &

@@ -38,7 +38,6 @@ from .training import TrainingError
 DATA_DIR_ENV = "SOMNO_DATA_DIR"
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
@@ -276,9 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sleep stage scoring from single-channel EEG.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_seed=False):
+    def common(p, needs_seed=False, reads_corpus=True):
         p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--data-dir", dest="data_dir")
+        if reads_corpus:
+            p.add_argument("--data-dir", dest="data_dir")
         p.add_argument("--output-dir", "--out", dest="output_dir")
         p.add_argument("--channel")
         p.add_argument("--lights-out-epoch", dest="lights_out_epoch", type=int)
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="score one recording with a checkpoint")
-    common(p)
+    common(p, reads_corpus=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--psg", required=True)
     p.add_argument("--annotations", required=True)

@@ -41,11 +41,10 @@ class IngestError(Exception):
 
 
 class EdfFormatError(IngestError):
-    """Structural EDF violation; carries the byte offset where it was found."""
+    """Structural EDF violation; its message ends with the byte offset where it was found."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
 
 
 class UnknownLabelError(IngestError):

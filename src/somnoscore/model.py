@@ -233,7 +233,6 @@ class ForwardCache:
     flat: np.ndarray        # ReLU'd pool2 output, flattened: dense1's input
     h1: np.ndarray
     h2: np.ndarray
-    probs: np.ndarray
 
 
 _CONV2_CHUNK = 1 << 19  # im2col elements per conv2 chunk: one window at full size
@@ -285,7 +284,7 @@ def forward(params: ModelParameters, x: np.ndarray, *,
     if not cache:
         return probs, None
     p2_off = p2_off.reshape(*x.shape[:-1], *p2.shape[1:])
-    return probs, ForwardCache(x, p1_off, s1, p2_off, flat, h1, h2, probs)
+    return probs, ForwardCache(x, p1_off, s1, p2_off, flat, h1, h2)
 
 
 def backward(params: ModelParameters, cache: ForwardCache,
@@ -310,17 +309,16 @@ def backward(params: ModelParameters, cache: ForwardCache,
         cache.flat, t["f1_w"], T.relu_backward(cache.h1, g))
     g = T.relu_backward(cache.flat, g).reshape(cache.p2_off.shape)
     g = T.maxpool1d_backward(cache.p2_off, g, cfg.c2_out, cfg.p2[1])
-    # conv2 a few windows at a time, as in forward; its parameter gradients
-    # are carried from chunk to chunk, in window order
+    # conv2 a few windows at a time, as in forward, each chunk's input gradient
+    # copied into place; its parameter gradients carried on, in window order
     batch = cache.s1.reshape(-1, *cache.s1.shape[-3:])
     g = g.reshape(len(batch), cfg.c2_filters, 1, cfg.c2_out)
-    sums, grad_s1 = None, []
+    sums, grad_s1 = None, np.empty(batch.shape, cfg.np_dtype)
     for rows in _conv2_chunks(cfg, len(batch)):
-        gx, *sums = T.conv2d_fullheight_backward(
+        grad_s1[rows], *sums = T.conv2d_fullheight_backward(
             batch[rows], t["c2_kernels"], g[rows], sums=sums)
-        grad_s1.append(gx)
     grads["c2_kernels"], grads["c2_bias"] = sums
-    g = (grad_s1[0] if len(grad_s1) == 1 else np.concatenate(grad_s1)).reshape(cache.s1.shape)
+    g = grad_s1.reshape(cache.s1.shape)
     g = T.unstack(T.relu_backward(cache.s1, g))
     g = T.maxpool1d_backward(cache.p1_off, g, cfg.c1_out, cfg.p1[1])
     grads["c1_kernels"], grads["c1_bias"] = T.conv1d_backward(cache.x, t["c1_kernels"], g)

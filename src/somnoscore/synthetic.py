@@ -169,24 +169,17 @@ def write_hypnogram_edf(path: Path, events: list[AnnotationEvent]) -> None:
     )
 
 
-def stage_events(stages: list[SleepStage | None], lights_out_epoch: int = 0,
-                 labels: list[str] | None = None) -> list[AnnotationEvent]:
-    """30-second stage events (long-format labels) plus a lights-out marker."""
+def stage_events(stages: list[SleepStage | None],
+                 lights_out_epoch: int = 0) -> list[AnnotationEvent]:
+    """30-second stage events (long-format labels; None is movement) plus a
+    lights-out marker."""
     names = {
         SleepStage.W: "Sleep stage W", SleepStage.N1: "Sleep stage 1",
         SleepStage.N2: "Sleep stage 2", SleepStage.N3: "Sleep stage 3",
-        SleepStage.R: "Sleep stage R",
+        SleepStage.R: "Sleep stage R", None: "Movement time",
     }
-    events = [AnnotationEvent(lights_out_epoch * 30.0, 0.0, "Lights off")]
-    for i, stage in enumerate(stages):
-        if labels is not None:
-            label = labels[i]
-        elif stage is None:
-            label = "Movement time"
-        else:
-            label = names[stage]
-        events.append(AnnotationEvent(i * 30.0, 30.0, label))
-    return events
+    return [AnnotationEvent(lights_out_epoch * 30.0, 0.0, "Lights off")] + [
+        AnnotationEvent(i * 30.0, 30.0, names[stage]) for i, stage in enumerate(stages)]
 
 
 def write_synthetic_pair(

@@ -23,6 +23,8 @@ Conventions, fixed so that learned-filter analysis stays meaningful:
   - only "valid" extents, unit stride/dilation for convolution
   - max-pool ties break to the first (lowest) index; it records each
     maximum's offset within its window, one byte when the window fits
+  - a max-pool window holding a NaN pools to NaN: its gradient is then
+    non-finite, which `model.sgd_step` refuses before any update
   - ReLU subgradient at exactly 0 is 0
   - trailing pool remainder beyond the last full window is dropped
 """
@@ -34,12 +36,12 @@ import math
 import numpy as np
 
 
-def _windows(x: np.ndarray, size: int, stride: int = 1) -> np.ndarray:
+def _windows(x: np.ndarray, size: int) -> np.ndarray:
     """Read-only view of the length-`size` windows along x's last axis, one
-    every `stride` samples: shape (..., 1 + (L-size)//stride, size)."""
+    at every sample: shape (..., L-size+1, size)."""
     x = np.ascontiguousarray(x)
-    n, b = 1 + (x.shape[-1] - size) // stride, x.itemsize
-    win = np.ndarray((*x.shape[:-1], n, size), x.dtype, x, 0, (*x.strides[:-1], stride * b, b))
+    win = np.ndarray((*x.shape[:-1], x.shape[-1] - size + 1, size), x.dtype, x, 0,
+                     (*x.strides, x.itemsize))
     win.flags.writeable = False
     return win
 
@@ -142,8 +144,9 @@ def maxpool1d(x: np.ndarray, size: int, stride: int, *,
 
     Returns (y, offsets), both (..., 1 + (L-size)//stride): offsets holds,
     for every pooled output, its maximum's offset within its window (first
-    occurrence on ties; a NaN counts as the maximum, as under argmax), as
-    uint8 when size <= 256. Output i's maximum is x[..., i*stride + offsets[..., i]].
+    occurrence on ties), as uint8 when size <= 256. Output i's maximum is
+    x[..., i*stride + offsets[..., i]]; a window holding a NaN pools to NaN,
+    with an offset inside the window that need not be the NaN's.
     With `offsets` False, for a pass that no backward follows, it returns
     (y, None) and keeps no offsets: the same running max over the same
     blocks, so y holds the same bits, NaNs and signed zeros included.
@@ -178,12 +181,9 @@ def maxpool1d(x: np.ndarray, size: int, stride: int, *,
         top = y[start:start + step]
         if off is None:
             _running_max([block_max[:, j] for j in spaced], top)
-            continue
-        at = off[start:start + step]
-        _running_max([block_max[:, j] for j in spaced], top, at, [block_at[:, j] for j in spaced], g)
-        if math.isnan(top.max()):  # no value exceeds a NaN: point those at their first NaN
-            nan = np.isnan(top)
-            at[nan] = np.isnan(_windows(chunk, size, stride)[nan]).argmax(axis=1)
+        else:
+            _running_max([block_max[:, j] for j in spaced], top, off[start:start + step],
+                         [block_at[:, j] for j in spaced], g)
     shape = (*x.shape[:-1], n)
     return y.reshape(shape), None if off is None else off.reshape(shape)
 
@@ -341,10 +341,6 @@ class OuterGrad:
 
     def __init__(self, g: np.ndarray, x: np.ndarray):
         self.g, self.x = g, x
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.g.shape[1], self.x.shape[1]
 
     def tile(self, rows: slice, cols: slice) -> np.ndarray:
         return self.g[:, rows].T @ self.x[:, cols]

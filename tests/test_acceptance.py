@@ -36,8 +36,8 @@ def test_criterion_01_shape_conformance():
     expected = [(20, 14801), (20, 1479), (1, 20, 1479),
                 (400, 1450), (400, 721), 288400, 500, 500, 5]
     report(1, "forward-pass layer extents match the reference architecture",
-           layer_shapes(cache, cfg) == expected and abs(probs.sum() - 1.0) < 1e-9,
-           f"trace {layer_shapes(cache, cfg)}")
+           layer_shapes(probs, cache, cfg) == expected and abs(probs.sum() - 1.0) < 1e-9,
+           f"trace {layer_shapes(probs, cache, cfg)}")
 
 
 def test_criterion_02_gradient_correctness():
@@ -133,7 +133,8 @@ def test_criterion_06_ingestion_round_trip(tmp_path):
     d = tmp_path / "corpus"
     S.write_synthetic_pair(d, "SC4001E0", stages, lights_out_epoch=0)
     S.write_hypnogram_edf(d / "SC4001E0-Hypnogram.edf",
-                          S.stage_events(stages, 0, labels=raw))
+                          [E.AnnotationEvent(0.0, 0.0, "Lights off")]
+                          + [E.AnnotationEvent(30.0 * i, 30.0, label) for i, label in enumerate(raw)])
     rec = E.load_recording(E.discover_pairs(d)[0])
     merged = rec.epoch_labels == [SleepStage.W, SleepStage.N1, SleepStage.N2,
                                   SleepStage.N3, SleepStage.R]

@@ -17,6 +17,8 @@ from somnoscore.synthetic import write_synthetic_pair
 from test_evaluation import GOLDEN_COUNTS, GOLDEN_F1_MEAN, GOLDEN_OVERALL
 from test_model import rewrite_config
 
+USAGE = 2  # argparse's exit status for a usage error
+
 FIVE = [SleepStage.W, SleepStage.N1, SleepStage.N2, SleepStage.N3, SleepStage.R]
 
 TINY_FULL_LENGTH_MODEL = {
@@ -144,7 +146,7 @@ class TestTrain:
     def test_seed_is_mandatory(self, run_config):
         with pytest.raises(SystemExit) as exc:
             cli.main(["crossval", "--config", str(run_config), "--folds", "0"])
-        assert exc.value.code == cli.EXIT_USAGE
+        assert exc.value.code == USAGE
 
     @pytest.mark.parametrize("flag", ["--batch-size", "--max-iterations", "--eval-every"])
     def test_zero_schedule_flag_exits_data_and_writes_nothing(self, tmp_path, run_config,
@@ -317,6 +319,24 @@ class TestCrossval:
         assert rc == cli.EXIT_NUMERIC
         assert "fold 0 FAILED: OSError: [Errno 28]" in capsys.readouterr().err
         assert (tmp_path / "out" / "fold_00" / "failure.txt").exists()
+
+    def test_diverging_fold_exits_numeric_at_its_first_evaluation(self, tmp_path, corpus_dir,
+                                                                  capsys):
+        # a narrow full-length net on the raw ±150 µV corpus at lr 0.003: its
+        # loss grows a thousandfold within a few steps
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "data_dir": str(corpus_dir), "output_dir": str(tmp_path / "out"),
+            "model": {"c1_filters": 4, "c2_filters": 8, "f1": 16, "f2": 16, "dtype": "float64",
+                      "learning_rate": 0.003, "l2_lambda": 1e-3, "batch_size": 20,
+                      "eval_every": 5},
+        }))
+        rc = cli.main(["crossval", "--config", str(path), "--seed", "4", "--folds", "0"])
+        assert rc == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "fold 0 FAILED: TrainingError: training diverged at iteration 5: mean loss" in err
+        assert "first step's loss" in err
+        assert not (tmp_path / "out" / "fold_00" / "best.somn").exists()
 
     def test_two_processes_into_one_directory_match_one_serial_run(self, tmp_path,
                                                                   run_config):
@@ -659,28 +679,31 @@ class TestUsage:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])
-        assert exc.value.code == cli.EXIT_USAGE
+        assert exc.value.code == USAGE
 
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["ingest", "--frobnicate"])
-        assert exc.value.code == cli.EXIT_USAGE
+        assert exc.value.code == USAGE
 
     def test_crossval_has_no_parallel_flag(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["crossval", "--seed", "1", "--parallel", "2"])
-        assert exc.value.code == cli.EXIT_USAGE
+        assert exc.value.code == USAGE
 
     @pytest.mark.parametrize("argv", [
         ["evaluate", "RESULTS", "--overall", "balanced"],
         ["train", "--seed", "1", "--fold", "0"],
         ["crossval", "--seed", "1", "--first-layer-mode", "fixed_morlet"],
-    ], ids=["evaluate_overall", "train", "crossval_first_layer_mode"])
+        ["predict", "--checkpoint", "C.somn", "--psg", "P.edf", "--annotations", "H.edf",
+         "--data-dir", "DATA"],
+    ], ids=["evaluate_overall", "train", "crossval_first_layer_mode", "predict_data_dir"])
     def test_removed_option_or_subcommand_is_a_usage_error(self, tmp_path, argv):
         # the class-balanced reading is sensitivity_mean; one fold is crossval
-        # --folds k; the first layer always trains
+        # --folds k; the first layer always trains; predict reads only the
+        # one recording it is given
         argv = [str(tmp_path / "results") if a == "RESULTS" else a for a in argv]
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--out", str(tmp_path / "out")])
-        assert exc.value.code == cli.EXIT_USAGE
+        assert exc.value.code == USAGE
         assert list(tmp_path.iterdir()) == []

@@ -218,13 +218,14 @@ class TestInit:
         assert list(params.velocity) == ["out_b"] and not params.velocity["out_b"].any()
 
 
-def layer_shapes(cache: M.ForwardCache, cfg: M.ModelConfig) -> list:
-    """Each layer's output shape, from the cache's arrays and the config's
-    conv lengths; the flat and dense extents are per window."""
+def layer_shapes(probs: np.ndarray, cache: M.ForwardCache, cfg: M.ModelConfig) -> list:
+    """Each layer's output shape, from the forward pass's probabilities and
+    cache and the config's conv lengths; the flat and dense extents are per
+    window."""
     p1, p2 = cache.p1_off.shape, cache.p2_off.shape
     return [(*p1[:-1], cfg.c1_out), p1, cache.s1.shape, (*p2[:-1], cfg.c2_out), p2,
             cache.flat.shape[-1], cache.h1.shape[-1], cache.h2.shape[-1],
-            cache.probs.shape[-1]]
+            probs.shape[-1]]
 
 
 class TestForward:
@@ -233,12 +234,12 @@ class TestForward:
         params = M.init_params(cfg, np.random.default_rng(0))
         x = np.random.default_rng(1).standard_normal((2, 15000))
         probs, cache = M.forward(params, x[0])
-        assert layer_shapes(cache, cfg) == [
+        assert layer_shapes(probs, cache, cfg) == [
             (20, 14801), (20, 1479), (1, 20, 1479),
             (400, 1450), (400, 721), 288400, 500, 500, 5]
         assert probs.shape == (5,) and abs(probs.sum() - 1.0) < 1e-9
         batch_probs, cache = M.forward(params, x)
-        assert layer_shapes(cache, cfg) == [
+        assert layer_shapes(batch_probs, cache, cfg) == [
             (2, 20, 14801), (2, 20, 1479), (2, 1, 20, 1479),
             (2, 400, 1450), (2, 400, 721), 288400, 500, 500, 5]
         assert batch_probs.shape == (2, 5)
@@ -461,12 +462,12 @@ class TestConv2Chunks:
         spy("relu", lambda args: None)
         spy("maxpool1d", lambda args: args[0].shape[-1])
         spy("maxpool1d_backward", lambda args: args[2])
-        _, cache = M.forward(params, x)
+        probs, cache = M.forward(params, x)
         assert calls.count(("relu", None)) == 4
         assert [length for name, length in calls if name == "maxpool1d"] == (
             [cfg.c1_out] + [cfg.c2_out] * 3)
         calls.clear()
-        M.backward(params, cache, T.cross_entropy(cache.probs, [0, 1, 2, 3, 4, 0, 1])[1])
+        M.backward(params, cache, T.cross_entropy(probs, [0, 1, 2, 3, 4, 0, 1])[1])
         assert calls == [("maxpool1d_backward", cfg.c2_out), ("maxpool1d_backward", cfg.c1_out)]
 
     def test_step_peaks_below_the_batch_im2col_copy(self):
@@ -479,8 +480,8 @@ class TestConv2Chunks:
         assert len(M._conv2_chunks(cfg, 8)) > 1
         tracemalloc.start()
         try:
-            _, cache = M.forward(params, x)
-            M.backward(params, cache, T.cross_entropy(cache.probs, [0, 1, 2, 3, 4, 0, 1, 2])[1])
+            probs, cache = M.forward(params, x)
+            M.backward(params, cache, T.cross_entropy(probs, [0, 1, 2, 3, 4, 0, 1, 2])[1])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -14,7 +14,8 @@ from somnoscore import evaluation as Ev
 from somnoscore import model as M
 from somnoscore import tensor_ops as T
 from somnoscore import training as Tr
-from somnoscore.dataset import make_folds, windows_for_subjects
+from somnoscore.dataset import (LabeledWindow, balanced_batch, class_pools, make_folds,
+                                windows_for_subjects)
 from somnoscore.edf_ingest import SleepStage, discover_pairs, load_recording
 from somnoscore.synthetic import synthetic_corpus, synthetic_recording, write_synthetic_pair
 
@@ -205,6 +206,49 @@ class TestTrainFold:
         with pytest.raises(Tr.TrainingError, match="iteration 1"):
             Tr.train_fold(corpus, folds[0], tiny_config(), np.random.default_rng(0),
                           tmp_path / "best.somn")
+
+
+    def test_a_nan_window_fails_the_step_before_any_update(self, corpus, folds, tmp_path,
+                                                          monkeypatch):
+        # a window holding a NaN pools to NaN, so the loss's gradient is
+        # non-finite: the update refuses it at out_w, the first tensor it
+        # takes, before any tensor changes, and train_fold fails the fold
+        real_signal = LabeledWindow.signal
+
+        def signal(window):
+            x = real_signal(window)
+            if window.label is SleepStage.N3:
+                x[150] = np.nan
+            return x
+
+        monkeypatch.setattr(LabeledWindow, "signal", signal)
+        cfg = tiny_config()
+        pools = class_pools(windows_for_subjects(corpus, folds[0].training_subjects))
+        params = M.init_params(cfg, np.random.default_rng(21))
+        before = {k: v.copy() for k, v in params.tensors.items()}
+        batch = balanced_batch(pools, cfg.batch_size, np.random.default_rng(22))
+        with pytest.raises(FloatingPointError, match="'out_w'"):
+            Tr.batch_update(params, batch, cfg)
+        assert all(v.tobytes() == before[k].tobytes() for k, v in params.tensors.items())
+        with pytest.raises(Tr.TrainingError, match="iteration 1") as exc:
+            Tr.train_fold(corpus, folds[0], cfg, np.random.default_rng(0),
+                          tmp_path / "best.somn")
+        assert isinstance(exc.value.__cause__, FloatingPointError)
+
+    def test_divergence_stops_the_fold_at_the_evaluation_that_sees_it(
+            self, corpus, folds, tmp_path, monkeypatch):
+        # scripted step losses: the mean since the last evaluation reaches
+        # the ratio times the first step's loss only at the third evaluation
+        ratio = Tr._DIVERGENCE_RATIO
+        losses = iter([2.0, 2.0, 4.0, 2 * ratio - 1, 2 * ratio - 1, 2 * ratio + 1])
+        monkeypatch.setattr(Tr, "batch_update", lambda *args: next(losses))
+        cfg = tiny_config(eval_every=2, max_iterations=50, patience=50)
+        with pytest.raises(Tr.TrainingError) as exc:
+            Tr.train_fold(corpus, folds[0], cfg, np.random.default_rng(0),
+                          tmp_path / "best.somn")
+        assert str(exc.value) == (
+            f"training diverged at iteration 6: mean loss {2 * ratio:.4g} since the last "
+            f"evaluation, first step's loss 2")
 
 
 class TestValidationScores:
